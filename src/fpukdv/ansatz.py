@@ -13,8 +13,6 @@ before discretization; nothing is finite-differenced in tau.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import (
@@ -28,21 +26,6 @@ from .core import (
     pointwise_power,
     sample_to_lattice,
 )
-from .kdv import time_derivative
-
-
-@dataclass(frozen=True)
-class AnsatzFields:
-    """W and the derived profiles entering the expansion, for one snapshot."""
-
-    W: FieldProfile
-    dW: FieldProfile
-    d2W: FieldProfile
-    d3W: FieldProfile
-    Wp: FieldProfile
-    P_eps: FieldProfile
-    epsilon: float
-    p: int
 
 
 def build_p_epsilon(W: FieldProfile, epsilon: float, p: int) -> FieldProfile:
@@ -65,44 +48,6 @@ def build_p_epsilon(W: FieldProfile, epsilon: float, p: int) -> FieldProfile:
         ],
         like=W,
     )
-
-
-def ansatz_fields(W: FieldProfile, epsilon: float, p: int) -> AnsatzFields:
-    return AnsatzFields(
-        W=W,
-        dW=derivative(W, 1),
-        d2W=derivative(W, 2),
-        d3W=derivative(W, 3),
-        Wp=pointwise_power(W, p),
-        P_eps=build_p_epsilon(W, epsilon, p),
-        epsilon=epsilon,
-        p=p,
-    )
-
-
-def first_equation_defect(W: FieldProfile, epsilon: float, p: int) -> FieldProfile:
-    """Defect P(xi+e) - P(xi) + e W' - e^3 W_tau of the truncated first equation.
-
-    W_tau is replaced analytically via the KdV equation; the defect is of
-    formal order e^5 for a KdV solution snapshot.
-    """
-    from .core import translate
-
-    P = build_p_epsilon(W, epsilon, p)
-    return combine(
-        [
-            (1.0, translate(P, epsilon)),
-            (-1.0, P),
-            (epsilon, derivative(W, 1)),
-            (-(epsilon**3), time_derivative(W, p)),
-        ],
-        like=W,
-    )
-
-
-def verify_first_equation_truncation(W: FieldProfile, epsilon: float, p: int) -> float:
-    """Sup-norm of the truncation defect."""
-    return float(np.max(np.abs(first_equation_defect(W, epsilon, p).values)))
 
 
 def seeded_perturbation(N: int, size: float, seed: int) -> tuple[np.ndarray, np.ndarray]:

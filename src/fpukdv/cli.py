@@ -126,7 +126,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(args: argparse.Namespace, parser_defaults: dict) -> None:
+def _explicit_dests(argv) -> set:
+    """Dests given on the command line: re-parse with every default suppressed."""
+    parser = build_parser()
+    for sp in parser._fpukdv_subparsers.values():
+        for action in sp._actions:
+            action.default = argparse.SUPPRESS
+    return set(vars(parser.parse_args(argv)))
+
+
+def _load_config(args: argparse.Namespace, argv) -> None:
     """Merge a JSON config under the explicit flags (flags win)."""
     if not getattr(args, "config", None):
         return
@@ -135,12 +144,12 @@ def _load_config(args: argparse.Namespace, parser_defaults: dict) -> None:
             doc = json.load(fh)
     except OSError as exc:
         raise ConfigurationError(f"cannot read config file {args.config}: {exc}") from exc
+    explicit = _explicit_dests(argv)
     for key, value in doc.items():
         attr = key.replace("-", "_")
         if not hasattr(args, attr):
             raise ConfigurationError(f"unknown config key {key!r}")
-        # a flag left at its parser default is overridden by the config
-        if getattr(args, attr) == parser_defaults.get(attr):
+        if attr not in explicit:
             if attr == "eps" and isinstance(value, (list, tuple)):
                 value = tuple(float(v) for v in value)
             setattr(args, attr, value)
@@ -321,10 +330,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
-    sub = parser._fpukdv_subparsers[args.command]
-    defaults = {a.dest: a.default for a in sub._actions}
     try:
-        _load_config(args, defaults)
+        _load_config(args, argv)
         return _COMMANDS[args.command](args)
     except (InvalidInputError, ConfigurationError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

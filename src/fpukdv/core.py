@@ -14,8 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
-
 
 class InvalidInputError(ValueError):
     """Operation received a value outside its domain."""
@@ -132,9 +130,6 @@ class FieldProfile:
         if np.max(np.abs(self.coeffs - herm)) > rtol * max(np.max(np.abs(self.coeffs)), 1.0e-300):
             raise InvalidInputError("coefficients are not Hermitian-symmetric")
 
-    def with_tau(self, tau: float) -> "FieldProfile":
-        return FieldProfile(values=self.values, coeffs=self.coeffs, tau=float(tau), L=self.L)
-
 
 @dataclass(frozen=True)
 class ErrorRecord:
@@ -242,21 +237,22 @@ def spectral_tail_fraction(W: FieldProfile, s: float) -> float:
 # continuum-to-lattice sampling
 # ---------------------------------------------------------------------------
 
-def sample_profile(W: FieldProfile, points) -> np.ndarray:
-    """Evaluate the Fourier series of W at arbitrary points (direct summation)."""
-    points = np.ascontiguousarray(points, dtype=float)
-    coeffs = np.ascontiguousarray(W.coeffs)
-    return kernels.fourier_eval(coeffs, W.L, points)
-
-
 def sample_to_lattice(W: FieldProfile, epsilon: float, shift: float, N: int) -> np.ndarray:
     """Moving-frame sampling x_n = W(epsilon*(n - shift) mod L).
 
-    Exact for band-limited W up to round-off; requires N*epsilon = L.
+    Since N*epsilon = L, the points are a uniform N-point grid rotated by
+    ``shift`` sites, so the Fourier series of W is evaluated there exactly
+    (up to round-off) by one fold: the half-spectrum weights, phase-shifted
+    by exp(-2 pi i m shift / N), are summed over m mod N and inverted with a
+    length-N FFT.  Cost O(M + N log N).
     """
     if abs(N * epsilon - W.L) > 1.0e-9 * max(1.0, W.L):
         raise ConfigurationError(
             f"N*epsilon = {N * epsilon} does not match the profile period L = {W.L}"
         )
-    points = epsilon * ((np.arange(N) - shift) % (W.L / epsilon))
-    return sample_profile(W, points)
+    half = W.M // 2
+    w = W.coeffs[:half + 1].copy()
+    w[1:half] *= 2.0
+    w *= np.exp(-2j * np.pi * np.arange(half + 1) * ((shift % N) / N))
+    folded = np.pad(w, (0, -w.shape[0] % N)).reshape(-1, N).sum(axis=0)
+    return np.fft.ifft(folded).real * (N / W.M)

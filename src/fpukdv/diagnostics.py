@@ -47,7 +47,11 @@ class EnergyQuantity:
 
 
 def residual_profile_1(W: FieldProfile, epsilon: float, p: int) -> FieldProfile:
-    """Res1 as a continuum profile: e W' - e^3 W_tau + P(.+e) - P(.)."""
+    """Res1 as a continuum profile: e W' - e^3 W_tau + P(.+e) - P(.).
+
+    This is the defect of the truncated first lattice equation, of formal
+    order e^5 for a KdV solution snapshot (W_tau taken from the KdV equation).
+    """
     P = build_p_epsilon(W, epsilon, p)
     return combine(
         [

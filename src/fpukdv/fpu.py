@@ -3,9 +3,9 @@
     du_n/dt = q_{n+1} - q_n
     dq_n/dt = u_n - u_{n-1} + eps^2 (u_n^p - u_{n-1}^p)
 
-Two integrators: classical RK4 (default, jit-compiled hot loop) and a
-symmetric Strang splitting whose linear half-steps are solved exactly in
-Fourier space, for long metastability runs.
+Two integrators: classical RK4 (default, the numpy loop in kernels.py) and
+a symmetric Strang splitting whose linear half-steps are solved exactly in
+Fourier space, for long conservation runs.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ class FpuRunConfig:
 
 def fpu_rhs(state: LatticeState, epsilon: float, p: int) -> tuple[np.ndarray, np.ndarray]:
     """Right-hand side with periodic index arithmetic."""
-    return kernels.fpu_rhs_numpy(state.u, state.q, epsilon**2, p)
+    return kernels.fpu_rhs(state.u, state.q, epsilon**2, p)
 
 
 def fpu_energy(state: LatticeState, epsilon: float, p: int) -> float:
@@ -88,7 +88,7 @@ class _SplittingStepper:
             f = eps2 * u**p
             q = q + self.dt * (f - np.roll(f, 1))
             u, q = self._linear_half(u, q)
-            if np.max(np.abs(u)) > BLOWUP_GUARD:
+            if not (np.max(np.abs(u)) <= BLOWUP_GUARD):
                 return u, q, 1
         return u, q, 0
 
@@ -101,7 +101,7 @@ def fpu_integrate(
     """Advance to cfg.t_end, invoking observer every sample_stride steps.
 
     The observer (if any) also sees the initial state.  Deterministic for a
-    fixed config and backend.
+    fixed config.
     """
     params = cfg.params
     dt = params.dt_lattice

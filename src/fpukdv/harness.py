@@ -19,21 +19,22 @@ import numpy as np
 
 from .ansatz import initial_lattice_data, seeded_perturbation
 from .core import (
+    BlowUpError,
     ConfigurationError,
     ErrorRecord,
     FieldProfile,
     InvalidInputError,
     LatticeState,
     ModelParams,
+    l2_norm,
     sample_to_lattice,
     sobolev_norm,
 )
-from .diagnostics import error_norms, residual_snapshot
+from .diagnostics import error_norms, residual_2, residual_profile_1
 from .fpu import DT_CAP, FpuRunConfig, fpu_integrate
 from .kdv import (
     KdvRunConfig,
     SolitonSpec,
-    critical_norm,
     kdv_integrate,
     soliton_profile,
     track_norm_growth,
@@ -182,27 +183,26 @@ def _window_for(spec: ExperimentSpec, epsilon: float) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 def run_residual_scan(spec: ExperimentSpec) -> dict:
-    """Residual l2 norms at t = 0 for each epsilon, plus slope fits."""
+    """Residual l2 norms at t = 0 for each epsilon, plus slope fits.
+
+    Res1 is the defect of the truncated first lattice equation, so one
+    profile gives both its lattice l2 norm and its grid sup (truncation_sup).
+    """
     W0 = _initial_profile(spec)
     rows = []
     for eps in spec.epsilons:
         N = _lattice_size(spec, eps)
-        snap = residual_snapshot(W0, eps, spec.p, 0.0, N)
-        defect = _truncation_defect_sup(W0, eps, spec.p)
-        rows.append({"epsilon": eps, "res1_l2": snap.res1_l2, "res2_l2": snap.res2_l2,
-                     "truncation_sup": defect})
+        res1 = residual_profile_1(W0, eps, spec.p)
+        rows.append({"epsilon": eps,
+                     "res1_l2": l2_norm(sample_to_lattice(res1, eps, 0.0, N)),
+                     "res2_l2": l2_norm(residual_2(W0, eps, spec.p, 0.0, N)),
+                     "truncation_sup": float(np.max(np.abs(res1.values)))})
     fits = {
         "res1": fit_scaling_exponent([(r["epsilon"], r["res1_l2"]) for r in rows]),
         "res2": fit_scaling_exponent([(r["epsilon"], r["res2_l2"]) for r in rows]),
         "truncation": fit_scaling_exponent([(r["epsilon"], r["truncation_sup"]) for r in rows]),
     }
     return {"rows": rows, "fits": fits, "flags": {}}
-
-
-def _truncation_defect_sup(W0: FieldProfile, eps: float, p: int) -> float:
-    from .ansatz import verify_first_equation_truncation
-
-    return verify_first_equation_truncation(W0, eps, p)
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +240,6 @@ def _error_scan_cell(spec: ExperimentSpec, epsilon: float) -> dict:
 
     W = W0
     records: list[ErrorRecord] = [error_norms(state, W, epsilon, spec.p, 0.0)]
-    crit_norm = critical_norm(W0, spec.p) if spec.p >= 5 else None
     hs_sup = sobolev_norm(W0, spec.s)
     flags = {"blow_up": False}
     try:
@@ -250,7 +249,7 @@ def _error_scan_cell(spec: ExperimentSpec, epsilon: float) -> dict:
             W = kdv_integrate(W, kcfg, n_kdv)
             hs_sup = max(hs_sup, sobolev_norm(W, spec.s))
             records.append(error_norms(state, W, epsilon, spec.p, state.t))
-    except Exception as exc:  # blow-up / resolution failures go into the table
+    except BlowUpError as exc:  # a blow-up goes into the table; bugs propagate
         flags["blow_up"] = True
         flags["error"] = f"{type(exc).__name__}: {exc}"
 
@@ -262,7 +261,6 @@ def _error_scan_cell(spec: ExperimentSpec, epsilon: float) -> dict:
         "sup_error": sup_error,
         "initial": achieved,
         "hs_sup": hs_sup,
-        "critical_norm": crit_norm,
         "records": records,
         "flags": flags,
         "coercivity_violations": sum(0 if rec.coercivity_ok else 1 for rec in records),
@@ -325,7 +323,7 @@ def _metastability_cell(spec: ExperimentSpec, epsilon: float) -> dict:
             state = fpu_integrate(state, fcfg)
             state = LatticeState(u=state.u, q=state.q, t=(i + 1) * dt_diag)
             rows.append({"t": state.t, "orbital_distance": orbital_distance(state.u, u_ref)})
-    except Exception as exc:
+    except BlowUpError as exc:
         flags["blow_up"] = True
         flags["error"] = f"{type(exc).__name__}: {exc}"
 

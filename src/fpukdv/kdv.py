@@ -121,7 +121,7 @@ class KdvIntegrator:
 
     def _nonlinear(self, v: np.ndarray) -> np.ndarray:
         w = np.fft.ifft(v).real
-        if np.max(np.abs(w)) > BLOWUP_GUARD:
+        if not (np.max(np.abs(w)) <= BLOWUP_GUARD):
             raise BlowUpError("KdV solution exceeded the sup-norm guard")
         return -0.5 * self.ik * np.where(self.mask, np.fft.fft(w**self.cfg.p), 0.0)
 
@@ -135,9 +135,6 @@ class KdvIntegrator:
         n3 = self._nonlinear(v3)
         return self.exp_full * v + self.f1 * n0 + 2.0 * self.f2 * (n1 + n2) + self.f3 * n3
 
-    def step(self, W: FieldProfile) -> FieldProfile:
-        return FieldProfile.from_coeffs(self.step_coeffs(W.coeffs), W.L, W.tau + self.cfg.dtau)
-
     def run(self, W: FieldProfile, n_steps: int) -> FieldProfile:
         v = W.coeffs
         for _ in range(n_steps):
@@ -148,11 +145,6 @@ class KdvIntegrator:
 @lru_cache(maxsize=32)
 def _integrator(cfg: KdvRunConfig) -> KdvIntegrator:
     return KdvIntegrator(cfg)
-
-
-def kdv_step(W: FieldProfile, cfg: KdvRunConfig) -> FieldProfile:
-    """Advance W by one dtau step (integrator cached per config)."""
-    return _integrator(cfg).step(W)
 
 
 def kdv_integrate(W: FieldProfile, cfg: KdvRunConfig, n_steps: int) -> FieldProfile:
@@ -181,10 +173,6 @@ def critical_index(p: int) -> float:
     if p in table:
         return table[p]
     return (p - 5.0) / (2.0 * (p - 1.0))
-
-
-def critical_norm(W: FieldProfile, p: int) -> float:
-    return sobolev_norm(W, critical_index(p))
 
 
 @dataclass(frozen=True)

@@ -1,26 +1,17 @@
-"""Hot numerical kernels with numba and pure-numpy implementations.
+"""Numerical kernels: the FPU right-hand side and RK4 loop, plus the direct
+Fourier sum kept as a reference for the lattice sampler.
 
-The active backend is chosen at import time from the ``FPUKDV_BACKEND``
-environment variable (``numba`` by default, ``numpy`` forces the fallback).
-Both implementations are always importable so they can be benchmarked
-against each other (see benchmarks/bench_backends.py).
+Everything here is plain numpy.  ``BACKEND`` and ``numba`` are constants
+kept for tools that report the environment (perfbench/worker.py reads both);
+there is no backend switch and no compiled path.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-BACKEND = os.environ.get("FPUKDV_BACKEND", "numba").strip().lower()
-if BACKEND not in ("numba", "numpy"):
-    raise RuntimeError(f"FPUKDV_BACKEND must be 'numba' or 'numpy', got {BACKEND!r}")
-
-try:
-    import numba
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    numba = None
-    BACKEND = "numpy"
+BACKEND = "numpy"
+numba = None
 
 
 # ---------------------------------------------------------------------------
@@ -28,11 +19,12 @@ except ImportError:  # pragma: no cover - numba is a declared dependency
 #
 # coeffs are unnormalized np.fft.fft coefficients of a real M-point signal;
 # the value at point x is Re[(1/M) sum_m c_m exp(i k_m x)].  The summation
-# uses the Hermitian half-spectrum and a complex phase recurrence, so the
-# cost is M/2 complex multiplies per point.
+# uses the Hermitian half-spectrum, so the cost is O(M) per point.  The
+# moving-frame sampler (core.sample_to_lattice) does not use this: it is the
+# independent oracle the sampler is tested against.
 # ---------------------------------------------------------------------------
 
-def fourier_eval_numpy(coeffs, L, points):
+def fourier_eval(coeffs, L, points):
     M = coeffs.shape[0]
     half = M // 2
     k = 2.0 * np.pi / L * np.arange(half + 1)
@@ -49,106 +41,31 @@ def fourier_eval_numpy(coeffs, L, points):
     return out
 
 
-def _fourier_eval_serial(coeffs, L, points):
-    M = coeffs.shape[0]
-    half = M // 2
-    two_pi_over_L = 2.0 * np.pi / L
-    out = np.empty(points.shape[0])
-    for n in range(points.shape[0]):
-        theta = two_pi_over_L * points[n]
-        z = complex(np.cos(theta), np.sin(theta))
-        zm = z
-        acc = coeffs[0].real
-        for m in range(1, half):
-            acc += 2.0 * (coeffs[m] * zm).real
-            zm *= z
-        acc += (coeffs[half] * zm).real
-        out[n] = acc / M
-    return out
-
-
 # ---------------------------------------------------------------------------
 # FPU lattice right-hand side and fixed-step RK4 loop (periodic indices).
 #
 #   du_n = q_{n+1} - q_n
 #   dq_n = u_n - u_{n-1} + eps^2 (u_n^p - u_{n-1}^p)
 #
-# The RK4 kernels advance (u, q) in place for nsteps and return a status:
-# 0 on success, 1 if the sup-norm blow-up guard tripped.
+# fpu_rk4 advances (u, q) in place for nsteps and returns a status:
+# 0 on success, 1 if the sup-norm blow-up guard tripped (NaN trips it too).
 # ---------------------------------------------------------------------------
 
-def fpu_rhs_numpy(u, q, eps2, p):
+def fpu_rhs(u, q, eps2, p):
     du = np.roll(q, -1) - q
     f = u + eps2 * u**p
     dq = f - np.roll(f, 1)
     return du, dq
 
 
-def fpu_rk4_numpy(u, q, eps2, p, dt, nsteps, guard=1.0e6):
+def fpu_rk4(u, q, eps2, p, dt, nsteps, guard=1.0e6):
     for _ in range(nsteps):
-        ku1, kq1 = fpu_rhs_numpy(u, q, eps2, p)
-        ku2, kq2 = fpu_rhs_numpy(u + 0.5 * dt * ku1, q + 0.5 * dt * kq1, eps2, p)
-        ku3, kq3 = fpu_rhs_numpy(u + 0.5 * dt * ku2, q + 0.5 * dt * kq2, eps2, p)
-        ku4, kq4 = fpu_rhs_numpy(u + dt * ku3, q + dt * kq3, eps2, p)
+        ku1, kq1 = fpu_rhs(u, q, eps2, p)
+        ku2, kq2 = fpu_rhs(u + 0.5 * dt * ku1, q + 0.5 * dt * kq1, eps2, p)
+        ku3, kq3 = fpu_rhs(u + 0.5 * dt * ku2, q + 0.5 * dt * kq2, eps2, p)
+        ku4, kq4 = fpu_rhs(u + dt * ku3, q + dt * kq3, eps2, p)
         u += (dt / 6.0) * (ku1 + 2.0 * ku2 + 2.0 * ku3 + ku4)
         q += (dt / 6.0) * (kq1 + 2.0 * kq2 + 2.0 * kq3 + kq4)
-        if np.max(np.abs(u)) > guard:
+        if not (np.max(np.abs(u)) <= guard):
             return 1
     return 0
-
-
-def _fpu_rhs_serial(u, q, eps2, p, du, dq):
-    N = u.shape[0]
-    for n in range(N):
-        np1 = n + 1 if n + 1 < N else 0
-        nm1 = n - 1 if n > 0 else N - 1
-        du[n] = q[np1] - q[n]
-        dq[n] = u[n] - u[nm1] + eps2 * (u[n] ** p - u[nm1] ** p)
-
-
-def _fpu_rk4_serial(u, q, eps2, p, dt, nsteps, guard=1.0e6):
-    N = u.shape[0]
-    ku1 = np.empty(N); kq1 = np.empty(N)
-    ku2 = np.empty(N); kq2 = np.empty(N)
-    ku3 = np.empty(N); kq3 = np.empty(N)
-    ku4 = np.empty(N); kq4 = np.empty(N)
-    ut = np.empty(N); qt = np.empty(N)
-    for _ in range(nsteps):
-        _fpu_rhs_serial(u, q, eps2, p, ku1, kq1)
-        for n in range(N):
-            ut[n] = u[n] + 0.5 * dt * ku1[n]
-            qt[n] = q[n] + 0.5 * dt * kq1[n]
-        _fpu_rhs_serial(ut, qt, eps2, p, ku2, kq2)
-        for n in range(N):
-            ut[n] = u[n] + 0.5 * dt * ku2[n]
-            qt[n] = q[n] + 0.5 * dt * kq2[n]
-        _fpu_rhs_serial(ut, qt, eps2, p, ku3, kq3)
-        for n in range(N):
-            ut[n] = u[n] + dt * ku3[n]
-            qt[n] = q[n] + dt * kq3[n]
-        _fpu_rhs_serial(ut, qt, eps2, p, ku4, kq4)
-        umax = 0.0
-        for n in range(N):
-            u[n] += (dt / 6.0) * (ku1[n] + 2.0 * ku2[n] + 2.0 * ku3[n] + ku4[n])
-            q[n] += (dt / 6.0) * (kq1[n] + 2.0 * kq2[n] + 2.0 * kq3[n] + kq4[n])
-            au = abs(u[n])
-            if au > umax:
-                umax = au
-        if umax > guard:
-            return 1
-    return 0
-
-
-if numba is not None:
-    fourier_eval_numba = numba.njit(cache=True)(_fourier_eval_serial)
-    _fpu_rk4_src = _fpu_rk4_serial
-    # re-bind the inner rhs so the jitted rk4 resolves to the jitted rhs
-    _fpu_rhs_serial = numba.njit(cache=True)(_fpu_rhs_serial)  # noqa: F811
-    fpu_rk4_numba = numba.njit(cache=True)(_fpu_rk4_src)
-
-if BACKEND == "numba":
-    fourier_eval = fourier_eval_numba
-    fpu_rk4 = fpu_rk4_numba
-else:
-    fourier_eval = fourier_eval_numpy
-    fpu_rk4 = fpu_rk4_numpy

@@ -6,11 +6,9 @@ import pytest
 from fpukdv.ansatz import (
     build_p_epsilon,
     decompose,
-    first_equation_defect,
     initial_lattice_data,
     recompose,
     seeded_perturbation,
-    verify_first_equation_truncation,
 )
 from fpukdv.core import (
     BudgetViolationError,
@@ -18,6 +16,7 @@ from fpukdv.core import (
     InvalidInputError,
     l2_norm,
 )
+from fpukdv.diagnostics import residual_profile_1
 from fpukdv.harness import fit_scaling_exponent
 
 
@@ -61,13 +60,8 @@ class TestTruncationDefect:
         W = soliton_profile(SolitonSpec(p=p, c=1.0, center=32.0), 64.0, 2048)
         eps = [0.1, 0.05, 0.025]
         fit = fit_scaling_exponent(
-            [(e, verify_first_equation_truncation(W, e, p)) for e in eps])
+            [(e, np.max(np.abs(residual_profile_1(W, e, p).values))) for e in eps])
         assert fit.slope == pytest.approx(5.0, abs=0.3)
-
-    def test_defect_profile_matches_sup(self, soliton_p2):
-        d = first_equation_defect(soliton_p2, 0.1, 2)
-        assert verify_first_equation_truncation(soliton_p2, 0.1, 2) == pytest.approx(
-            np.max(np.abs(d.values)))
 
 
 class TestSeededPerturbation:

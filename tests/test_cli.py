@@ -70,6 +70,16 @@ class TestConfigMerge:
         assert payload["spec"]["epsilons"] == [0.2, 0.1]  # config beats default
         assert payload["spec"]["tau0"] == 0.05
 
+    def test_flag_at_its_default_beats_config(self, tmp_path, capsys):
+        # --p 2 equals the parser default but was given explicitly
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"p": 3}))
+        code, out, _ = run_cli(["soliton", "--config", str(cfg), "--p", "2",
+                                "--out-dir", str(tmp_path)], capsys)
+        assert code == 0
+        assert (tmp_path / "soliton_p2_c1.0.csv").exists()
+        assert not (tmp_path / "soliton_p3_c1.0.csv").exists()
+
     def test_missing_config_names_path(self, tmp_path, capsys):
         code, _, err = run_cli(["error-scan", "--config", str(tmp_path / "nope.json")],
                                capsys)

@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from fpukdv import kernels
 from fpukdv.core import (
     ConfigurationError,
     FieldProfile,
@@ -121,6 +122,23 @@ class TestSampleToLattice:
         base = sample_to_lattice(W, eps, 0.0, W.M)
         shifted = sample_to_lattice(W, eps, 1.0, W.M)
         assert np.max(np.abs(shifted - np.roll(base, 1))) < 1e-11
+
+    @given(M=st.sampled_from([256, 512, 1024, 2048]),
+           N=st.integers(2, 4096),
+           shift=st.floats(-1.0e5, 1.0e5),
+           seed=st.integers(0, 2**32 - 1))
+    @example(M=2048, N=7, shift=-1.0e5, seed=0)  # N < M/2: many modes per fold bin
+    @example(M=256, N=4096, shift=1.0e5, seed=1)  # N > M: no two modes share a bin
+    @settings(max_examples=60, deadline=None)
+    def test_fold_matches_direct_sum(self, M, N, shift, seed):
+        # oracle: the direct Fourier sum at the moving-frame points, on a
+        # random real full-band profile (Nyquist mode included)
+        L = 64.0
+        eps = L / N
+        W = FieldProfile.from_values(np.random.default_rng(seed).standard_normal(M), L)
+        ref = kernels.fourier_eval(W.coeffs, L, eps * ((np.arange(N) - shift) % N))
+        out = sample_to_lattice(W, eps, shift, N)
+        assert np.max(np.abs(out - ref)) <= 1.0e-11 * np.max(np.abs(ref))
 
     def test_sampling_inequality_constant(self, gaussian_profile):
         # |x|_l2 <= C eps^(-1/2) |X|_H1 with a stable constant <= 2

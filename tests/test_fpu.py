@@ -109,6 +109,12 @@ class TestIntegrators:
         with pytest.raises(BlowUpError):
             fpu_integrate(state, FpuRunConfig(params=params, t_end=5.0, integrator="splitting"))
 
+    def test_splitting_guard_trips_on_nan(self):
+        # max|u| > guard is False for NaN; the guard must still stop the run
+        stepper = fpu_module._SplittingStepper(32, 0.05)
+        _, _, status = stepper.steps(np.full(32, np.nan), np.zeros(32), 0.01, 2, 3)
+        assert status == 1
+
     def test_dt_cap_enforced(self):
         params = ModelParams(p=2, epsilon=0.1, s=6, L=6.4, N=64, dt_lattice=0.3)
         with pytest.raises(InvalidInputError):

@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from fpukdv.core import ConfigurationError, ErrorRecord, InvalidInputError
+from fpukdv import harness
+from fpukdv.cli import main
+from fpukdv.core import BlowUpError, ConfigurationError, ErrorRecord, InvalidInputError
 from fpukdv.harness import (
     ERROR_CSV_HEADER,
     ExperimentSpec,
@@ -205,3 +207,36 @@ class TestPersistence:
         assert payload["spec"]["kind"] == "residual_scan"
         assert len(payload["fits"]) == 3
         assert payload["wall_time_s"] == 0.1
+
+
+def _raising(exc):
+    def fn(*args, **kwargs):
+        raise exc
+    return fn
+
+
+class TestFailureClassification:
+    """A blow-up is a numerical failure (flag, exit 2); any other error is a bug."""
+
+    SCAN_ARGV = ["error-scan", "--eps", "0.2", "--tau0", "0.01", "--n-samples", "2"]
+    META = ExperimentSpec(kind="metastability", p=2, epsilons=(0.2,), n_samples=2)
+
+    def test_error_scan_bug_propagates(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(harness, "kdv_integrate", _raising(RuntimeError("bug")))
+        with pytest.raises(RuntimeError, match="bug"):
+            main(self.SCAN_ARGV + ["--out-dir", str(tmp_path)])
+
+    def test_error_scan_blowup_is_flagged(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(harness, "kdv_integrate", _raising(BlowUpError("guard")))
+        assert main(self.SCAN_ARGV + ["--out-dir", str(tmp_path)]) == 2
+        flags = json.loads((tmp_path / "error_scan_p2.json").read_text())["flags"]
+        assert flags["0.2"]["blow_up"]
+
+    def test_metastability_bug_propagates(self, monkeypatch):
+        monkeypatch.setattr(harness, "fpu_integrate", _raising(RuntimeError("bug")))
+        with pytest.raises(RuntimeError, match="bug"):
+            run_metastability(self.META)
+
+    def test_metastability_blowup_is_flagged(self, monkeypatch):
+        monkeypatch.setattr(harness, "fpu_integrate", _raising(BlowUpError("guard")))
+        assert run_metastability(self.META)["cells"][0]["flags"]["blow_up"]

@@ -6,6 +6,7 @@ from scipy.integrate import solve_ivp
 
 from fpukdv.core import BlowUpError, FieldProfile, InvalidInputError, grid_l2_norm, translate
 from fpukdv.kdv import (
+    KdvIntegrator,
     KdvRunConfig,
     SolitonSpec,
     critical_index,
@@ -122,6 +123,14 @@ class TestIntegrator:
         cfg = KdvRunConfig(p=4, L=L, M=M, dtau=0.1)
         with pytest.raises(BlowUpError):
             kdv_integrate(W, cfg, 10000)
+
+    def test_blowup_guard_trips_on_nan(self):
+        # max|w| > guard is False for NaN; the guard must still raise
+        M = 256
+        W = FieldProfile(values=np.full(M, np.nan), coeffs=np.full(M, np.nan + 0j),
+                         tau=0.0, L=16.0)
+        with pytest.raises(BlowUpError):
+            KdvIntegrator(KdvRunConfig(p=2, L=16.0, M=M, dtau=1e-3)).run(W, 1)
 
     def test_config_validation(self):
         with pytest.raises(InvalidInputError):
