@@ -79,6 +79,22 @@ class TestIntegrators:
         # Richardson proxy order: e1/e2 ~ 2^4 + correction; demand >= 3.5
         assert math.log2(e1 / e2) > 3.5
 
+    def test_splitting_self_convergence_order(self):
+        # Strang is second order: halving dt cuts the difference between
+        # successive solutions ~4x, so log2(e1/e2) ~ 2
+        rng = np.random.default_rng(6)
+        u0 = 0.3 * rng.standard_normal(64)
+        q0 = 0.3 * rng.standard_normal(64)
+        sols = []
+        for dt in (0.2, 0.1, 0.05):
+            params = ModelParams(p=2, epsilon=0.1, s=6, L=6.4, N=64, dt_lattice=dt)
+            cfg = FpuRunConfig(params=params, t_end=4.0, integrator="splitting")
+            out = fpu_integrate(LatticeState(u=u0, q=q0, t=0.0), cfg)
+            sols.append(np.concatenate([out.u, out.q]))
+        e1 = np.max(np.abs(sols[0] - sols[1]))
+        e2 = np.max(np.abs(sols[1] - sols[2]))
+        assert math.log2(e1 / e2) > 1.8
+
     def test_splitting_matches_rk4(self):
         state, _ = traveling_wave_initializer(2, 1.0, 0.1, 64.0, 1024, 640)
         params = _params()
