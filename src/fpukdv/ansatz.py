@@ -28,26 +28,62 @@ from .core import (
 )
 
 
+def _momentum_series(
+    V: FieldProfile,
+    dV: FieldProfile,
+    power: FieldProfile,
+    grad: FieldProfile,
+    epsilon: float,
+    p: int,
+) -> FieldProfile:
+    """The six terms of the expansion above with W replaced by V:
+
+        -V + (1/2) e V' - (1/8) e^2 V'' - (1/2) e^2 N
+           + (1/48) e^3 V''' + (1/4) e^3 p D,
+
+    where N = ``power`` and D = ``grad``.  P itself is (V, N, D) =
+    (W, W^p, W^(p-1) W'); its tau-derivative is
+    (W_tau, p W^(p-1) W_tau, d/dtau[W^(p-1) W']).
+    """
+    return combine(
+        [
+            (-1.0, V),
+            (0.5 * epsilon, dV),
+            (-0.125 * epsilon**2, derivative(V, 2)),
+            (-0.5 * epsilon**2, power),
+            (epsilon**3 / 48.0, derivative(V, 3)),
+            (0.25 * epsilon**3 * p, grad),
+        ],
+        like=V,
+    )
+
+
 def build_p_epsilon(W: FieldProfile, epsilon: float, p: int) -> FieldProfile:
     """The six-term momentum correction, computed spectrally (dealiased products)."""
     if not 0.0 < epsilon < 1.0:
         raise InvalidInputError(f"epsilon must be in (0, 1), got {epsilon}")
     dW = derivative(W, 1)
-    d2W = derivative(W, 2)
-    d3W = derivative(W, 3)
-    wp = pointwise_power(W, p)
-    grad_term = FieldProfile.from_values(W.values ** (p - 1) * dW.values, W.L, W.tau)
-    return combine(
-        [
-            (-1.0, W),
-            (0.5 * epsilon, dW),
-            (-0.125 * epsilon**2, d2W),
-            (-0.5 * epsilon**2, wp),
-            (epsilon**3 / 48.0, d3W),
-            (0.25 * epsilon**3 * p, grad_term),
-        ],
-        like=W,
+    grad = FieldProfile.from_values(W.values ** (p - 1) * dW.values, W.L, W.tau)
+    return _momentum_series(W, dW, pointwise_power(W, p), grad, epsilon, p)
+
+
+def build_p_epsilon_tau(
+    W: FieldProfile,
+    dW: FieldProfile,
+    G: FieldProfile,
+    epsilon: float,
+    p: int,
+) -> FieldProfile:
+    """d/dtau of the momentum expansion, given W' and G = W_tau (from the KdV equation)."""
+    dG = derivative(G, 1)
+    wpm1 = W.values ** (p - 1)
+    power_tau = FieldProfile.from_values(p * wpm1 * G.values, W.L, W.tau)
+    grad_tau = FieldProfile.from_values(
+        (p - 1) * W.values ** (p - 2) * dW.values * G.values + wpm1 * dG.values,
+        W.L,
+        W.tau,
     )
+    return _momentum_series(G, dG, power_tau, grad_tau, epsilon, p)
 
 
 def seeded_perturbation(N: int, size: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -74,8 +110,8 @@ def initial_lattice_data(
     Returns the state and the achieved initial error norms
     (err_u = |u - sample(W0)|, err_du = |udot + e sample(W0')|).
     """
-    u = sample_to_lattice(W0, epsilon, 0.0, N)
-    q = sample_to_lattice(build_p_epsilon(W0, epsilon, p), epsilon, 0.0, N)
+    u = w0 = sample_to_lattice(W0, epsilon, 0.0, N)
+    q =sample_to_lattice(build_p_epsilon(W0, epsilon, p), epsilon, 0.0, N)
     if perturbation is not None:
         du, dq = perturbation
         size = float(np.sqrt(np.dot(du, du) + np.dot(dq, dq)))
@@ -89,7 +125,7 @@ def initial_lattice_data(
     state = LatticeState(u=u, q=q, t=0.0)
     dw_sample = sample_to_lattice(derivative(W0, 1), epsilon, 0.0, N)
     achieved = {
-        "err_u": l2_norm(state.u - sample_to_lattice(W0, epsilon, 0.0, N)),
+        "err_u": l2_norm(state.u - w0),
         "err_du": l2_norm(state.udot() + epsilon * dw_sample),
     }
     return state, achieved
@@ -98,26 +134,12 @@ def initial_lattice_data(
 def decompose(
     state: LatticeState,
     W_at_t: FieldProfile,
+    P_at_t: FieldProfile,
     epsilon: float,
-    p: int,
     t: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Error parts (U, Q) of the state relative to the moving-frame ansatz."""
+    """Error parts (U, Q) of the state relative to the moving-frame ansatz (W, P)."""
     N = state.N
     U = state.u - sample_to_lattice(W_at_t, epsilon, t, N)
-    Q = state.q - sample_to_lattice(build_p_epsilon(W_at_t, epsilon, p), epsilon, t, N)
+    Q = state.q - sample_to_lattice(P_at_t, epsilon, t, N)
     return U, Q
-
-
-def recompose(
-    U: np.ndarray,
-    Q: np.ndarray,
-    W_at_t: FieldProfile,
-    epsilon: float,
-    p: int,
-    t: float,
-) -> LatticeState:
-    N = U.shape[0]
-    u = sample_to_lattice(W_at_t, epsilon, t, N) + U
-    q = sample_to_lattice(build_p_epsilon(W_at_t, epsilon, p), epsilon, t, N) + Q
-    return LatticeState(u=u, q=q, t=t)

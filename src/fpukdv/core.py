@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .kernels import forward_diff, int_power
+
 
 class InvalidInputError(ValueError):
     """Operation received a value outside its domain."""
@@ -83,7 +85,7 @@ class LatticeState:
 
     def udot(self) -> np.ndarray:
         """Time derivative of u implied by the first lattice equation."""
-        return np.roll(self.q, -1) - self.q
+        return forward_diff(self.q, np.empty_like(self.q))
 
 
 @dataclass(frozen=True)
@@ -179,7 +181,7 @@ def dealias_mask(M: int) -> np.ndarray:
 
 def pointwise_power(W: FieldProfile, p: int, dealias: bool = True) -> FieldProfile:
     """W^p as a profile, integer power computed on the grid (sign kept)."""
-    c = np.fft.fft(W.values**p)
+    c = np.fft.fft(int_power(W.values, p, np.empty(W.M)))
     if dealias:
         c = np.where(dealias_mask(W.M), c, 0.0)
     return FieldProfile.from_coeffs(c, W.L, W.tau)

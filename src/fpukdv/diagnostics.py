@@ -8,13 +8,13 @@ lattice points, which keeps the measurable e^(9/2) scaling clean.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .ansatz import build_p_epsilon, decompose
+from .ansatz import build_p_epsilon, build_p_epsilon_tau, decompose
 from .core import (
+    ErrorRecord,
     FieldProfile,
     LatticeState,
     combine,
@@ -46,58 +46,34 @@ class EnergyQuantity:
     coercivity_lhs: float = 0.0
 
 
-def residual_profile_1(W: FieldProfile, epsilon: float, p: int) -> FieldProfile:
-    """Res1 as a continuum profile: e W' - e^3 W_tau + P(.+e) - P(.).
+def residual_profiles(
+    W: FieldProfile, P: FieldProfile, epsilon: float, p: int
+) -> tuple[FieldProfile, FieldProfile]:
+    """(Res1, Res2) as continuum profiles, given W and its momentum P:
 
-    This is the defect of the truncated first lattice equation, of formal
-    order e^5 for a KdV solution snapshot (W_tau taken from the KdV equation).
+        Res1 = e W' - e^3 W_tau + P(.+e) - P(.),
+        Res2 = e P' - e^3 P_tau + W - W(.-e) + e^2 [W^p - W^p(.-e)].
+
+    Res1 is the defect of the truncated first lattice equation, of formal
+    order e^5 for a KdV solution snapshot.  W', W^p and W_tau (from the KdV
+    equation) are built once and shared by both.
     """
-    P = build_p_epsilon(W, epsilon, p)
-    return combine(
+    dW = derivative(W, 1)
+    wp = pointwise_power(W, p)
+    G = time_derivative(W, p)
+    res1 = combine(
         [
-            (epsilon, derivative(W, 1)),
-            (-(epsilon**3), time_derivative(W, p)),
+            (epsilon, dW),
+            (-(epsilon**3), G),
             (1.0, translate(P, epsilon)),
             (-1.0, P),
         ],
         like=W,
     )
-
-
-def _p_epsilon_tau_derivative(W: FieldProfile, epsilon: float, p: int) -> FieldProfile:
-    """d/dtau of the momentum expansion, with W_tau from the KdV equation."""
-    G = time_derivative(W, p)
-    dG = derivative(G, 1)
-    d2G = derivative(G, 2)
-    d3G = derivative(G, 3)
-    wpm1_G = FieldProfile.from_values(W.values ** (p - 1) * G.values, W.L, W.tau)
-    chain3 = FieldProfile.from_values(
-        (p - 1) * W.values ** (p - 2) * derivative(W, 1).values * G.values
-        + W.values ** (p - 1) * dG.values,
-        W.L,
-        W.tau,
-    )
-    return combine(
-        [
-            (-1.0, G),
-            (0.5 * epsilon, dG),
-            (-0.125 * epsilon**2, d2G),
-            (-0.5 * epsilon**2 * p, wpm1_G),
-            (epsilon**3 / 48.0, d3G),
-            (0.25 * epsilon**3 * p, chain3),
-        ],
-        like=W,
-    )
-
-
-def residual_profile_2(W: FieldProfile, epsilon: float, p: int) -> FieldProfile:
-    """Res2 profile: e P' - e^3 P_tau + W - W(.-e) + e^2 [W^p - W^p(.-e)]."""
-    P = build_p_epsilon(W, epsilon, p)
-    wp = pointwise_power(W, p)
-    return combine(
+    res2 = combine(
         [
             (epsilon, derivative(P, 1)),
-            (-(epsilon**3), _p_epsilon_tau_derivative(W, epsilon, p)),
+            (-(epsilon**3), build_p_epsilon_tau(W, dW, G, epsilon, p)),
             (1.0, W),
             (-1.0, translate(W, -epsilon)),
             (epsilon**2, wp),
@@ -105,45 +81,17 @@ def residual_profile_2(W: FieldProfile, epsilon: float, p: int) -> FieldProfile:
         ],
         like=W,
     )
+    return res1, res2
 
 
-def residual_1(W: FieldProfile, epsilon: float, p: int, t: float, N: int) -> np.ndarray:
-    """Per-site Res1 at lattice points eps*(n - t)."""
-    return sample_to_lattice(residual_profile_1(W, epsilon, p), epsilon, t, N)
-
-
-def residual_2(W: FieldProfile, epsilon: float, p: int, t: float, N: int) -> np.ndarray:
-    return sample_to_lattice(residual_profile_2(W, epsilon, p), epsilon, t, N)
-
-
-def residual_snapshot(W: FieldProfile, epsilon: float, p: int, t: float, N: int) -> ResidualSnapshot:
-    r1 = residual_1(W, epsilon, p, t, N)
-    r2 = residual_2(W, epsilon, p, t, N)
+def residual_snapshot(
+    W: FieldProfile, P: FieldProfile, epsilon: float, p: int, t: float, N: int
+) -> ResidualSnapshot:
+    """Per-site Res1 and Res2 at the lattice points eps*(n - t)."""
+    res1, res2 = residual_profiles(W, P, epsilon, p)
+    r1 = sample_to_lattice(res1, epsilon, t, N)
+    r2 = sample_to_lattice(res2, epsilon, t, N)
     return ResidualSnapshot(t=t, res1=r1, res2=r2, res1_l2=l2_norm(r1), res2_l2=l2_norm(r2))
-
-
-def nonlinear_remainder(
-    W: FieldProfile,
-    U: np.ndarray,
-    epsilon: float,
-    p: int,
-    t: float,
-) -> np.ndarray:
-    """Binomial remainder e^2 sum_{k>=2} C(p,k) [W^(p-k) U^k - shifted]."""
-    if p < 2:
-        raise ValueError(f"p must be >= 2, got {p}")
-    N = U.shape[0]
-    out = np.zeros(N)
-    for k in range(2, p + 1):
-        if p - k == 0:
-            wpk = np.ones(N)
-        else:
-            wpk = sample_to_lattice(
-                FieldProfile.from_values(W.values ** (p - k), W.L, W.tau), epsilon, t, N
-            )
-        term = wpk * U**k
-        out += math.comb(p, k) * (term - np.roll(term, 1))
-    return epsilon**2 * out
 
 
 def coercivity_threshold(W: FieldProfile, p: int) -> float:
@@ -161,12 +109,12 @@ def energy_quantity(
     epsilon: float,
     p: int,
     t: float,
-    slack: float = 1.0e-12,
 ) -> EnergyQuantity:
     """E = (1/2) sum[Q^2 + U^2 + e^2 p W^(p-1) U^2] with the coercivity check.
 
     Coercivity |Q|^2 + |U|^2 <= 4E is guaranteed for eps < eps0; odd p
-    admits the sharper factor 2, which is what gets checked then.
+    admits the sharper factor 2, which is what gets checked then (with a
+    1e-12 absolute slack for round-off).
     """
     N = U.shape[0]
     wpm1 = sample_to_lattice(
@@ -176,38 +124,28 @@ def energy_quantity(
     lhs = float(np.sum(Q * Q + U * U))
     eps0 = coercivity_threshold(W, p)
     factor = 2.0 if p % 2 == 1 else 4.0
-    ok = lhs <= factor * E + slack
+    ok = lhs <= factor * E + 1.0e-12
     return EnergyQuantity(t=t, E=E, coercivity_ok=ok, epsilon0=eps0, coercivity_lhs=lhs)
 
 
-def error_norms(
-    state: LatticeState,
-    W: FieldProfile,
-    epsilon: float,
-    p: int,
-    t: float,
-    with_residuals: bool = True,
-):
-    """ErrorRecord for one sample time; udot is taken from the q-differences."""
-    from .core import ErrorRecord
+def error_norms(state: LatticeState, W: FieldProfile, epsilon: float, p: int, t: float):
+    """ErrorRecord for one sample time; udot is taken from the q-differences.
 
+    P is built once and shared by the error parts and the residuals.
+    """
     N = state.N
-    err_u = l2_norm(state.u - sample_to_lattice(W, epsilon, t, N))
+    P = build_p_epsilon(W, epsilon, p)
+    U, Q = decompose(state, W, P, epsilon, t)
     err_du = l2_norm(state.udot() + epsilon * sample_to_lattice(derivative(W, 1), epsilon, t, N))
-    U, Q = decompose(state, W, epsilon, p, t)
     eq = energy_quantity(U, Q, W, epsilon, p, t)
-    if with_residuals:
-        snap = residual_snapshot(W, epsilon, p, t, N)
-        res1_l2, res2_l2 = snap.res1_l2, snap.res2_l2
-    else:
-        res1_l2 = res2_l2 = 0.0
+    snap = residual_snapshot(W, P, epsilon, p, t, N)
     return ErrorRecord(
         t=t,
-        err_u=err_u,
+        err_u=l2_norm(U),
         err_du=err_du,
         energy_quantity=eq.E,
-        res1_norm=res1_l2,
-        res2_norm=res2_l2,
+        res1_norm=snap.res1_l2,
+        res2_norm=snap.res2_l2,
         H_lattice=fpu_energy(state, epsilon, p),
         coercivity_lhs=eq.coercivity_lhs,
         coercivity_ok=eq.coercivity_ok,

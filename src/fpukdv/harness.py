@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .ansatz import initial_lattice_data, seeded_perturbation
+from .ansatz import build_p_epsilon, initial_lattice_data, seeded_perturbation
 from .core import (
     BlowUpError,
     ConfigurationError,
@@ -30,7 +30,7 @@ from .core import (
     sample_to_lattice,
     sobolev_norm,
 )
-from .diagnostics import error_norms, residual_2, residual_profile_1
+from .diagnostics import error_norms, residual_profiles
 from .fpu import DT_CAP, FpuRunConfig, fpu_integrate
 from .kdv import (
     KdvRunConfig,
@@ -71,7 +71,6 @@ class ExperimentSpec:
     tau_end: float = 5.0
     initial_mode: str = "soliton"  # "soliton" or "gaussian"
     amplitude: float = 1.0
-    output_path: str | None = None
 
     def __post_init__(self):
         if self.kind not in EXPERIMENT_KINDS:
@@ -192,10 +191,10 @@ def run_residual_scan(spec: ExperimentSpec) -> dict:
     rows = []
     for eps in spec.epsilons:
         N = _lattice_size(spec, eps)
-        res1 = residual_profile_1(W0, eps, spec.p)
+        res1, res2 = residual_profiles(W0, build_p_epsilon(W0, eps, spec.p), eps, spec.p)
         rows.append({"epsilon": eps,
                      "res1_l2": l2_norm(sample_to_lattice(res1, eps, 0.0, N)),
-                     "res2_l2": l2_norm(residual_2(W0, eps, spec.p, 0.0, N)),
+                     "res2_l2": l2_norm(sample_to_lattice(res2, eps, 0.0, N)),
                      "truncation_sup": float(np.max(np.abs(res1.values)))})
     fits = {
         "res1": fit_scaling_exponent([(r["epsilon"], r["res1_l2"]) for r in rows]),

@@ -24,6 +24,7 @@ from .core import (
     sobolev_norm,
     spectral_tail_fraction,
 )
+from .kernels import int_power
 
 BLOWUP_GUARD = 1.0e6
 
@@ -35,7 +36,6 @@ class KdvRunConfig:
     M: int
     dtau: float
     tau_end: float = 0.0
-    dealias: bool = True
 
     def __post_init__(self):
         if self.M < 256 or self.M & (self.M - 1) != 0:
@@ -97,7 +97,7 @@ def time_derivative(W: FieldProfile, p: int, dealias: bool = True) -> FieldProfi
 class KdvIntegrator:
     """ETDRK4 stepper; owns precomputed propagators for one (M, L, dtau)."""
 
-    def __init__(self, cfg: KdvRunConfig, n_contour: int = 32):
+    def __init__(self, cfg: KdvRunConfig):
         self.cfg = cfg
         M, L, h = cfg.M, cfg.L, cfg.dtau
         k = 2.0 * np.pi * np.fft.fftfreq(M, d=L / M)
@@ -108,22 +108,23 @@ class KdvIntegrator:
         lin = 1j * k**3 / 24.0
         self.exp_full = np.exp(h * lin)
         self.exp_half = np.exp(0.5 * h * lin)
-        # contour quadrature for the phi-functions (full unit circle,
-        # complex coefficients since the linear operator is dispersive)
-        r = np.exp(2j * np.pi * (np.arange(n_contour) + 0.5) / n_contour)
+        # contour quadrature for the phi-functions on 32 points of the full
+        # unit circle (complex coefficients: the linear operator is dispersive)
+        r = np.exp(2j * np.pi * (np.arange(32) + 0.5) / 32)
         lr = h * lin[:, None] + r[None, :]
         elr = np.exp(lr)
         self.f0 = h * np.mean((np.exp(lr / 2.0) - 1.0) / lr, axis=1)
         self.f1 = h * np.mean((-4.0 - lr + elr * (4.0 - 3.0 * lr + lr**2)) / lr**3, axis=1)
         self.f2 = h * np.mean((2.0 + lr + elr * (lr - 2.0)) / lr**3, axis=1)
         self.f3 = h * np.mean((-4.0 - 3.0 * lr - lr**2 + elr * (4.0 - lr)) / lr**3, axis=1)
-        self.mask = dealias_mask(M) if cfg.dealias else np.ones(M, dtype=bool)
+        self.mask = dealias_mask(M)
 
     def _nonlinear(self, v: np.ndarray) -> np.ndarray:
         w = np.fft.ifft(v).real
         if not (np.max(np.abs(w)) <= BLOWUP_GUARD):
             raise BlowUpError("KdV solution exceeded the sup-norm guard")
-        return -0.5 * self.ik * np.where(self.mask, np.fft.fft(w**self.cfg.p), 0.0)
+        wp = int_power(w, self.cfg.p, np.empty_like(w))
+        return -0.5 * self.ik * np.where(self.mask, np.fft.fft(wp), 0.0)
 
     def step_coeffs(self, v: np.ndarray) -> np.ndarray:
         n0 = self._nonlinear(v)

@@ -1,22 +1,31 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from fpukdv.ansatz import initial_lattice_data, seeded_perturbation
-from fpukdv.core import FieldProfile, l2_norm, sample_to_lattice
+from fpukdv.ansatz import build_p_epsilon, initial_lattice_data, seeded_perturbation
+from fpukdv.core import (
+    ErrorRecord,
+    FieldProfile,
+    combine,
+    derivative,
+    l2_norm,
+    pointwise_power,
+    sample_to_lattice,
+    translate,
+)
 from fpukdv.diagnostics import (
     check_energy_derivative_bound,
     coercivity_threshold,
     energy_quantity,
     error_norms,
-    nonlinear_remainder,
-    residual_1,
-    residual_2,
+    residual_profiles,
     residual_snapshot,
 )
+from fpukdv.fpu import fpu_energy
 from fpukdv.harness import fit_scaling_exponent
-from fpukdv.kdv import SolitonSpec, soliton_profile
+from fpukdv.kdv import SolitonSpec, soliton_profile, time_derivative
 
 
 class TestResiduals:
@@ -29,7 +38,7 @@ class TestResiduals:
         pts1, pts2 = [], []
         for eps in eps_list:
             N = round(64.0 / eps)
-            snap = residual_snapshot(W, eps, p, 0.0, N)
+            snap = residual_snapshot(W, build_p_epsilon(W, eps, p), eps, p, 0.0, N)
             pts1.append((eps, snap.res1_l2))
             pts2.append((eps, snap.res2_l2))
         assert fit_scaling_exponent(pts1).slope == pytest.approx(4.5, abs=0.3)
@@ -37,49 +46,17 @@ class TestResiduals:
 
     def test_snapshot_consistent_with_parts(self, soliton_p2):
         eps, N = 0.1, 640
-        snap = residual_snapshot(soliton_p2, eps, 2, 3.0, N)
-        assert snap.res1_l2 == pytest.approx(l2_norm(residual_1(soliton_p2, eps, 2, 3.0, N)))
-        assert snap.res2_l2 == pytest.approx(l2_norm(residual_2(soliton_p2, eps, 2, 3.0, N)))
+        P = build_p_epsilon(soliton_p2, eps, 2)
+        snap = residual_snapshot(soliton_p2, P, eps, 2, 3.0, N)
+        res1, res2 = residual_profiles(soliton_p2, P, eps, 2)
+        assert snap.res1_l2 == pytest.approx(l2_norm(sample_to_lattice(res1, eps, 3.0, N)))
+        assert snap.res2_l2 == pytest.approx(l2_norm(sample_to_lattice(res2, eps, 3.0, N)))
 
     def test_zero_profile_zero_residual(self):
         W = FieldProfile.from_values(np.zeros(1024), 64.0)
-        snap = residual_snapshot(W, 0.1, 2, 0.0, 640)
+        snap = residual_snapshot(W, build_p_epsilon(W, 0.1, 2), 0.1, 2, 0.0, 640)
         assert snap.res1_l2 == 0.0
         assert snap.res2_l2 == 0.0
-
-
-class TestNonlinearRemainder:
-    def test_p2_closed_form(self, soliton_p2):
-        # p = 2: remainder is exactly eps^2 (U_n^2 - U_{n-1}^2)
-        eps, N = 0.1, 640
-        rng = np.random.default_rng(5)
-        U = rng.standard_normal(N)
-        out = nonlinear_remainder(soliton_p2, U, eps, 2, 0.0)
-        expected = eps**2 * (U**2 - np.roll(U**2, 1))
-        assert np.max(np.abs(out - expected)) < 1e-14
-
-    def test_binomial_identity(self, soliton_p2):
-        # remainder = eps^2 [ (W+U)^p - W^p - p W^(p-1) U  - shifted copy ]
-        eps, N, p = 0.1, 640, 4
-        rng = np.random.default_rng(6)
-        U = 0.3 * rng.standard_normal(N)
-        w = sample_to_lattice(soliton_p2, eps, 0.0, N)
-        full = (w + U) ** p - w**p - p * w ** (p - 1) * U
-        expected = eps**2 * (full - np.roll(full, 1))
-        out = nonlinear_remainder(soliton_p2, U, eps, p, 0.0)
-        # W^(p-k) sampled as a profile differs from powers of the samples at
-        # the spectral-aliasing level only
-        assert np.max(np.abs(out - expected)) < 1e-10
-
-    def test_quadratic_homogeneity_leading_order(self, soliton_p2):
-        # leading term is quadratic in U: scaling U by lambda scales the
-        # remainder by lambda^2 up to higher-order corrections
-        eps, N, p = 0.1, 640, 3
-        rng = np.random.default_rng(7)
-        U = 1e-4 * rng.standard_normal(N)
-        r1 = nonlinear_remainder(soliton_p2, U, eps, p, 0.0)
-        r2 = nonlinear_remainder(soliton_p2, 2.0 * U, eps, p, 0.0)
-        assert np.max(np.abs(r2 - 4.0 * r1)) / np.max(np.abs(r1)) < 1e-3
 
 
 class TestCoercivity:
@@ -146,9 +123,88 @@ class TestErrorNorms:
         eps, N = 0.1, 640
         pert = seeded_perturbation(N, 0.5 * eps**1.5, seed=11)
         state, _ = initial_lattice_data(soliton_p2, eps, 2, N, perturbation=pert)
-        rec = error_norms(state, soliton_p2, eps, 2, 0.0, with_residuals=False)
+        rec = error_norms(state, soliton_p2, eps, 2, 0.0)
         assert rec.err_u == pytest.approx(l2_norm(pert[0]), rel=1e-12)
-        assert rec.res1_norm == 0.0  # skipped on request
+
+    @pytest.mark.parametrize("p", [2, 3, 4])
+    def test_matches_three_build_reference(self, p):
+        # the shared-field record reproduces the record composed term by
+        # term, with P built three times, to the last bit
+        W = soliton_profile(SolitonSpec(p=p, c=1.0, center=32.0), 64.0, 1024)
+        eps, N, t = 0.1, 640, 37.0
+        pert = seeded_perturbation(N, 0.5 * eps**1.5, seed=12)
+        state, _ = initial_lattice_data(W, eps, p, N, perturbation=pert)
+        assert error_norms(state, W, eps, p, t) == _reference_record(state, W, eps, p, t)
+
+    def test_builds_each_field_once(self, soliton_p2, monkeypatch):
+        calls = {"build_p_epsilon": 0, "time_derivative": 0}
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        # rebind every fpukdv module attribute that holds either function
+        originals = {"build_p_epsilon": build_p_epsilon, "time_derivative": time_derivative}
+        for key, mod in list(sys.modules.items()):
+            if key == "fpukdv" or key.startswith("fpukdv."):
+                for name, fn in originals.items():
+                    if getattr(mod, name, None) is fn:
+                        monkeypatch.setattr(mod, name, counting(name, fn))
+        eps, N = 0.1, 640
+        state, _ = initial_lattice_data(soliton_p2, eps, 2, N)
+        calls.update(build_p_epsilon=0, time_derivative=0)
+        error_norms(state, soliton_p2, eps, 2, 5.0)
+        assert calls == {"build_p_epsilon": 1, "time_derivative": 1}
+
+
+def _reference_p_epsilon(W, eps, p):
+    dW = derivative(W, 1)
+    grad_term = FieldProfile.from_values(W.values ** (p - 1) * dW.values, W.L, W.tau)
+    return combine([(-1.0, W), (0.5 * eps, dW), (-0.125 * eps**2, derivative(W, 2)),
+                    (-0.5 * eps**2, pointwise_power(W, p)), (eps**3 / 48.0, derivative(W, 3)),
+                    (0.25 * eps**3 * p, grad_term)], like=W)
+
+
+def _reference_p_tau(W, eps, p):
+    G = time_derivative(W, p)
+    dG = derivative(G, 1)
+    wpm1_G = FieldProfile.from_values(W.values ** (p - 1) * G.values, W.L, W.tau)
+    chain3 = FieldProfile.from_values(
+        (p - 1) * W.values ** (p - 2) * derivative(W, 1).values * G.values
+        + W.values ** (p - 1) * dG.values, W.L, W.tau)
+    return combine([(-1.0, G), (0.5 * eps, dG), (-0.125 * eps**2, derivative(G, 2)),
+                    (-0.5 * eps**2 * p, wpm1_G), (eps**3 / 48.0, derivative(G, 3)),
+                    (0.25 * eps**3 * p, chain3)], like=W)
+
+
+def _reference_record(state, W, eps, p, t):
+    """The record composed term by term: W sampled twice, P built three times
+    (error parts, Res1, Res2) and W_tau twice (Res1, P_tau)."""
+    N = state.N
+    P1 = _reference_p_epsilon(W, eps, p)
+    res1 = combine([(eps, derivative(W, 1)), (-(eps**3), time_derivative(W, p)),
+                    (1.0, translate(P1, eps)), (-1.0, P1)], like=W)
+    P2 = _reference_p_epsilon(W, eps, p)
+    wp = pointwise_power(W, p)
+    res2 = combine([(eps, derivative(P2, 1)), (-(eps**3), _reference_p_tau(W, eps, p)),
+                    (1.0, W), (-1.0, translate(W, -eps)),
+                    (eps**2, wp), (-(eps**2), translate(wp, -eps))], like=W)
+    U = state.u - sample_to_lattice(W, eps, t, N)
+    Q = state.q - sample_to_lattice(_reference_p_epsilon(W, eps, p), eps, t, N)
+    eq = energy_quantity(U, Q, W, eps, p, t)
+    return ErrorRecord(
+        t=t,
+        err_u=l2_norm(state.u - sample_to_lattice(W, eps, t, N)),
+        err_du=l2_norm(state.udot() + eps * sample_to_lattice(derivative(W, 1), eps, t, N)),
+        energy_quantity=eq.E,
+        res1_norm=l2_norm(sample_to_lattice(res1, eps, t, N)),
+        res2_norm=l2_norm(sample_to_lattice(res2, eps, t, N)),
+        H_lattice=fpu_energy(state, eps, p),
+        coercivity_lhs=eq.coercivity_lhs,
+        coercivity_ok=eq.coercivity_ok,
+    )
 
 
 class TestEnergyDerivativeBound:

@@ -83,6 +83,24 @@ class TestTimeDerivative:
 
 
 class TestIntegrator:
+    @pytest.mark.parametrize("p", [2, 3, 4, 5])
+    def test_nonlinear_term_matches_pow_reference(self, p):
+        # W^p is taken by repeated multiplication; the reference is numpy's
+        # w**p: bit-for-bit at p = 2, within 1e-13 of the largest mode above
+        # (bound fixed beforehand from float64 round-off)
+        L, M = 64.0, 1024
+        x = np.arange(M) * (L / M)
+        W = FieldProfile.from_values(0.8 * np.sin(2 * np.pi * x / L)
+                                     + 0.3 * np.cos(6 * np.pi * x / L), L)
+        integ = KdvIntegrator(KdvRunConfig(p=p, L=L, M=M, dtau=1e-3))
+        got = integ._nonlinear(W.coeffs)
+        w = np.fft.ifft(W.coeffs).real
+        ref = -0.5 * integ.ik * np.where(integ.mask, np.fft.fft(w**p), 0.0)
+        if p == 2:
+            assert np.array_equal(got, ref)
+        else:
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
     def test_soliton_translates_at_speed_c(self, soliton_p2):
         cfg = KdvRunConfig(p=2, L=64.0, M=1024, dtau=1e-3)
         n = 500
