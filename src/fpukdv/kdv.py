@@ -4,6 +4,9 @@ The linear part W_tau = (i k^3 / 24) W is propagated exactly; the nonlinear
 part -(1/2)(W^p)_x is a dealiased pseudospectral product inside a
 fourth-order exponential (ETDRK4) scheme with contour-quadrature
 coefficients (Kassam & Trefethen, SISC 2005; Cox & Matthews, JCP 2002).
+W is real, so the integrator steps the rfft half-spectrum (M/2 + 1 modes)
+and rebuilds the Hermitian full spectrum of a ``FieldProfile`` only when a
+run ends.
 """
 
 from __future__ import annotations
@@ -95,16 +98,20 @@ def time_derivative(W: FieldProfile, p: int, dealias: bool = True) -> FieldProfi
 
 
 class KdvIntegrator:
-    """ETDRK4 stepper; owns precomputed propagators for one (M, L, dtau)."""
+    """ETDRK4 stepper; owns precomputed propagators for one (M, L, dtau).
+
+    The field is real, so the step carries only the rfft half-spectrum
+    (modes 0..M/2).  The Nyquist wavenumber keeps the fftfreq sign
+    (k = -pi M / L), as in the full-spectrum convention of ``core``.
+    """
 
     def __init__(self, cfg: KdvRunConfig):
         self.cfg = cfg
         M, L, h = cfg.M, cfg.L, cfg.dtau
-        k = 2.0 * np.pi * np.fft.fftfreq(M, d=L / M)
-        self.k = k
-        ik = 1j * k.copy()
-        ik[M // 2] = 0.0  # odd-derivative Nyquist convention
-        self.ik = ik
+        k = 2.0 * np.pi * np.fft.rfftfreq(M, d=L / M)
+        k[-1] = -k[-1]  # fftfreq's Nyquist sign
+        ik = 1j * k
+        ik[-1] = 0.0  # odd-derivative Nyquist convention
         lin = 1j * k**3 / 24.0
         self.exp_full = np.exp(h * lin)
         self.exp_half = np.exp(0.5 * h * lin)
@@ -117,14 +124,15 @@ class KdvIntegrator:
         self.f1 = h * np.mean((-4.0 - lr + elr * (4.0 - 3.0 * lr + lr**2)) / lr**3, axis=1)
         self.f2 = h * np.mean((2.0 + lr + elr * (lr - 2.0)) / lr**3, axis=1)
         self.f3 = h * np.mean((-4.0 - 3.0 * lr - lr**2 + elr * (4.0 - lr)) / lr**3, axis=1)
-        self.mask = dealias_mask(M)
+        # -(1/2) d/dx with the 2/3-rule dealiasing folded in
+        self.nl_mult = -0.5 * ik * dealias_mask(M)[:M // 2 + 1]
 
     def _nonlinear(self, v: np.ndarray) -> np.ndarray:
-        w = np.fft.ifft(v).real
+        w = np.fft.irfft(v, n=self.cfg.M)
         if not (np.max(np.abs(w)) <= BLOWUP_GUARD):
             raise BlowUpError("KdV solution exceeded the sup-norm guard")
         wp = int_power(w, self.cfg.p, np.empty_like(w))
-        return -0.5 * self.ik * np.where(self.mask, np.fft.fft(wp), 0.0)
+        return self.nl_mult * np.fft.rfft(wp)
 
     def step_coeffs(self, v: np.ndarray) -> np.ndarray:
         n0 = self._nonlinear(v)
@@ -137,10 +145,13 @@ class KdvIntegrator:
         return self.exp_full * v + self.f1 * n0 + 2.0 * self.f2 * (n1 + n2) + self.f3 * n3
 
     def run(self, W: FieldProfile, n_steps: int) -> FieldProfile:
-        v = W.coeffs
+        M = self.cfg.M
+        v = W.coeffs[:M // 2 + 1]
         for _ in range(n_steps):
             v = self.step_coeffs(v)
-        return FieldProfile.from_coeffs(v, W.L, W.tau + n_steps * self.cfg.dtau)
+        # Hermitian completion: c[M - m] = conj(c[m])
+        full = np.concatenate([v, np.conj(v[M // 2 - 1:0:-1])])
+        return FieldProfile.from_coeffs(full, W.L, W.tau + n_steps * self.cfg.dtau)
 
 
 @lru_cache(maxsize=32)
@@ -200,6 +211,8 @@ def track_norm_growth(
     spectrum holds more than ``tail_tol`` of the H^s energy.
     """
     n_total = int(round(cfg.tau_end / cfg.dtau))
+    if abs(n_total * cfg.dtau - cfg.tau_end) > 1.0e-9 * max(1.0, cfg.tau_end):
+        raise InvalidInputError("tau_end must be an integer multiple of dtau")
     stride = max(1, n_total // max(1, n_samples))
     integ = _integrator(cfg)
 

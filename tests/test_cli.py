@@ -111,6 +111,13 @@ class TestExitCodes:
     def test_unknown_command(self, capsys):
         assert main(["transmogrify"]) == 1
 
+    def test_tau_end_not_a_step_multiple(self, capsys, tmp_path):
+        code, _, err = run_cli(["kdv", "--p", "2", "--L", "16", "--M", "256",
+                                "--dtau", "0.03", "--tau-end", "0.1",
+                                "--out-dir", str(tmp_path)], capsys)
+        assert code == 1
+        assert "multiple of dtau" in err
+
 
 class TestFit:
     def test_fit_command(self, tmp_path, capsys):

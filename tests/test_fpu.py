@@ -22,6 +22,31 @@ from fpukdv.fpu import (
 from fpukdv.harness import fit_scaling_exponent
 
 
+def _strang_reference(u, q, eps2, p, dt, nsteps):
+    """Reference: the Strang loop with two linear half-steps per step, as the
+    splitting stepper ran before consecutive halves were fused."""
+    N = u.shape[0]
+    kappa = 2.0 * np.pi * np.fft.rfftfreq(N)
+    omega = 2.0 * np.sin(kappa / 2.0)
+    half = 0.5 * dt
+    cos = np.cos(omega * half)
+    sinc = np.where(omega == 0.0, half, np.sin(omega * half) / np.where(omega == 0.0, 1.0, omega))
+    alpha = np.exp(1j * kappa) - 1.0
+    beta = np.exp(-1j * kappa) * alpha
+
+    def linear_half(u, q):
+        uh, qh = np.fft.rfft(u), np.fft.rfft(q)
+        return (np.fft.irfft(cos * uh + sinc * alpha * qh, n=N),
+                np.fft.irfft(cos * qh + sinc * beta * uh, n=N))
+
+    for _ in range(nsteps):
+        u, q = linear_half(u, q)
+        f = eps2 * u**p
+        q = q + dt * (f - np.roll(f, 1))
+        u, q = linear_half(u, q)
+    return u, q
+
+
 def _params(eps=0.1, N=640, dt=0.05, p=2):
     return ModelParams(p=p, epsilon=eps, s=6, L=N * eps, N=N, dt_lattice=dt)
 
@@ -94,6 +119,23 @@ class TestIntegrators:
         e1 = np.max(np.abs(sols[0] - sols[1]))
         e2 = np.max(np.abs(sols[1] - sols[2]))
         assert math.log2(e1 / e2) > 1.8
+
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("nsteps", [0, 1, 2, 7, 1000])
+    @pytest.mark.parametrize("N", [3, 64, 640])
+    def test_splitting_matches_unfused_reference(self, N, nsteps, p):
+        # fusing the inner linear half-steps changes only round-off
+        # (bound fixed beforehand)
+        rng = np.random.default_rng(N + 10 * nsteps + p)
+        u0 = 0.3 * rng.standard_normal(N)
+        q0 = 0.3 * rng.standard_normal(N)
+        stepper = fpu_module._SplittingStepper(N, 0.05)
+        u, q, status = stepper.steps(u0.copy(), q0.copy(), 0.01, p, nsteps)
+        u_ref, q_ref = _strang_reference(u0, q0, 0.01, p, 0.05, nsteps)
+        assert status == 0
+        scale = max(np.max(np.abs(u_ref)), np.max(np.abs(q_ref)))
+        assert np.max(np.abs(u - u_ref)) <= 1e-12 * scale
+        assert np.max(np.abs(q - q_ref)) <= 1e-12 * scale
 
     def test_splitting_matches_rk4(self):
         state, _ = traveling_wave_initializer(2, 1.0, 0.1, 64.0, 1024, 640)

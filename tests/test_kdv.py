@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from fpukdv.core import BlowUpError, FieldProfile, InvalidInputError, grid_l2_norm, translate
+from fpukdv.core import (
+    BlowUpError,
+    FieldProfile,
+    InvalidInputError,
+    dealias_mask,
+    grid_l2_norm,
+    translate,
+)
 from fpukdv.kdv import (
     KdvIntegrator,
     KdvRunConfig,
@@ -17,6 +24,55 @@ from fpukdv.kdv import (
     time_derivative,
     track_norm_growth,
 )
+
+
+class _ComplexSpectrumEtdrk4:
+    """Reference: the ETDRK4 step over the full complex length-M spectrum,
+    as the integrator ran before it carried only the rfft half-spectrum."""
+
+    def __init__(self, cfg):
+        self.p = cfg.p
+        M, L, h = cfg.M, cfg.L, cfg.dtau
+        k = 2.0 * np.pi * np.fft.fftfreq(M, d=L / M)
+        self.ik = 1j * k.copy()
+        self.ik[M // 2] = 0.0
+        lin = 1j * k**3 / 24.0
+        self.exp_full = np.exp(h * lin)
+        self.exp_half = np.exp(0.5 * h * lin)
+        r = np.exp(2j * np.pi * (np.arange(32) + 0.5) / 32)
+        lr = h * lin[:, None] + r[None, :]
+        elr = np.exp(lr)
+        self.f0 = h * np.mean((np.exp(lr / 2.0) - 1.0) / lr, axis=1)
+        self.f1 = h * np.mean((-4.0 - lr + elr * (4.0 - 3.0 * lr + lr**2)) / lr**3, axis=1)
+        self.f2 = h * np.mean((2.0 + lr + elr * (lr - 2.0)) / lr**3, axis=1)
+        self.f3 = h * np.mean((-4.0 - 3.0 * lr - lr**2 + elr * (4.0 - lr)) / lr**3, axis=1)
+        self.mask = dealias_mask(M)
+        self.dtau = h
+
+    def _nonlinear(self, v):
+        w = np.fft.ifft(v).real
+        return -0.5 * self.ik * np.where(self.mask, np.fft.fft(w**self.p), 0.0)
+
+    def run(self, W, n_steps):
+        v = W.coeffs
+        for _ in range(n_steps):
+            n0 = self._nonlinear(v)
+            v1 = self.exp_half * v + self.f0 * n0
+            n1 = self._nonlinear(v1)
+            v2 = self.exp_half * v + self.f0 * n1
+            n2 = self._nonlinear(v2)
+            v3 = self.exp_half * v1 + self.f0 * (2.0 * n2 - n0)
+            n3 = self._nonlinear(v3)
+            v = (self.exp_full * v + self.f1 * n0 + 2.0 * self.f2 * (n1 + n2)
+                 + self.f3 * n3)
+        return FieldProfile.from_coeffs(v, W.L, W.tau + n_steps * self.dtau)
+
+
+def _smooth_profile(L, M):
+    x = np.arange(M) * (L / M)
+    return FieldProfile.from_values(0.8 * np.sin(2 * np.pi * x / L)
+                                    + 0.3 * np.cos(6 * np.pi * x / L)
+                                    + 0.5 * np.exp(-((x - 0.3 * L) ** 2)), L)
 
 
 class TestSolitonProfile:
@@ -85,21 +141,51 @@ class TestTimeDerivative:
 class TestIntegrator:
     @pytest.mark.parametrize("p", [2, 3, 4, 5])
     def test_nonlinear_term_matches_pow_reference(self, p):
-        # W^p is taken by repeated multiplication; the reference is numpy's
-        # w**p: bit-for-bit at p = 2, within 1e-13 of the largest mode above
-        # (bound fixed beforehand from float64 round-off)
+        # W^p is taken by repeated multiplication on the half-spectrum; the
+        # reference is -(1/2) ik mask rfft(w**p) with ik and the mask cut from
+        # the full fftfreq convention: bit-for-bit at p = 2, within 1e-13 of
+        # the largest mode above (bound fixed beforehand from float64 round-off)
         L, M = 64.0, 1024
-        x = np.arange(M) * (L / M)
-        W = FieldProfile.from_values(0.8 * np.sin(2 * np.pi * x / L)
-                                     + 0.3 * np.cos(6 * np.pi * x / L), L)
+        W = _smooth_profile(L, M)
         integ = KdvIntegrator(KdvRunConfig(p=p, L=L, M=M, dtau=1e-3))
-        got = integ._nonlinear(W.coeffs)
-        w = np.fft.ifft(W.coeffs).real
-        ref = -0.5 * integ.ik * np.where(integ.mask, np.fft.fft(w**p), 0.0)
+        v = W.coeffs[:M // 2 + 1]
+        got = integ._nonlinear(v)
+        w = np.fft.irfft(v, n=M)
+        ik = 1j * 2.0 * np.pi * np.fft.fftfreq(M, d=L / M)
+        ik[M // 2] = 0.0
+        ref = -0.5 * ik[:M // 2 + 1] * dealias_mask(M)[:M // 2 + 1] * np.fft.rfft(w**p)
         if p == 2:
             assert np.array_equal(got, ref)
         else:
             assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("n_steps", [0, 1, 7, 200])
+    @pytest.mark.parametrize("p", [2, 3, 4, 5])
+    def test_run_matches_complex_spectrum_reference(self, p, n_steps):
+        # the half-spectrum step against the full complex-spectrum step it
+        # replaced: same scheme, so values agree to round-off (bound fixed
+        # beforehand); the rebuilt spectrum is consistent and Hermitian
+        L, M = 64.0, 1024
+        W = _smooth_profile(L, M)
+        cfg = KdvRunConfig(p=p, L=L, M=M, dtau=1e-3)
+        got = KdvIntegrator(cfg).run(W, n_steps)
+        ref = _ComplexSpectrumEtdrk4(cfg).run(W, n_steps)
+        got.validate()
+        assert got.tau == ref.tau
+        assert np.max(np.abs(got.values - ref.values)) <= 1e-13 * np.max(np.abs(ref.values))
+
+    def test_nyquist_mode_matches_complex_spectrum_reference(self):
+        # a Nyquist component evolves by exp(i k^3 h / 24) with fftfreq's
+        # k = -pi M / L; its imaginary part shows only in the coefficients
+        L, M = 64.0, 1024
+        W0 = _smooth_profile(L, M)
+        W = FieldProfile.from_values(W0.values + 0.01 * (-1.0) ** np.arange(M), L)
+        cfg = KdvRunConfig(p=3, L=L, M=M, dtau=1e-3)
+        got = KdvIntegrator(cfg).run(W, 7)
+        ref = _ComplexSpectrumEtdrk4(cfg).run(W, 7)
+        assert abs(ref.coeffs[M // 2].imag) > 1.0
+        assert abs(got.coeffs[M // 2] - ref.coeffs[M // 2]) <= 1e-13 * np.max(np.abs(ref.coeffs))
+        assert np.max(np.abs(got.values - ref.values)) <= 1e-13 * np.max(np.abs(ref.values))
 
     def test_soliton_translates_at_speed_c(self, soliton_p2):
         cfg = KdvRunConfig(p=2, L=64.0, M=1024, dtau=1e-3)
@@ -191,3 +277,10 @@ class TestNormTracking:
         cfg = KdvRunConfig(p=2, L=L, M=M, dtau=1e-4, tau_end=1e-3)
         samples = track_norm_growth(W, cfg, s=6, n_samples=2)
         assert samples[0].resolution_flag
+
+    def test_tau_end_must_be_step_multiple(self):
+        # 0.1 / 0.03 is not an integer: the run must not end early at tau 0.09
+        W0 = soliton_profile(SolitonSpec(p=2, c=1.0, center=8.0), 16.0, 256)
+        cfg = KdvRunConfig(p=2, L=16.0, M=256, dtau=0.03, tau_end=0.1)
+        with pytest.raises(InvalidInputError, match="multiple of dtau"):
+            track_norm_growth(W0, cfg, s=2, n_samples=5)
