@@ -103,7 +103,6 @@ def initial_lattice_data(
     p: int,
     N: int,
     perturbation: tuple[np.ndarray, np.ndarray] | None = None,
-    enforce_budget: bool = True,
 ) -> tuple[LatticeState, dict]:
     """Sample the ansatz at t = 0, optionally adding an l2-bounded perturbation.
 
@@ -116,7 +115,7 @@ def initial_lattice_data(
         du, dq = perturbation
         size = float(np.sqrt(np.dot(du, du) + np.dot(dq, dq)))
         budget = epsilon**1.5
-        if enforce_budget and size > budget * (1.0 + 1.0e-12):
+        if size > budget * (1.0 + 1.0e-12):
             raise BudgetViolationError(
                 f"perturbation l2 size {size} exceeds the eps^(3/2) budget {budget}"
             )

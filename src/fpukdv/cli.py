@@ -34,7 +34,7 @@ from .harness import (
     write_summary_json,
 )
 from .kdv import SolitonSpec, soliton_profile, steady_residual
-from .core import ModelParams
+from .core import DT_LATTICE, ModelParams
 
 
 def _eps_list(text: str) -> tuple:
@@ -61,7 +61,8 @@ def _add_model(sp, eps_default="0.2,0.1,0.05"):
                     help="fixed KdV-time window (otherwise a theorem window)")
     sp.add_argument("--theorem", type=int, choices=(1, 2), default=None)
     sp.add_argument("--n-samples", type=int, default=100)
-    sp.add_argument("--dt", type=float, default=0.05)
+    sp.add_argument("--dt", type=float, default=DT_LATTICE,
+                    help="largest lattice time step of the order-4 splitting")
     sp.add_argument("--dtau", type=float, default=1.0e-3)
     sp.add_argument("--s", type=int, default=6)
 
@@ -94,7 +95,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp)
     _add_model(sp)
     sp.add_argument("--t-end", type=float, default=100.0)
-    sp.add_argument("--integrator", default="rk4", choices=("rk4", "splitting"))
+    sp.add_argument("--integrator", default="splitting", choices=("rk4", "splitting"),
+                    help="accepted for compatibility; both values run the one "
+                         "order-4 splitting")
 
     sp = add_parser("residual-scan", help="epsilon sweep of the ansatz residuals")
     _add_common(sp)
@@ -214,8 +217,7 @@ def _cmd_fpu(args) -> int:
     params = ModelParams(p=args.p, epsilon=eps, s=args.s, L=args.L, N=N,
                          dt_lattice=args.dt, dtau_kdv=args.dtau)
     stride = max(1, int(round(args.t_end / args.dt)) // max(1, args.n_samples))
-    cfg = FpuRunConfig(params=params, integrator=args.integrator,
-                       t_end=args.t_end, sample_stride=stride)
+    cfg = FpuRunConfig(params=params, t_end=args.t_end, sample_stride=stride)
     rows = []
     observer = lambda st: rows.append((st.t, fpu_energy(st, eps, args.p),
                                        float(np.sum(st.u)), float(np.sum(st.q))))

@@ -33,6 +33,11 @@ class BudgetViolationError(ValueError):
     """Requested perturbation exceeds the eps^(3/2) initial-data budget."""
 
 
+# Default lattice time step of the order-4 splitting (fpu.py): at eps = 0.1,
+# N = 640 its error against a fine-step RK4 is below that of RK4 at dt = 0.05.
+DT_LATTICE = 0.5
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Physical and discretization parameters shared across modules."""
@@ -42,7 +47,7 @@ class ModelParams:
     s: int
     L: float
     N: int
-    dt_lattice: float = 0.05
+    dt_lattice: float = DT_LATTICE
     dtau_kdv: float = 1.0e-3
 
     def __post_init__(self):
@@ -179,11 +184,10 @@ def dealias_mask(M: int) -> np.ndarray:
     return m <= M / 3.0
 
 
-def pointwise_power(W: FieldProfile, p: int, dealias: bool = True) -> FieldProfile:
-    """W^p as a profile, integer power computed on the grid (sign kept)."""
-    c = np.fft.fft(int_power(W.values, p, np.empty(W.M)))
-    if dealias:
-        c = np.where(dealias_mask(W.M), c, 0.0)
+def pointwise_power(W: FieldProfile, p: int) -> FieldProfile:
+    """W^p as a profile, integer power computed on the grid (sign kept) and
+    dealiased by the 2/3 rule."""
+    c = np.where(dealias_mask(W.M), np.fft.fft(int_power(W.values, p, np.empty(W.M))), 0.0)
     return FieldProfile.from_coeffs(c, W.L, W.tau)
 
 

@@ -42,7 +42,6 @@ class EnergyQuantity:
     t: float
     E: float
     coercivity_ok: bool
-    epsilon0: float
     coercivity_lhs: float = 0.0
 
 
@@ -94,14 +93,6 @@ def residual_snapshot(
     return ResidualSnapshot(t=t, res1=r1, res2=r2, res1_l2=l2_norm(r1), res2_l2=l2_norm(r2))
 
 
-def coercivity_threshold(W: FieldProfile, p: int) -> float:
-    """eps0 = min{1, (2p)^(-1/2) (sup|W|)^(-(p-1)/2)}."""
-    sup = float(np.max(np.abs(W.values)))
-    if sup == 0.0:
-        return 1.0
-    return min(1.0, (2.0 * p) ** -0.5 * sup ** (-(p - 1) / 2.0))
-
-
 def energy_quantity(
     U: np.ndarray,
     Q: np.ndarray,
@@ -112,9 +103,10 @@ def energy_quantity(
 ) -> EnergyQuantity:
     """E = (1/2) sum[Q^2 + U^2 + e^2 p W^(p-1) U^2] with the coercivity check.
 
-    Coercivity |Q|^2 + |U|^2 <= 4E is guaranteed for eps < eps0; odd p
-    admits the sharper factor 2, which is what gets checked then (with a
-    1e-12 absolute slack for round-off).
+    Coercivity |Q|^2 + |U|^2 <= 4E is guaranteed for
+    eps < eps0 = min{1, (2p)^(-1/2) (sup|W|)^(-(p-1)/2)}; odd p admits the
+    sharper factor 2, which is what gets checked then (with a 1e-12 absolute
+    slack for round-off).
     """
     N = U.shape[0]
     wpm1 = sample_to_lattice(
@@ -122,10 +114,9 @@ def energy_quantity(
     )
     E = 0.5 * float(np.sum(Q * Q + U * U + epsilon**2 * p * wpm1 * U * U))
     lhs = float(np.sum(Q * Q + U * U))
-    eps0 = coercivity_threshold(W, p)
     factor = 2.0 if p % 2 == 1 else 4.0
     ok = lhs <= factor * E + 1.0e-12
-    return EnergyQuantity(t=t, E=E, coercivity_ok=ok, epsilon0=eps0, coercivity_lhs=lhs)
+    return EnergyQuantity(t=t, E=E, coercivity_ok=ok, coercivity_lhs=lhs)
 
 
 def error_norms(state: LatticeState, W: FieldProfile, epsilon: float, p: int, t: float):

@@ -19,6 +19,7 @@ import numpy as np
 
 from .ansatz import build_p_epsilon, initial_lattice_data, seeded_perturbation
 from .core import (
+    DT_LATTICE,
     BlowUpError,
     ConfigurationError,
     ErrorRecord,
@@ -31,7 +32,7 @@ from .core import (
     sobolev_norm,
 )
 from .diagnostics import error_norms, residual_profiles
-from .fpu import DT_CAP, FpuRunConfig, fpu_integrate
+from .fpu import FpuRunConfig, fpu_integrate
 from .kdv import (
     KdvRunConfig,
     SolitonSpec,
@@ -62,7 +63,7 @@ class ExperimentSpec:
     M: int = 1024
     tau0: float = 1.0
     s: int = 6
-    dt_lattice: float = 0.05
+    dt_lattice: float = DT_LATTICE
     dtau_kdv: float = 1.0e-3
     n_samples: int = 100
     perturbation_mode: str = "none"  # "none" or "random"
@@ -208,10 +209,9 @@ def run_residual_scan(spec: ExperimentSpec) -> dict:
 # error scan (KdV-time window or theorem windows)
 # ---------------------------------------------------------------------------
 
-def _align_steps(total: float, target: float, cap: float | None = None) -> tuple[int, float]:
-    """Split ``total`` into n equal steps of size <= target (and <= cap)."""
-    limit = target if cap is None else min(target, cap)
-    n = max(1, math.ceil(total / limit - 1.0e-12))
+def _align_steps(total: float, target: float) -> tuple[int, float]:
+    """Split ``total`` into n equal steps of size <= target."""
+    n = max(1, math.ceil(total / target - 1.0e-12))
     return n, total / n
 
 
@@ -228,14 +228,14 @@ def _error_scan_cell(spec: ExperimentSpec, epsilon: float) -> dict:
     state, achieved = initial_lattice_data(W0, epsilon, spec.p, N, perturbation)
 
     dt_diag = t0 / spec.n_samples
-    n_fpu, dt = _align_steps(dt_diag, spec.dt_lattice, DT_CAP)
+    _, dt = _align_steps(dt_diag, spec.dt_lattice)
     dtau_diag = tau0 / spec.n_samples
     n_kdv, dtau = _align_steps(dtau_diag, spec.dtau_kdv)
 
     params = ModelParams(p=spec.p, epsilon=epsilon, s=spec.s, L=spec.L, N=N,
                          dt_lattice=dt, dtau_kdv=dtau)
     kcfg = KdvRunConfig(p=spec.p, L=spec.L, M=spec.M, dtau=dtau, tau_end=tau0)
-    fcfg = FpuRunConfig(params=params, integrator="rk4", t_end=dt_diag, sample_stride=n_fpu)
+    fcfg = FpuRunConfig(params=params, t_end=dt_diag)
 
     W = W0
     records: list[ErrorRecord] = [error_norms(state, W, epsilon, spec.p, 0.0)]
@@ -310,10 +310,10 @@ def _metastability_cell(spec: ExperimentSpec, epsilon: float) -> dict:
     state, _ = initial_lattice_data(W0, epsilon, spec.p, N, perturbation)
 
     dt_diag = t0 / spec.n_samples
-    n_fpu, dt = _align_steps(dt_diag, spec.dt_lattice, DT_CAP)
+    _, dt = _align_steps(dt_diag, spec.dt_lattice)
     params = ModelParams(p=spec.p, epsilon=epsilon, s=spec.s, L=spec.L, N=N,
                          dt_lattice=dt, dtau_kdv=spec.dtau_kdv)
-    fcfg = FpuRunConfig(params=params, integrator="rk4", t_end=dt_diag, sample_stride=n_fpu)
+    fcfg = FpuRunConfig(params=params, t_end=dt_diag)
 
     rows = [{"t": 0.0, "orbital_distance": orbital_distance(state.u, u_ref)}]
     flags = {"blow_up": False, "growth": False}

@@ -89,9 +89,9 @@ def steady_residual(W: FieldProfile, p: int, c: float) -> np.ndarray:
     return derivative(W, 2).values / 12.0 + W.values**p - 2.0 * c * W.values
 
 
-def time_derivative(W: FieldProfile, p: int, dealias: bool = True) -> FieldProfile:
-    """W_tau = -(1/24) W_xxx - (1/2) (W^p)_x, evaluated spectrally."""
-    wp = pointwise_power(W, p, dealias=dealias)
+def time_derivative(W: FieldProfile, p: int) -> FieldProfile:
+    """W_tau = -(1/24) W_xxx - (1/2) (W^p)_x, evaluated spectrally (W^p dealiased)."""
+    wp = pointwise_power(W, p)
     d3 = derivative(W, 3)
     dwp = derivative(wp, 1)
     return FieldProfile.from_coeffs(-d3.coeffs / 24.0 - 0.5 * dwp.coeffs, W.L, W.tau)
@@ -113,6 +113,7 @@ class KdvIntegrator:
         ik = 1j * k
         ik[-1] = 0.0  # odd-derivative Nyquist convention
         lin = 1j * k**3 / 24.0
+        lin[-1] = 0.0  # k^3 is odd too: the Nyquist mode stays real
         self.exp_full = np.exp(h * lin)
         self.exp_half = np.exp(0.5 * h * lin)
         # contour quadrature for the phi-functions on 32 points of the full
@@ -175,16 +176,6 @@ def kdv_invariants(W: FieldProfile, p: int) -> tuple[float, float, float]:
     wx = derivative(W, 1).values
     energy = float(dx * np.sum(wx**2 / 24.0 - W.values ** (p + 1) / (p + 1)))
     return mass, momentum, energy
-
-
-def critical_index(p: int) -> float:
-    """Scaling-critical Sobolev index gating small-data global existence."""
-    if p < 2:
-        raise InvalidInputError(f"p must be >= 2, got {p}")
-    table = {2: 0.75, 3: 0.25, 4: 1.0 / 12.0}
-    if p in table:
-        return table[p]
-    return (p - 5.0) / (2.0 * (p - 1.0))
 
 
 @dataclass(frozen=True)

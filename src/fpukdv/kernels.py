@@ -1,5 +1,7 @@
-"""Numerical kernels: the FPU right-hand side and RK4 loop, plus the direct
-Fourier sum kept as a reference for the lattice sampler.
+"""Numerical kernels: the integer power and periodic differences the package
+uses, plus two references that only tests run: the FPU right-hand side with
+its RK4 loop (the oracle for the lattice splitting in fpu.py) and the direct
+Fourier sum (the oracle for the lattice sampler).
 
 Everything here is plain numpy.  ``BACKEND`` and ``numba`` are constants
 kept for tools that report the environment (perfbench/worker.py reads both);
@@ -43,6 +45,8 @@ def fourier_eval(coeffs, L, points):
 
 # ---------------------------------------------------------------------------
 # FPU lattice right-hand side and fixed-step RK4 loop (periodic indices).
+# No run uses them: fpu.fpu_integrate runs the order-4 splitting, and tests
+# compare it against fine-step fpu_rk4.
 #
 #   du_n = q_{n+1} - q_n
 #   dq_n = u_n - u_{n-1} + eps^2 (u_n^p - u_{n-1}^p)

@@ -119,14 +119,13 @@ def test_05_coercivity(kdv_time_scan, theorem1_scan, p3_scan):
 
 
 def test_06_conservation():
-    # FPU: 1e5 splitting steps at dt = 0.05 (symplectic-type splitting keeps
-    # the drift orders of magnitude under the RK4 truncation drift)
+    # FPU: 1e5 steps of the order-4 symplectic splitting at dt = 0.05 (the
+    # splitting keeps the drift orders of magnitude under RK4's truncation drift)
     eps, N = 0.1, 640
     state, _ = traveling_wave_initializer(2, 1.0, eps, 64.0, 1024, N)
     params = ModelParams(p=2, epsilon=eps, s=6, L=64.0, N=N, dt_lattice=0.05)
     H0 = fpu_energy(state, eps, 2)
-    out = fpu_integrate(state, FpuRunConfig(params=params, t_end=5000.0,
-                                            integrator="splitting"))
+    out = fpu_integrate(state, FpuRunConfig(params=params, t_end=5000.0))
     fpu_drift = abs(fpu_energy(out, eps, 2) - H0) / abs(H0)
 
     # KdV: 1e3 steps

@@ -100,10 +100,6 @@ class TestInitialData:
         pert = seeded_perturbation(N, 2.0 * eps**1.5, seed=0)
         with pytest.raises(BudgetViolationError):
             initial_lattice_data(soliton_p2, eps, 2, N, perturbation=pert)
-        # same data accepted when the budget check is disabled
-        state, achieved = initial_lattice_data(
-            soliton_p2, eps, 2, N, perturbation=pert, enforce_budget=False)
-        assert achieved["err_u"] > 0.0
 
     def test_perturbation_is_applied(self, soliton_p2):
         eps, N = 0.1, 640

@@ -58,6 +58,20 @@ class TestErrorScan:
         assert payload["spec"]["kind"] == "theorem1_window"
 
 
+class TestFpu:
+    def test_integrator_flag_is_inert(self, tmp_path, capsys):
+        # both accepted values run the one lattice integrator
+        outputs = []
+        for name in ("rk4", "splitting"):
+            out_dir = tmp_path / name
+            code, _, _ = run_cli(["fpu", "--eps", "0.1", "--t-end", "50", "--n-samples", "5",
+                                  "--integrator", name, "--out-dir", str(out_dir)], capsys)
+            assert code == 0
+            outputs.append((out_dir / "fpu_p2_eps0.1.csv").read_bytes())
+        assert outputs[0] == outputs[1]
+        assert len(outputs[0].splitlines()) == 7
+
+
 class TestConfigMerge:
     def test_config_supplies_defaults_flags_win(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -1,4 +1,3 @@
-import math
 import sys
 
 import numpy as np
@@ -17,7 +16,6 @@ from fpukdv.core import (
 )
 from fpukdv.diagnostics import (
     check_energy_derivative_bound,
-    coercivity_threshold,
     energy_quantity,
     error_norms,
     residual_profiles,
@@ -60,14 +58,6 @@ class TestResiduals:
 
 
 class TestCoercivity:
-    def test_threshold_p2_soliton(self, soliton_p2):
-        # eps0 = min{1, (2p)^(-1/2) (sup W)^(-(p-1)/2)} = 1/(2 sqrt(3))
-        assert coercivity_threshold(soliton_p2, 2) == pytest.approx(1.0 / (2.0 * math.sqrt(3.0)))
-
-    def test_threshold_zero_profile(self):
-        W = FieldProfile.from_values(np.zeros(64), 64.0)
-        assert coercivity_threshold(W, 2) == 1.0
-
     def test_quadratic_form_value(self, soliton_p2):
         # direct evaluation against an independent loop
         eps, N, p = 0.1, 640, 2
