@@ -214,8 +214,7 @@ def _cmd_fpu(args) -> int:
     eps = args.eps[0]
     N = round(args.L / eps)
     state, _ = traveling_wave_initializer(args.p, args.c, eps, args.L, args.M, N)
-    params = ModelParams(p=args.p, epsilon=eps, s=args.s, L=args.L, N=N,
-                         dt_lattice=args.dt, dtau_kdv=args.dtau)
+    params = ModelParams(p=args.p, epsilon=eps, L=args.L, N=N, dt_lattice=args.dt)
     stride = max(1, int(round(args.t_end / args.dt)) // max(1, args.n_samples))
     cfg = FpuRunConfig(params=params, t_end=args.t_end, sample_stride=stride)
     rows = []

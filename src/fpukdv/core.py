@@ -2,8 +2,13 @@
 
 Conventions:
   * periodic continuum domain [0, L), M uniform grid points, spacing L/M;
-  * spectral coefficients are unnormalized ``np.fft.fft`` output, so a
-    profile value is Re[(1/M) sum_m c_m exp(i k_m x)] with k_m = 2*pi*m'/L;
+  * M is even, and a profile stores its unnormalized ``np.fft.rfft``
+    half-spectrum c_0..c_{M/2} (k_m = 2*pi*m/L >= 0), so a value is
+    (1/M) [c_0 + 2 Re sum_{0<m<M/2} c_m exp(i k_m x) + c_{M/2} cos(k_{M/2} x)];
+  * a real grid function has real c_0 and c_{M/2}, so
+    ``FieldProfile.from_coeffs`` drops their imaginary parts.  This is the
+    package's one Nyquist rule: an odd derivative vanishes there, and a
+    translate by delta keeps c_{M/2} cos(k_{M/2} delta);
   * the periodic lattice has N sites with N*epsilon = L, so the moving
     frame xi = epsilon*(n - t) wraps consistently.
 """
@@ -44,26 +49,22 @@ class ModelParams:
 
     p: int
     epsilon: float
-    s: int
     L: float
     N: int
     dt_lattice: float = DT_LATTICE
-    dtau_kdv: float = 1.0e-3
 
     def __post_init__(self):
         if int(self.p) != self.p or self.p < 2:
             raise InvalidInputError(f"p must be an integer >= 2, got {self.p}")
         if not 0.0 < self.epsilon < 1.0:
             raise InvalidInputError(f"epsilon must be in (0, 1), got {self.epsilon}")
-        if self.s < 0:
-            raise InvalidInputError(f"s must be >= 0, got {self.s}")
         if abs(self.N * self.epsilon - self.L) > 1.0e-9 * max(1.0, self.L):
             raise ConfigurationError(
                 f"N*epsilon = {self.N * self.epsilon} must equal L = {self.L} "
                 "(moving-frame wrap consistency)"
             )
-        if self.dt_lattice <= 0.0 or self.dtau_kdv <= 0.0:
-            raise InvalidInputError("time steps must be positive")
+        if self.dt_lattice <= 0.0:
+            raise InvalidInputError("the lattice time step must be positive")
 
 
 @dataclass(frozen=True)
@@ -95,7 +96,7 @@ class LatticeState:
 
 @dataclass(frozen=True)
 class FieldProfile:
-    """Periodic continuum profile stored as grid values + FFT coefficients."""
+    """Periodic continuum profile stored as grid values + rfft half-spectrum."""
 
     values: np.ndarray
     coeffs: np.ndarray
@@ -105,16 +106,19 @@ class FieldProfile:
     @classmethod
     def from_values(cls, values, L, tau=0.0) -> "FieldProfile":
         values = np.asarray(values, dtype=float)
+        if values.shape[0] % 2 != 0:
+            raise InvalidInputError(f"M must be even, got {values.shape[0]} grid points")
         if not np.all(np.isfinite(values)):
             raise InvalidInputError("profile values contain non-finite entries")
-        return cls(values=values, coeffs=np.fft.fft(values), tau=float(tau), L=float(L))
+        return cls(values=values, coeffs=np.fft.rfft(values), tau=float(tau), L=float(L))
 
     @classmethod
     def from_coeffs(cls, coeffs, L, tau=0.0) -> "FieldProfile":
-        coeffs = np.asarray(coeffs, dtype=complex)
+        coeffs = np.array(coeffs, dtype=complex)
         if not np.all(np.isfinite(coeffs)):
             raise InvalidInputError("profile coefficients contain non-finite entries")
-        values = np.fft.ifft(coeffs).real
+        coeffs[[0, -1]] = coeffs[[0, -1]].real  # irfft ignores their imaginary parts
+        values = np.fft.irfft(coeffs)
         return cls(values=values, coeffs=coeffs, tau=float(tau), L=float(L))
 
     @property
@@ -125,17 +129,14 @@ class FieldProfile:
         return np.arange(self.M) * (self.L / self.M)
 
     def wavenumbers(self) -> np.ndarray:
-        return 2.0 * np.pi * np.fft.fftfreq(self.M, d=self.L / self.M)
+        return 2.0 * np.pi * np.fft.rfftfreq(self.M, d=self.L / self.M)
 
     def validate(self, rtol=1.0e-12) -> None:
-        """Check values/coeffs FFT consistency and Hermitian symmetry."""
-        back = np.fft.ifft(self.coeffs)
+        """Check that values and coeffs are one rfft pair."""
+        back = np.fft.irfft(self.coeffs, n=self.M)
         scale = max(np.max(np.abs(self.values)), 1.0e-300)
-        if np.max(np.abs(back.real - self.values)) > rtol * scale:
+        if np.max(np.abs(back - self.values)) > rtol * scale:
             raise InvalidInputError("values and coefficients are inconsistent")
-        herm = np.conj(self.coeffs[(-np.arange(self.M)) % self.M])
-        if np.max(np.abs(self.coeffs - herm)) > rtol * max(np.max(np.abs(self.coeffs)), 1.0e-300):
-            raise InvalidInputError("coefficients are not Hermitian-symmetric")
 
 
 @dataclass(frozen=True)
@@ -158,42 +159,32 @@ class ErrorRecord:
 # ---------------------------------------------------------------------------
 
 def derivative(W: FieldProfile, order: int = 1) -> FieldProfile:
-    """Spectral derivative; Nyquist mode zeroed for odd orders."""
-    ik = 1j * W.wavenumbers()
-    c = W.coeffs * ik**order
-    if order % 2 == 1 and W.M % 2 == 0:
-        c = c.copy()
-        c[W.M // 2] = 0.0
+    """Spectral derivative; odd orders vanish at Nyquist (see from_coeffs)."""
+    c = W.coeffs * (1j * W.wavenumbers()) ** order
     return FieldProfile.from_coeffs(c, W.L, W.tau)
 
 
 def translate(W: FieldProfile, delta: float) -> FieldProfile:
     """Profile V with V(xi) = W(xi + delta), done by spectral phase shift."""
     c = W.coeffs * np.exp(1j * W.wavenumbers() * delta)
-    if W.M % 2 == 0:
-        # keep the translated profile real: the Nyquist mode picks up cos only
-        c = c.copy()
-        kny = np.pi * W.M / W.L
-        c[W.M // 2] = W.coeffs[W.M // 2].real * np.cos(kny * delta)
     return FieldProfile.from_coeffs(c, W.L, W.tau)
 
 
 def dealias_mask(M: int) -> np.ndarray:
-    """2/3-rule mask over FFT-ordered modes."""
-    m = np.abs(np.fft.fftfreq(M, d=1.0 / M))
-    return m <= M / 3.0
+    """2/3-rule mask over the half-spectrum modes 0..M/2."""
+    return np.arange(M // 2 + 1) <= M / 3.0
 
 
 def pointwise_power(W: FieldProfile, p: int) -> FieldProfile:
     """W^p as a profile, integer power computed on the grid (sign kept) and
     dealiased by the 2/3 rule."""
-    c = np.where(dealias_mask(W.M), np.fft.fft(int_power(W.values, p, np.empty(W.M))), 0.0)
+    c = np.where(dealias_mask(W.M), np.fft.rfft(int_power(W.values, p, np.empty(W.M))), 0.0)
     return FieldProfile.from_coeffs(c, W.L, W.tau)
 
 
 def combine(profiles_and_weights, like: FieldProfile) -> FieldProfile:
     """Weighted sum of profiles sharing the grid of ``like``."""
-    c = np.zeros(like.M, dtype=complex)
+    c = np.zeros_like(like.coeffs)
     for w, prof in profiles_and_weights:
         c += w * prof.coeffs
     return FieldProfile.from_coeffs(c, like.L, like.tau)
@@ -216,6 +207,15 @@ def grid_l2_norm(W: FieldProfile) -> float:
     return float(np.sqrt(W.L / W.M * np.dot(W.values, W.values)))
 
 
+def _hs_density(W: FieldProfile, s: float) -> tuple[np.ndarray, np.ndarray]:
+    """(k, (1 + k^2)^s |c|^2) per half-spectrum mode; each 0 < m < M/2 is
+    counted twice, for itself and its conjugate -m."""
+    k = W.wavenumbers()
+    dens = (1.0 + k * k) ** s * np.abs(W.coeffs) ** 2
+    dens[1:-1] *= 2.0
+    return k, dens
+
+
 def sobolev_norm(W: FieldProfile, s: float) -> float:
     """Discrete H^s norm via the spectral multiplier (1 + k^2)^(s/2).
 
@@ -223,20 +223,17 @@ def sobolev_norm(W: FieldProfile, s: float) -> float:
     """
     if s < 0:
         raise InvalidInputError(f"Sobolev index must be >= 0, got {s}")
-    k = W.wavenumbers()
-    weights = (1.0 + k * k) ** s
-    return float(np.sqrt(W.L / W.M**2 * np.sum(weights * np.abs(W.coeffs) ** 2)))
+    _, dens = _hs_density(W, s)
+    return float(np.sqrt(W.L / W.M**2 * np.sum(dens)))
 
 
 def spectral_tail_fraction(W: FieldProfile, s: float) -> float:
     """Fraction of the H^s energy carried by the top third of the spectrum."""
-    k = W.wavenumbers()
-    dens = (1.0 + k * k) ** s * np.abs(W.coeffs) ** 2
+    k, dens = _hs_density(W, s)
     total = np.sum(dens)
     if total == 0.0:
         return 0.0
-    kmax = np.max(np.abs(k))
-    return float(np.sum(dens[np.abs(k) > (2.0 / 3.0) * kmax]) / total)
+    return float(np.sum(dens[k > (2.0 / 3.0) * k[-1]]) / total)
 
 
 # ---------------------------------------------------------------------------
@@ -256,9 +253,8 @@ def sample_to_lattice(W: FieldProfile, epsilon: float, shift: float, N: int) -> 
         raise ConfigurationError(
             f"N*epsilon = {N * epsilon} does not match the profile period L = {W.L}"
         )
-    half = W.M // 2
-    w = W.coeffs[:half + 1].copy()
-    w[1:half] *= 2.0
-    w *= np.exp(-2j * np.pi * np.arange(half + 1) * ((shift % N) / N))
+    w = W.coeffs.copy()
+    w[1:-1] *= 2.0
+    w *= np.exp(-2j * np.pi * np.arange(w.shape[0]) * ((shift % N) / N))
     folded = np.pad(w, (0, -w.shape[0] % N)).reshape(-1, N).sum(axis=0)
     return np.fft.ifft(folded).real * (N / W.M)

@@ -19,6 +19,7 @@ import numpy as np
 from . import kernels
 from .core import (
     BlowUpError,
+    ConfigurationError,
     FieldProfile,
     InvalidInputError,
     LatticeState,
@@ -140,6 +141,8 @@ def fpu_integrate(
     is a single chunk.  Deterministic for a fixed config.
     """
     params = cfg.params
+    if state.N != params.N:
+        raise ConfigurationError(f"state has {state.N} sites, the run expects N = {params.N}")
     dt = params.dt_lattice
     n_total = int(round(cfg.t_end / dt))
     if abs(n_total * dt - cfg.t_end) > 1.0e-9 * max(1.0, cfg.t_end):

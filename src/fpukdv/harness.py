@@ -232,8 +232,7 @@ def _error_scan_cell(spec: ExperimentSpec, epsilon: float) -> dict:
     dtau_diag = tau0 / spec.n_samples
     n_kdv, dtau = _align_steps(dtau_diag, spec.dtau_kdv)
 
-    params = ModelParams(p=spec.p, epsilon=epsilon, s=spec.s, L=spec.L, N=N,
-                         dt_lattice=dt, dtau_kdv=dtau)
+    params = ModelParams(p=spec.p, epsilon=epsilon, L=spec.L, N=N, dt_lattice=dt)
     kcfg = KdvRunConfig(p=spec.p, L=spec.L, M=spec.M, dtau=dtau, tau_end=tau0)
     fcfg = FpuRunConfig(params=params, t_end=dt_diag)
 
@@ -311,8 +310,7 @@ def _metastability_cell(spec: ExperimentSpec, epsilon: float) -> dict:
 
     dt_diag = t0 / spec.n_samples
     _, dt = _align_steps(dt_diag, spec.dt_lattice)
-    params = ModelParams(p=spec.p, epsilon=epsilon, s=spec.s, L=spec.L, N=N,
-                         dt_lattice=dt, dtau_kdv=spec.dtau_kdv)
+    params = ModelParams(p=spec.p, epsilon=epsilon, L=spec.L, N=N, dt_lattice=dt)
     fcfg = FpuRunConfig(params=params, t_end=dt_diag)
 
     rows = [{"t": 0.0, "orbital_distance": orbital_distance(state.u, u_ref)}]

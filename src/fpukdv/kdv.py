@@ -4,9 +4,9 @@ The linear part W_tau = (i k^3 / 24) W is propagated exactly; the nonlinear
 part -(1/2)(W^p)_x is a dealiased pseudospectral product inside a
 fourth-order exponential (ETDRK4) scheme with contour-quadrature
 coefficients (Kassam & Trefethen, SISC 2005; Cox & Matthews, JCP 2002).
-W is real, so the integrator steps the rfft half-spectrum (M/2 + 1 modes)
-and rebuilds the Hermitian full spectrum of a ``FieldProfile`` only when a
-run ends.
+The integrator steps the rfft half-spectrum (modes 0..M/2) that a
+``FieldProfile`` stores, so a run starts from ``W.coeffs`` and ends in one
+``FieldProfile.from_coeffs``.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import numpy as np
 
 from .core import (
     BlowUpError,
+    ConfigurationError,
     FieldProfile,
     InvalidInputError,
     dealias_mask,
@@ -100,20 +101,18 @@ def time_derivative(W: FieldProfile, p: int) -> FieldProfile:
 class KdvIntegrator:
     """ETDRK4 stepper; owns precomputed propagators for one (M, L, dtau).
 
-    The field is real, so the step carries only the rfft half-spectrum
-    (modes 0..M/2).  The Nyquist wavenumber keeps the fftfreq sign
-    (k = -pi M / L), as in the full-spectrum convention of ``core``.
+    The step carries the profile's rfft half-spectrum (modes 0..M/2).  Its
+    wavenumber is zeroed at Nyquist, so the odd symbols ik and i k^3 vanish
+    there and the Nyquist coefficient stays real and constant.
     """
 
     def __init__(self, cfg: KdvRunConfig):
         self.cfg = cfg
         M, L, h = cfg.M, cfg.L, cfg.dtau
         k = 2.0 * np.pi * np.fft.rfftfreq(M, d=L / M)
-        k[-1] = -k[-1]  # fftfreq's Nyquist sign
+        k[-1] = 0.0  # odd symbols vanish at Nyquist, as in core.derivative
         ik = 1j * k
-        ik[-1] = 0.0  # odd-derivative Nyquist convention
         lin = 1j * k**3 / 24.0
-        lin[-1] = 0.0  # k^3 is odd too: the Nyquist mode stays real
         self.exp_full = np.exp(h * lin)
         self.exp_half = np.exp(0.5 * h * lin)
         # contour quadrature for the phi-functions on 32 points of the full
@@ -126,7 +125,7 @@ class KdvIntegrator:
         self.f2 = h * np.mean((2.0 + lr + elr * (lr - 2.0)) / lr**3, axis=1)
         self.f3 = h * np.mean((-4.0 - 3.0 * lr - lr**2 + elr * (4.0 - lr)) / lr**3, axis=1)
         # -(1/2) d/dx with the 2/3-rule dealiasing folded in
-        self.nl_mult = -0.5 * ik * dealias_mask(M)[:M // 2 + 1]
+        self.nl_mult = -0.5 * ik * dealias_mask(M)
 
     def _nonlinear(self, v: np.ndarray) -> np.ndarray:
         w = np.fft.irfft(v, n=self.cfg.M)
@@ -146,13 +145,14 @@ class KdvIntegrator:
         return self.exp_full * v + self.f1 * n0 + 2.0 * self.f2 * (n1 + n2) + self.f3 * n3
 
     def run(self, W: FieldProfile, n_steps: int) -> FieldProfile:
-        M = self.cfg.M
-        v = W.coeffs[:M // 2 + 1]
+        cfg = self.cfg
+        if W.M != cfg.M or W.L != cfg.L:
+            raise ConfigurationError(f"profile (M = {W.M}, L = {W.L}) does not match "
+                                     f"the run (M = {cfg.M}, L = {cfg.L})")
+        v = W.coeffs
         for _ in range(n_steps):
             v = self.step_coeffs(v)
-        # Hermitian completion: c[M - m] = conj(c[m])
-        full = np.concatenate([v, np.conj(v[M // 2 - 1:0:-1])])
-        return FieldProfile.from_coeffs(full, W.L, W.tau + n_steps * self.cfg.dtau)
+        return FieldProfile.from_coeffs(v, W.L, W.tau + n_steps * cfg.dtau)
 
 
 @lru_cache(maxsize=32)

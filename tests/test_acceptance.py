@@ -123,7 +123,7 @@ def test_06_conservation():
     # splitting keeps the drift orders of magnitude under RK4's truncation drift)
     eps, N = 0.1, 640
     state, _ = traveling_wave_initializer(2, 1.0, eps, 64.0, 1024, N)
-    params = ModelParams(p=2, epsilon=eps, s=6, L=64.0, N=N, dt_lattice=0.05)
+    params = ModelParams(p=2, epsilon=eps, L=64.0, N=N, dt_lattice=0.05)
     H0 = fpu_energy(state, eps, 2)
     out = fpu_integrate(state, FpuRunConfig(params=params, t_end=5000.0))
     fpu_drift = abs(fpu_energy(out, eps, 2) - H0) / abs(H0)

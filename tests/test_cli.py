@@ -122,6 +122,13 @@ class TestExitCodes:
         assert code == 1
         assert "log" in err
 
+    def test_odd_grid_rejected(self, capsys, tmp_path):
+        code, _, err = run_cli(["residual-scan", "--M", "1001",
+                                "--out-dir", str(tmp_path)], capsys)
+        assert code == 1
+        assert "M must be even" in err
+        assert not (tmp_path / "residual_scan_p2.csv").exists()
+
     def test_unknown_command(self, capsys):
         assert main(["transmogrify"]) == 1
 

@@ -15,6 +15,7 @@ from fpukdv.core import (
     ModelParams,
     grid_l2_norm,
     dealias_mask,
+    derivative,
     l2_norm,
     pointwise_power,
     sample_to_lattice,
@@ -22,6 +23,39 @@ from fpukdv.core import (
     spectral_tail_fraction,
     translate,
 )
+
+
+def _full_spectrum_derivative(W, order):
+    """Reference: the derivative on the full fft spectrum, fftfreq's negative
+    Nyquist wavenumber, and that mode zeroed by hand for odd orders."""
+    c = np.fft.fft(W.values) * (2j * np.pi * np.fft.fftfreq(W.M, d=W.L / W.M)) ** order
+    if order % 2 == 1:
+        c[W.M // 2] = 0.0
+    return np.fft.ifft(c).real
+
+
+def _full_spectrum_translate(W, delta):
+    """Reference: the full-spectrum phase shift, the Nyquist mode set by hand
+    to its real part times cos(k_Nyquist delta)."""
+    c0 = np.fft.fft(W.values)
+    c = c0 * np.exp(2j * np.pi * np.fft.fftfreq(W.M, d=W.L / W.M) * delta)
+    c[W.M // 2] = c0[W.M // 2].real * np.cos(np.pi * W.M / W.L * delta)
+    return np.fft.ifft(c).real
+
+
+def _full_spectrum_hs(W, s):
+    """Reference: (H^s norm, top-third tail fraction) summed over all M modes."""
+    k = 2.0 * np.pi * np.fft.fftfreq(W.M, d=W.L / W.M)
+    dens = (1.0 + k * k) ** s * np.abs(np.fft.fft(W.values)) ** 2
+    tail = np.sum(dens[np.abs(k) > (2.0 / 3.0) * np.max(np.abs(k))]) / np.sum(dens)
+    return math.sqrt(W.L / W.M**2 * np.sum(dens)), tail
+
+
+def _nyquist_profile(M, L=64.0):
+    """A smooth part plus Nyquist content (-1)^n."""
+    x = np.arange(M) * (L / M)
+    smooth = np.exp(-((x - 0.4 * L) ** 2)) + 0.5 * np.sin(6 * np.pi * x / L)
+    return FieldProfile.from_values(smooth + 0.3 * (-1.0) ** np.arange(M), L)
 
 
 class TestL2Norm:
@@ -89,7 +123,7 @@ class TestSobolevNorm:
 class TestParseval:
     def test_grid_and_coefficient_norms_agree(self, soliton_p2):
         W = soliton_p2
-        coeff_side = math.sqrt(W.L / W.M**2 * np.sum(np.abs(W.coeffs) ** 2))
+        coeff_side = math.sqrt(W.L / W.M**2 * np.sum(np.abs(np.fft.fft(W.values)) ** 2))
         assert grid_l2_norm(W) == pytest.approx(coeff_side, rel=1e-12)
         assert sobolev_norm(W, 0) == pytest.approx(grid_l2_norm(W), rel=1e-12)
 
@@ -131,6 +165,8 @@ class TestSampleToLattice:
            seed=st.integers(0, 2**32 - 1))
     @example(M=2048, N=7, shift=-1.0e5, seed=0)  # N < M/2: many modes per fold bin
     @example(M=256, N=4096, shift=1.0e5, seed=1)  # N > M: no two modes share a bin
+    @example(M=80, N=81, shift=0.0, seed=2)  # even M, not a power of two
+    @example(M=1000, N=1280, shift=-2.5, seed=3)
     @settings(max_examples=60, deadline=None)
     def test_fold_matches_direct_sum(self, M, N, shift, seed):
         # oracle: the direct Fourier sum at the moving-frame points, on a
@@ -138,7 +174,7 @@ class TestSampleToLattice:
         L = 64.0
         eps = L / N
         W = FieldProfile.from_values(np.random.default_rng(seed).standard_normal(M), L)
-        ref = kernels.fourier_eval(W.coeffs, L, eps * ((np.arange(N) - shift) % N))
+        ref = kernels.fourier_eval(np.fft.fft(W.values), L, eps * ((np.arange(N) - shift) % N))
         out = sample_to_lattice(W, eps, shift, N)
         assert np.max(np.abs(out - ref)) <= 1.0e-11 * np.max(np.abs(ref))
 
@@ -157,6 +193,47 @@ class TestSampleToLattice:
 class TestProfileOps:
     def test_validate_roundtrip(self, soliton_p2):
         soliton_p2.validate()
+
+    def test_odd_grid_rejected(self):
+        # an odd M has no Nyquist mode; a half-spectrum of length M//2 + 1
+        # would be read back as the even grid 2 (M//2)
+        with pytest.raises(InvalidInputError, match="even"):
+            FieldProfile.from_values(np.cos(2 * np.pi * 40 * np.arange(81) / 81), 8.1)
+
+    def test_from_coeffs_drops_imaginary_dc_and_nyquist(self):
+        c = np.zeros(5, dtype=complex)
+        c[0], c[2], c[4] = 1.0 + 2.0j, 1.0 - 1.0j, 3.0 - 4.0j
+        W = FieldProfile.from_coeffs(c, 8.0)
+        assert W.M == 8
+        assert W.coeffs[0] == 1.0 and W.coeffs[4] == 3.0 and W.coeffs[2] == 1.0 - 1.0j
+        assert c[0] == 1.0 + 2.0j  # the caller's array is not modified
+        W.validate()
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_derivative_matches_full_spectrum_reference(self, order):
+        # M = 256: round-off in a spectral W''' grows like eps k_max^3; at
+        # M = 1024 this and the reference are both 2e-11 (relative) from the
+        # exact third derivative, too coarse to check agreement to 1e-12
+        W = _nyquist_profile(256)
+        ref = _full_spectrum_derivative(W, order)
+        got = derivative(W, order).values
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("delta", [0.37, -1.25, 0.0625, 64.0 / 1024 * 0.5])
+    def test_translate_matches_full_spectrum_reference(self, delta):
+        W = _nyquist_profile(1024)
+        ref = _full_spectrum_translate(W, delta)
+        got = translate(W, delta).values
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("s", [0, 1, 2.5, 6])
+    def test_hs_sums_match_full_spectrum_reference(self, s):
+        # on a random M = 1024 profile and on one with Nyquist content
+        for W in (FieldProfile.from_values(np.random.default_rng(7).standard_normal(1024), 64.0),
+                  _nyquist_profile(1024)):
+            norm, tail = _full_spectrum_hs(W, s)
+            assert abs(sobolev_norm(W, s) - norm) <= 1e-12 * norm
+            assert abs(spectral_tail_fraction(W, s) - tail) <= 1e-12 * tail
 
     def test_validate_rejects_mismatch(self, soliton_p2):
         bad = FieldProfile(values=soliton_p2.values + 1.0, coeffs=soliton_p2.coeffs,
@@ -181,7 +258,7 @@ class TestProfileOps:
         W = FieldProfile.from_values(0.8 * np.sin(2 * np.pi * x / L)
                                      - 0.3 * np.cos(6 * np.pi * x / L), L)
         got = pointwise_power(W, p).coeffs
-        ref = np.where(dealias_mask(M), np.fft.fft(W.values**p), 0.0)
+        ref = np.where(dealias_mask(M), np.fft.rfft(W.values**p), 0.0)
         if p == 2:
             assert np.array_equal(got, ref)
         else:
@@ -194,13 +271,13 @@ class TestProfileOps:
 
 class TestModelParams:
     def test_valid(self):
-        ModelParams(p=2, epsilon=0.1, s=6, L=64.0, N=640)
+        ModelParams(p=2, epsilon=0.1, L=64.0, N=640)
 
     @pytest.mark.parametrize("kwargs", [
-        dict(p=1, epsilon=0.1, s=6, L=64.0, N=640),
-        dict(p=2, epsilon=1.5, s=6, L=64.0, N=640),
-        dict(p=2, epsilon=0.1, s=-1, L=64.0, N=640),
-        dict(p=2, epsilon=0.1, s=6, L=64.0, N=640, dt_lattice=-0.1),
+        dict(p=1, epsilon=0.1, L=64.0, N=640),
+        dict(p=2, epsilon=1.5, L=64.0, N=640),
+        dict(p=2.5, epsilon=0.1, L=64.0, N=640),
+        dict(p=2, epsilon=0.1, L=64.0, N=640, dt_lattice=-0.1),
     ])
     def test_invalid_inputs(self, kwargs):
         with pytest.raises(InvalidInputError):
@@ -208,7 +285,7 @@ class TestModelParams:
 
     def test_wrap_consistency_enforced(self):
         with pytest.raises(ConfigurationError):
-            ModelParams(p=2, epsilon=0.1, s=6, L=64.0, N=641)
+            ModelParams(p=2, epsilon=0.1, L=64.0, N=641)
 
 
 class TestLatticeState:

@@ -9,6 +9,7 @@ from fpukdv.ansatz import build_p_epsilon
 from fpukdv.core import (
     DT_LATTICE,
     BlowUpError,
+    ConfigurationError,
     InvalidInputError,
     LatticeState,
     ModelParams,
@@ -65,7 +66,7 @@ def _rhs(u, q, eps, p):
 
 
 def _params(eps=0.1, N=640, dt=DT_LATTICE, p=2):
-    return ModelParams(p=p, epsilon=eps, s=6, L=N * eps, N=N, dt_lattice=dt)
+    return ModelParams(p=p, epsilon=eps, L=N * eps, N=N, dt_lattice=dt)
 
 
 class TestRhsAndEnergy:
@@ -128,7 +129,7 @@ class TestIntegrators:
         q0 = 0.3 * rng.standard_normal(64)
         sols = []
         for dt in (0.2, 0.1, 0.05):
-            params = ModelParams(p=2, epsilon=0.1, s=6, L=6.4, N=64, dt_lattice=dt)
+            params = ModelParams(p=2, epsilon=0.1, L=6.4, N=64, dt_lattice=dt)
             out = fpu_integrate(LatticeState(u=u0, q=q0, t=0.0), FpuRunConfig(params=params, t_end=4.0))
             sols.append(np.concatenate([out.u, out.q]))
         e1 = np.max(np.abs(sols[0] - sols[1]))
@@ -205,7 +206,7 @@ class TestIntegrators:
         monkeypatch.setattr(fpu_module, "BLOWUP_GUARD", 1.0e-3)
         rng = np.random.default_rng(8)
         state = LatticeState(u=rng.standard_normal(32), q=rng.standard_normal(32), t=0.0)
-        params = ModelParams(p=2, epsilon=0.1, s=6, L=3.2, N=32, dt_lattice=0.05)
+        params = ModelParams(p=2, epsilon=0.1, L=3.2, N=32, dt_lattice=0.05)
         with pytest.raises(BlowUpError):
             fpu_integrate(state, FpuRunConfig(params=params, t_end=5.0))
 
@@ -231,6 +232,14 @@ class TestIntegrators:
         assert status == 1
         assert np.max(np.abs(u)) > 0.2
 
+    def test_state_must_match_params(self):
+        # a 64-site state under N = 640: the N eps = L wrap check in
+        # ModelParams is only worth something if the run enforces it
+        rng = np.random.default_rng(3)
+        state = LatticeState(u=rng.standard_normal(64), q=rng.standard_normal(64), t=0.0)
+        with pytest.raises(ConfigurationError, match="64 sites"):
+            fpu_integrate(state, FpuRunConfig(params=_params(N=640), t_end=1.0))
+
     def test_t_end_must_be_step_multiple(self):
         params = _params()
         state, _ = traveling_wave_initializer(2, 1.0, 0.1, 64.0, 1024, 640)
@@ -248,7 +257,7 @@ class TestIntegrators:
         q0 = 1e-6 * np.sin(kappa * n - kappa / 2.0)
         T = 2.0 * np.pi / omega
         dt = T / 2000
-        params = ModelParams(p=2, epsilon=1e-8, s=6, L=N * 1e-8, N=N, dt_lattice=dt)
+        params = ModelParams(p=2, epsilon=1e-8, L=N * 1e-8, N=N, dt_lattice=dt)
         out = fpu_integrate(LatticeState(u=u0, q=q0, t=0.0),
                             FpuRunConfig(params=params, t_end=T))
         assert np.max(np.abs(out.u - u0)) < 1e-13

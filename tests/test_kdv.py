@@ -6,9 +6,9 @@ from scipy.integrate import solve_ivp
 
 from fpukdv.core import (
     BlowUpError,
+    ConfigurationError,
     FieldProfile,
     InvalidInputError,
-    dealias_mask,
     grid_l2_norm,
     translate,
 )
@@ -47,7 +47,7 @@ class _ComplexSpectrumEtdrk4:
         self.f1 = h * np.mean((-4.0 - lr + elr * (4.0 - 3.0 * lr + lr**2)) / lr**3, axis=1)
         self.f2 = h * np.mean((2.0 + lr + elr * (lr - 2.0)) / lr**3, axis=1)
         self.f3 = h * np.mean((-4.0 - 3.0 * lr - lr**2 + elr * (4.0 - lr)) / lr**3, axis=1)
-        self.mask = dealias_mask(M)
+        self.mask = np.abs(np.fft.fftfreq(M, d=1.0 / M)) <= M / 3.0
         self.dtau = h
 
     def _nonlinear(self, v):
@@ -55,7 +55,7 @@ class _ComplexSpectrumEtdrk4:
         return -0.5 * self.ik * np.where(self.mask, np.fft.fft(w**self.p), 0.0)
 
     def run(self, W, n_steps):
-        v = W.coeffs
+        v = np.fft.fft(W.values)
         for _ in range(n_steps):
             n0 = self._nonlinear(v)
             v1 = self.exp_half * v + self.f0 * n0
@@ -66,7 +66,7 @@ class _ComplexSpectrumEtdrk4:
             n3 = self._nonlinear(v3)
             v = (self.exp_full * v + self.f1 * n0 + 2.0 * self.f2 * (n1 + n2)
                  + self.f3 * n3)
-        return FieldProfile.from_coeffs(v, W.L, W.tau + n_steps * self.dtau)
+        return FieldProfile.from_values(np.fft.ifft(v).real, W.L, W.tau + n_steps * self.dtau)
 
 
 def _smooth_profile(L, M):
@@ -152,12 +152,12 @@ class TestIntegrator:
         L, M = 64.0, 1024
         W = _smooth_profile(L, M)
         integ = KdvIntegrator(KdvRunConfig(p=p, L=L, M=M, dtau=1e-3))
-        v = W.coeffs[:M // 2 + 1]
-        got = integ._nonlinear(v)
-        w = np.fft.irfft(v, n=M)
+        got = integ._nonlinear(W.coeffs)
+        w = np.fft.irfft(W.coeffs, n=M)
         ik = 1j * 2.0 * np.pi * np.fft.fftfreq(M, d=L / M)
         ik[M // 2] = 0.0
-        ref = -0.5 * ik[:M // 2 + 1] * dealias_mask(M)[:M // 2 + 1] * np.fft.rfft(w**p)
+        mask = np.abs(np.fft.fftfreq(M, d=1.0 / M)) <= M / 3.0
+        ref = -0.5 * ik[:M // 2 + 1] * mask[:M // 2 + 1] * np.fft.rfft(w**p)
         if p == 2:
             assert np.array_equal(got, ref)
         else:
@@ -168,7 +168,7 @@ class TestIntegrator:
     def test_run_matches_complex_spectrum_reference(self, p, n_steps):
         # the half-spectrum step against the full complex-spectrum step it
         # replaced: same scheme, so values agree to round-off (bound fixed
-        # beforehand); the rebuilt spectrum is consistent and Hermitian
+        # beforehand); the returned profile is consistent
         L, M = 64.0, 1024
         W = _smooth_profile(L, M)
         cfg = KdvRunConfig(p=p, L=L, M=M, dtau=1e-3)
@@ -193,7 +193,7 @@ class TestIntegrator:
 
     def test_underresolved_run_stays_hermitian(self):
         # a p=4 soliton on a grid too coarse for it: the Nyquist coefficient
-        # must stay real, or validate() rejects the output as not Hermitian
+        # stays real and values and coefficients stay one rfft pair
         L, M = 64.0, 512
         W0 = soliton_profile(SolitonSpec(p=4, c=1.0, center=L / 2.0), L, M)
         W = KdvIntegrator(KdvRunConfig(p=4, L=L, M=M, dtau=2e-4)).run(W0, 400)
@@ -244,7 +244,7 @@ class TestIntegrator:
     def test_blowup_guard_trips_on_nan(self):
         # max|w| > guard is False for NaN; the guard must still raise
         M = 256
-        W = FieldProfile(values=np.full(M, np.nan), coeffs=np.full(M, np.nan + 0j),
+        W = FieldProfile(values=np.full(M, np.nan), coeffs=np.full(M // 2 + 1, np.nan + 0j),
                          tau=0.0, L=16.0)
         with pytest.raises(BlowUpError):
             KdvIntegrator(KdvRunConfig(p=2, L=16.0, M=M, dtau=1e-3)).run(W, 1)
@@ -254,6 +254,12 @@ class TestIntegrator:
             KdvRunConfig(p=2, L=64.0, M=1000, dtau=1e-3)
         with pytest.raises(InvalidInputError):
             KdvRunConfig(p=2, L=64.0, M=1024, dtau=-1e-3)
+
+    @pytest.mark.parametrize("L, M", [(64.0, 512), (32.0, 1024)])
+    def test_profile_must_match_config(self, soliton_p2, L, M):
+        # soliton_p2 has L = 64, M = 1024
+        with pytest.raises(ConfigurationError, match="does not match"):
+            KdvIntegrator(KdvRunConfig(p=2, L=L, M=M, dtau=1e-3)).run(soliton_p2, 1)
 
 
 class TestNormTracking:
@@ -270,9 +276,8 @@ class TestNormTracking:
         # deliberately under-resolved sawtooth-like spectrum trips the flag
         M, L = 256, 16.0
         rng = np.random.default_rng(0)
-        coeffs = np.zeros(M, dtype=complex)
+        coeffs = np.zeros(M // 2 + 1, dtype=complex)
         coeffs[1:M // 2] = 1.0 / np.arange(1, M // 2)
-        coeffs[-(M // 2 - 1):] = np.conj(coeffs[1:M // 2][::-1])
         W = FieldProfile.from_coeffs(coeffs, L)
         cfg = KdvRunConfig(p=2, L=L, M=M, dtau=1e-4, tau_end=1e-3)
         samples = track_norm_growth(W, cfg, s=6, n_samples=2)
