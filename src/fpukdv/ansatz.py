@@ -63,7 +63,7 @@ def build_p_epsilon(W: FieldProfile, epsilon: float, p: int) -> FieldProfile:
     if not 0.0 < epsilon < 1.0:
         raise InvalidInputError(f"epsilon must be in (0, 1), got {epsilon}")
     dW = derivative(W, 1)
-    grad = FieldProfile.from_values(W.values ** (p - 1) * dW.values, W.L, W.tau)
+    grad = FieldProfile.from_values(W.values ** (p - 1) * dW.values, W.L)
     return _momentum_series(W, dW, pointwise_power(W, p), grad, epsilon, p)
 
 
@@ -77,11 +77,9 @@ def build_p_epsilon_tau(
     """d/dtau of the momentum expansion, given W' and G = W_tau (from the KdV equation)."""
     dG = derivative(G, 1)
     wpm1 = W.values ** (p - 1)
-    power_tau = FieldProfile.from_values(p * wpm1 * G.values, W.L, W.tau)
+    power_tau = FieldProfile.from_values(p * wpm1 * G.values, W.L)
     grad_tau = FieldProfile.from_values(
-        (p - 1) * W.values ** (p - 2) * dW.values * G.values + wpm1 * dG.values,
-        W.L,
-        W.tau,
+        (p - 1) * W.values ** (p - 2) * dW.values * G.values + wpm1 * dG.values, W.L
     )
     return _momentum_series(G, dG, power_tau, grad_tau, epsilon, p)
 
@@ -110,7 +108,7 @@ def initial_lattice_data(
     (err_u = |u - sample(W0)|, err_du = |udot + e sample(W0')|).
     """
     u = w0 = sample_to_lattice(W0, epsilon, 0.0, N)
-    q =sample_to_lattice(build_p_epsilon(W0, epsilon, p), epsilon, 0.0, N)
+    q = sample_to_lattice(build_p_epsilon(W0, epsilon, p), epsilon, 0.0, N)
     if perturbation is not None:
         du, dq = perturbation
         size = float(np.sqrt(np.dot(du, du) + np.dot(dq, dq)))
@@ -121,7 +119,7 @@ def initial_lattice_data(
             )
         u = u + du
         q = q + dq
-    state = LatticeState(u=u, q=q, t=0.0)
+    state = LatticeState(u=u, q=q)
     dw_sample = sample_to_lattice(derivative(W0, 1), epsilon, 0.0, N)
     achieved = {
         "err_u": l2_norm(state.u - w0),

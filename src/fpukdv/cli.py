@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Subcommands: soliton, kdv, fpu, residual-scan, error-scan, metastability,
-norm-growth, fit.  Configuration comes from an optional JSON document
+fit.  Configuration comes from an optional JSON document
 (--config) with individual flags overriding it; there is no
 environment-variable configuration for experiments.
 
@@ -11,14 +11,15 @@ Exit codes: 0 success, 1 configuration error, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 import time
 
 import numpy as np
 
-from .core import BlowUpError, ConfigurationError, InvalidInputError
-from .fpu import FpuRunConfig, fpu_energy, fpu_integrate, traveling_wave_initializer
+from .core import DT_LATTICE, BlowUpError, ConfigurationError, InvalidInputError, ModelParams
+from .fpu import fpu_energy, traveling_wave_initializer
 from .harness import (
     ExperimentSpec,
     error_records_rows,
@@ -26,6 +27,7 @@ from .harness import (
     fit_scaling_exponent,
     kdv_samples_rows,
     KDV_CSV_HEADER,
+    lattice_samples,
     run_error_scan,
     run_metastability,
     run_norm_growth,
@@ -34,7 +36,6 @@ from .harness import (
     write_summary_json,
 )
 from .kdv import SolitonSpec, soliton_profile, steady_residual
-from .core import DT_LATTICE, ModelParams
 
 
 def _eps_list(text: str) -> tuple:
@@ -84,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--L", type=float, default=32.0)
     sp.add_argument("--M", type=int, default=1024)
 
-    sp = add_parser("kdv", help="run the KdV solver with invariant tracking")
+    sp = add_parser("kdv", help="run the KdV solver with invariant and H^s norm tracking")
     _add_common(sp)
     _add_model(sp)
     sp.add_argument("--tau-end", type=float, default=5.0)
@@ -114,13 +115,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model(sp)
     sp.add_argument("--perturbation-mode", default="random", choices=("none", "random"))
     sp.add_argument("--perturbation-size", type=float, default=None)
-
-    sp = add_parser("norm-growth", help="H^s norm tracking along a KdV run")
-    _add_common(sp)
-    _add_model(sp)
-    sp.add_argument("--tau-end", type=float, default=5.0)
-    sp.add_argument("--initial-mode", default="soliton", choices=("soliton", "gaussian"))
-    sp.add_argument("--amplitude", type=float, default=1.0)
 
     sp = add_parser("fit", help="log-log scaling fit of (epsilon, value) CSV data")
     _add_common(sp)
@@ -205,7 +199,9 @@ def _cmd_kdv(args) -> int:
     out = run_norm_growth(spec)
     path = f"{args.out_dir}/kdv_p{args.p}.csv"
     write_csv(path, KDV_CSV_HEADER, kdv_samples_rows(out["samples"]))
-    print(f"kdv p={args.p}: sup H^{args.s} norm = {out['sup_norm']:.6g} "
+    extra = (f" growth_exponent={out['growth_exponent']:.3f}"
+             if "growth_exponent" in out else "")
+    print(f"kdv p={args.p}: sup H^{args.s} norm = {out['sup_norm']:.6g}{extra} "
           f"resolution_flagged={out['resolution_flagged']} -> {path}")
     return 2 if out["resolution_flagged"] else 0
 
@@ -215,12 +211,10 @@ def _cmd_fpu(args) -> int:
     N = round(args.L / eps)
     state, _ = traveling_wave_initializer(args.p, args.c, eps, args.L, args.M, N)
     params = ModelParams(p=args.p, epsilon=eps, L=args.L, N=N, dt_lattice=args.dt)
-    stride = max(1, int(round(args.t_end / args.dt)) // max(1, args.n_samples))
-    cfg = FpuRunConfig(params=params, t_end=args.t_end, sample_stride=stride)
-    rows = []
-    observer = lambda st: rows.append((st.t, fpu_energy(st, eps, args.p),
-                                       float(np.sum(st.u)), float(np.sum(st.q))))
-    fpu_integrate(state, cfg, observer)
+    samples = itertools.chain([(0.0, state)],
+                              lattice_samples(state, params, args.t_end, args.n_samples))
+    rows = [(t, fpu_energy(st, eps, args.p), float(np.sum(st.u)), float(np.sum(st.q)))
+            for t, st in samples]
     path = f"{args.out_dir}/fpu_p{args.p}_eps{eps}.csv"
     write_csv(path, ["t", "H", "sum_u", "sum_q"], rows)
     h0, hT = rows[0][1], rows[-1][1]
@@ -281,17 +275,6 @@ def _cmd_metastability(args) -> int:
     return 0
 
 
-def _cmd_norm_growth(args) -> int:
-    spec = _spec_from_args(args, "kdv_norm_growth")
-    out = run_norm_growth(spec)
-    path = f"{args.out_dir}/norm_growth_p{args.p}.csv"
-    write_csv(path, KDV_CSV_HEADER, kdv_samples_rows(out["samples"]))
-    extra = (f" growth_exponent={out['growth_exponent']:.3f}"
-             if "growth_exponent" in out else "")
-    print(f"norm-growth p={args.p}: sup H^{args.s} = {out['sup_norm']:.6g}{extra} -> {path}")
-    return 2 if out["resolution_flagged"] else 0
-
-
 def _cmd_fit(args) -> int:
     points = []
     try:
@@ -320,7 +303,6 @@ _COMMANDS = {
     "residual-scan": _cmd_residual_scan,
     "error-scan": _cmd_error_scan,
     "metastability": _cmd_metastability,
-    "norm-growth": _cmd_norm_growth,
     "fit": _cmd_fit,
 }
 

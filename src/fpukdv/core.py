@@ -69,11 +69,11 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class LatticeState:
-    """FPU phase point: strain u, momentum-like q, physical time t."""
+    """FPU phase point: strain u and momentum-like q.  The run that holds a
+    state keeps its time."""
 
     u: np.ndarray
     q: np.ndarray
-    t: float
 
     def __post_init__(self):
         u = np.asarray(self.u, dtype=float)
@@ -100,26 +100,25 @@ class FieldProfile:
 
     values: np.ndarray
     coeffs: np.ndarray
-    tau: float
     L: float
 
     @classmethod
-    def from_values(cls, values, L, tau=0.0) -> "FieldProfile":
+    def from_values(cls, values, L) -> "FieldProfile":
         values = np.asarray(values, dtype=float)
         if values.shape[0] % 2 != 0:
             raise InvalidInputError(f"M must be even, got {values.shape[0]} grid points")
         if not np.all(np.isfinite(values)):
             raise InvalidInputError("profile values contain non-finite entries")
-        return cls(values=values, coeffs=np.fft.rfft(values), tau=float(tau), L=float(L))
+        return cls(values=values, coeffs=np.fft.rfft(values), L=float(L))
 
     @classmethod
-    def from_coeffs(cls, coeffs, L, tau=0.0) -> "FieldProfile":
+    def from_coeffs(cls, coeffs, L) -> "FieldProfile":
         coeffs = np.array(coeffs, dtype=complex)
         if not np.all(np.isfinite(coeffs)):
             raise InvalidInputError("profile coefficients contain non-finite entries")
         coeffs[[0, -1]] = coeffs[[0, -1]].real  # irfft ignores their imaginary parts
         values = np.fft.irfft(coeffs)
-        return cls(values=values, coeffs=coeffs, tau=float(tau), L=float(L))
+        return cls(values=values, coeffs=coeffs, L=float(L))
 
     @property
     def M(self) -> int:
@@ -161,13 +160,13 @@ class ErrorRecord:
 def derivative(W: FieldProfile, order: int = 1) -> FieldProfile:
     """Spectral derivative; odd orders vanish at Nyquist (see from_coeffs)."""
     c = W.coeffs * (1j * W.wavenumbers()) ** order
-    return FieldProfile.from_coeffs(c, W.L, W.tau)
+    return FieldProfile.from_coeffs(c, W.L)
 
 
 def translate(W: FieldProfile, delta: float) -> FieldProfile:
     """Profile V with V(xi) = W(xi + delta), done by spectral phase shift."""
     c = W.coeffs * np.exp(1j * W.wavenumbers() * delta)
-    return FieldProfile.from_coeffs(c, W.L, W.tau)
+    return FieldProfile.from_coeffs(c, W.L)
 
 
 def dealias_mask(M: int) -> np.ndarray:
@@ -179,7 +178,7 @@ def pointwise_power(W: FieldProfile, p: int) -> FieldProfile:
     """W^p as a profile, integer power computed on the grid (sign kept) and
     dealiased by the 2/3 rule."""
     c = np.where(dealias_mask(W.M), np.fft.rfft(int_power(W.values, p, np.empty(W.M))), 0.0)
-    return FieldProfile.from_coeffs(c, W.L, W.tau)
+    return FieldProfile.from_coeffs(c, W.L)
 
 
 def combine(profiles_and_weights, like: FieldProfile) -> FieldProfile:
@@ -187,7 +186,7 @@ def combine(profiles_and_weights, like: FieldProfile) -> FieldProfile:
     c = np.zeros_like(like.coeffs)
     for w, prof in profiles_and_weights:
         c += w * prof.coeffs
-    return FieldProfile.from_coeffs(c, like.L, like.tau)
+    return FieldProfile.from_coeffs(c, like.L)
 
 
 # ---------------------------------------------------------------------------

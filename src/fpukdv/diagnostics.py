@@ -110,7 +110,7 @@ def energy_quantity(
     """
     N = U.shape[0]
     wpm1 = sample_to_lattice(
-        FieldProfile.from_values(W.values ** (p - 1), W.L, W.tau), epsilon, t, N
+        FieldProfile.from_values(W.values ** (p - 1), W.L), epsilon, t, N
     )
     E = 0.5 * float(np.sum(Q * Q + U * U + epsilon**2 * p * wpm1 * U * U))
     lhs = float(np.sum(Q * Q + U * U))

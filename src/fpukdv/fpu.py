@@ -12,7 +12,6 @@ tests; no run uses it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -33,13 +32,10 @@ BLOWUP_GUARD = 1.0e6
 class FpuRunConfig:
     params: ModelParams
     t_end: float = 0.0
-    sample_stride: int = 1
 
     def __post_init__(self):
         if self.t_end < 0.0:
             raise InvalidInputError("t_end must be nonnegative")
-        if self.sample_stride < 1:
-            raise InvalidInputError("sample_stride must be >= 1")
 
 
 def fpu_energy(state: LatticeState, epsilon: float, p: int) -> float:
@@ -130,16 +126,9 @@ class _S6Stepper:
         return u, q, 0 if np.abs(u).max() <= BLOWUP_GUARD else 1
 
 
-def fpu_integrate(
-    state: LatticeState,
-    cfg: FpuRunConfig,
-    observer: Callable[[LatticeState], None] | None = None,
-) -> LatticeState:
-    """Advance to cfg.t_end, invoking observer every sample_stride steps.
-
-    The observer (if any) also sees the initial state; without one the run
-    is a single chunk.  Deterministic for a fixed config.
-    """
+def fpu_integrate(state: LatticeState, cfg: FpuRunConfig) -> LatticeState:
+    """Advance the state by the duration cfg.t_end in one chunk of steps of
+    size cfg.params.dt_lattice.  Deterministic for a fixed config."""
     params = cfg.params
     if state.N != params.N:
         raise ConfigurationError(f"state has {state.N} sites, the run expects N = {params.N}")
@@ -147,24 +136,11 @@ def fpu_integrate(
     n_total = int(round(cfg.t_end / dt))
     if abs(n_total * dt - cfg.t_end) > 1.0e-9 * max(1.0, cfg.t_end):
         raise InvalidInputError("t_end must be an integer multiple of dt_lattice")
-    u = state.u.copy()
-    q = state.q.copy()
-    t = state.t
-    if observer is not None:
-        observer(LatticeState(u=u.copy(), q=q.copy(), t=t))
-    stepper = _S6Stepper(u.shape[0], dt, params.epsilon**2, params.p)
-    stride = cfg.sample_stride if observer is not None else n_total
-    done = 0
-    while done < n_total:
-        n = min(stride, n_total - done)
-        u, q, status = stepper.steps(u, q, n)
-        done += n
-        t = state.t + done * dt
-        if status != 0:
-            raise BlowUpError(f"FPU solution exceeded the sup-norm guard at t = {t}")
-        if observer is not None:
-            observer(LatticeState(u=u.copy(), q=q.copy(), t=t))
-    return LatticeState(u=u, q=q, t=t)
+    stepper = _S6Stepper(state.N, dt, params.epsilon**2, params.p)
+    u, q, status = stepper.steps(state.u.copy(), state.q.copy(), n_total)
+    if status != 0:
+        raise BlowUpError(f"FPU solution exceeded the sup-norm guard in a run of {cfg.t_end}")
+    return LatticeState(u=u, q=q)
 
 
 def traveling_wave_initializer(

@@ -13,7 +13,7 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -159,7 +159,7 @@ def _initial_profile(spec: ExperimentSpec) -> FieldProfile:
     if spec.initial_mode == "gaussian":
         x = np.arange(spec.M) * (spec.L / spec.M)
         vals = spec.amplitude * np.exp(-((x - spec.L / 2.0) ** 2))
-        return FieldProfile.from_values(vals, spec.L, 0.0)
+        return FieldProfile.from_values(vals, spec.L)
     raise InvalidInputError(f"unknown initial mode {spec.initial_mode!r}")
 
 
@@ -169,8 +169,9 @@ def _lattice_size(spec: ExperimentSpec, epsilon: float) -> int:
         raise ConfigurationError(f"L/epsilon = {spec.L / epsilon} is not an integer site count")
     return N
 
+
 def _window_for(spec: ExperimentSpec, epsilon: float) -> tuple[float, float]:
-    if spec.kind == "theorem1_window" or (spec.kind == "metastability"):
+    if spec.kind in ("theorem1_window", "metastability"):
         return time_window(epsilon, spec.r, spec.K, spec.p, 1)
     if spec.kind == "theorem2_window":
         return time_window(epsilon, spec.r, spec.K, spec.p, 2)
@@ -206,7 +207,7 @@ def run_residual_scan(spec: ExperimentSpec) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# error scan (KdV-time window or theorem windows)
+# lattice sampling over a time window
 # ---------------------------------------------------------------------------
 
 def _align_steps(total: float, target: float) -> tuple[int, float]:
@@ -215,38 +216,59 @@ def _align_steps(total: float, target: float) -> tuple[int, float]:
     return n, total / n
 
 
-def _error_scan_cell(spec: ExperimentSpec, epsilon: float) -> dict:
-    """One epsilon cell: co-integrate FPU and KdV, record error diagnostics."""
-    N = _lattice_size(spec, epsilon)
-    t0, tau0 = _window_for(spec, epsilon)
-    W0 = _initial_profile(spec)
+def lattice_samples(state: LatticeState, params: ModelParams, t_end: float, n_samples: int):
+    """Yield (t_i, state at t_i) for t_i = i * (t_end / n_samples), i = 1..n_samples.
 
+    The run's one clock: each interval is a whole number of equal steps of
+    size <= params.dt_lattice, so every sample lands on its t_i.
+    """
+    if n_samples < 1 or not t_end > 0.0:
+        raise InvalidInputError(f"sampling needs t_end > 0 and n_samples >= 1, "
+                                f"got t_end = {t_end}, n_samples = {n_samples}")
+    dt_sample = t_end / n_samples
+    _, dt = _align_steps(dt_sample, params.dt_lattice)
+    cfg = FpuRunConfig(params=replace(params, dt_lattice=dt), t_end=dt_sample)
+    for i in range(1, n_samples + 1):
+        state = fpu_integrate(state, cfg)
+        yield i * dt_sample, state
+
+
+def _cell_start(spec: ExperimentSpec, epsilon: float):
+    """(params, W0, state, achieved, delta) of a lattice cell: the initial
+    profile W0, its sampled ansatz and, in random mode, a seeded perturbation
+    of l2 size delta added to it (``initial_lattice_data`` gives achieved)."""
+    N = _lattice_size(spec, epsilon)
+    params = ModelParams(p=spec.p, epsilon=epsilon, L=spec.L, N=N, dt_lattice=spec.dt_lattice)
+    W0 = _initial_profile(spec)
+    delta = spec.perturbation_size if spec.perturbation_size is not None else epsilon**1.5
     perturbation = None
     if spec.perturbation_mode == "random":
-        size = spec.perturbation_size if spec.perturbation_size is not None else epsilon**1.5
-        perturbation = seeded_perturbation(N, size, spec.seed)
+        perturbation = seeded_perturbation(N, delta, spec.seed)
     state, achieved = initial_lattice_data(W0, epsilon, spec.p, N, perturbation)
+    return params, W0, state, achieved, delta
 
-    dt_diag = t0 / spec.n_samples
-    _, dt = _align_steps(dt_diag, spec.dt_lattice)
-    dtau_diag = tau0 / spec.n_samples
-    n_kdv, dtau = _align_steps(dtau_diag, spec.dtau_kdv)
 
-    params = ModelParams(p=spec.p, epsilon=epsilon, L=spec.L, N=N, dt_lattice=dt)
+# ---------------------------------------------------------------------------
+# error scan (KdV-time window or theorem windows)
+# ---------------------------------------------------------------------------
+
+def _error_scan_cell(spec: ExperimentSpec, epsilon: float) -> dict:
+    """One epsilon cell: co-integrate FPU and KdV, record error diagnostics."""
+    params, W0, state, achieved, _ = _cell_start(spec, epsilon)
+    t0, tau0 = _window_for(spec, epsilon)
+
+    n_kdv, dtau = _align_steps(tau0 / spec.n_samples, spec.dtau_kdv)
     kcfg = KdvRunConfig(p=spec.p, L=spec.L, M=spec.M, dtau=dtau, tau_end=tau0)
-    fcfg = FpuRunConfig(params=params, t_end=dt_diag)
 
     W = W0
     records: list[ErrorRecord] = [error_norms(state, W, epsilon, spec.p, 0.0)]
     hs_sup = sobolev_norm(W0, spec.s)
     flags = {"blow_up": False}
     try:
-        for i in range(spec.n_samples):
-            state = fpu_integrate(state, fcfg)
-            state = LatticeState(u=state.u, q=state.q, t=(i + 1) * dt_diag)
+        for t, state in lattice_samples(state, params, t0, spec.n_samples):
             W = kdv_integrate(W, kcfg, n_kdv)
             hs_sup = max(hs_sup, sobolev_norm(W, spec.s))
-            records.append(error_norms(state, W, epsilon, spec.p, state.t))
+            records.append(error_norms(state, W, epsilon, spec.p, t))
     except BlowUpError as exc:  # a blow-up goes into the table; bugs propagate
         flags["blow_up"] = True
         flags["error"] = f"{type(exc).__name__}: {exc}"
@@ -282,44 +304,31 @@ def run_error_scan(spec: ExperimentSpec, jobs: int = 1) -> dict:
 
 def orbital_distance(u: np.ndarray, u_ref: np.ndarray) -> float:
     """min over shifts of |u - u_ref(. - sigma)|, integer shifts refined
-    by quadratic interpolation of the squared-distance minimum."""
-    uh = np.fft.rfft(u)
-    rh = np.fft.rfft(u_ref)
-    corr = np.fft.irfft(uh * np.conj(rh), n=u.shape[0])
-    d2 = np.dot(u, u) + np.dot(u_ref, u_ref) - 2.0 * corr
-    i = int(np.argmin(d2))
-    ym = d2[i - 1]
-    y0 = d2[i]
-    yp = d2[(i + 1) % d2.shape[0]]
+    by quadratic interpolation of the squared-distance minimum.
+
+    The FFT correlation only picks the best integer shift i; the squared
+    distances at i - 1, i, i + 1 are summed directly, since |u|^2 + |u_ref|^2
+    - 2 corr would lose the digits of a small distance to cancellation.
+    """
+    N = u.shape[0]
+    corr = np.fft.irfft(np.fft.rfft(u) * np.conj(np.fft.rfft(u_ref)), n=N)
+    i = int(np.argmax(corr))
+    ym, y0, yp = (float(np.sum((u - np.roll(u_ref, j)) ** 2)) for j in (i - 1, i, i + 1))
     denom = ym - 2.0 * y0 + yp
     dmin = y0 if denom <= 0.0 else y0 - (yp - ym) ** 2 / (8.0 * denom)
     return float(math.sqrt(max(dmin, 0.0)))
 
 
 def _metastability_cell(spec: ExperimentSpec, epsilon: float) -> dict:
-    N = _lattice_size(spec, epsilon)
-    t0, tau0 = time_window(epsilon, spec.r, spec.K, spec.p, 1)
-    W0 = _initial_profile(spec)
-    u_ref = sample_to_lattice(W0, epsilon, 0.0, N)
-
-    delta = spec.perturbation_size if spec.perturbation_size is not None else epsilon**1.5
-    perturbation = None
-    if spec.perturbation_mode == "random" and delta > 0.0:
-        perturbation = seeded_perturbation(N, delta, spec.seed)
-    state, _ = initial_lattice_data(W0, epsilon, spec.p, N, perturbation)
-
-    dt_diag = t0 / spec.n_samples
-    _, dt = _align_steps(dt_diag, spec.dt_lattice)
-    params = ModelParams(p=spec.p, epsilon=epsilon, L=spec.L, N=N, dt_lattice=dt)
-    fcfg = FpuRunConfig(params=params, t_end=dt_diag)
+    params, W0, state, _, delta = _cell_start(spec, epsilon)
+    t0, tau0 = _window_for(spec, epsilon)
+    u_ref = sample_to_lattice(W0, epsilon, 0.0, params.N)
 
     rows = [{"t": 0.0, "orbital_distance": orbital_distance(state.u, u_ref)}]
     flags = {"blow_up": False, "growth": False}
     try:
-        for i in range(spec.n_samples):
-            state = fpu_integrate(state, fcfg)
-            state = LatticeState(u=state.u, q=state.q, t=(i + 1) * dt_diag)
-            rows.append({"t": state.t, "orbital_distance": orbital_distance(state.u, u_ref)})
+        for t, state in lattice_samples(state, params, t0, spec.n_samples):
+            rows.append({"t": t, "orbital_distance": orbital_distance(state.u, u_ref)})
     except BlowUpError as exc:
         flags["blow_up"] = True
         flags["error"] = f"{type(exc).__name__}: {exc}"

@@ -27,4 +27,4 @@ def soliton_p2():
 def gaussian_profile():
     L, M = 64.0, 1024
     x = np.arange(M) * (L / M)
-    return FieldProfile.from_values(np.exp(-((x - L / 2.0) ** 2)), L, 0.0)
+    return FieldProfile.from_values(np.exp(-((x - L / 2.0) ** 2)), L)

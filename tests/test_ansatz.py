@@ -85,7 +85,6 @@ class TestInitialData:
     def test_unperturbed_err_u_zero(self, soliton_p2):
         state, achieved = initial_lattice_data(soliton_p2, 0.1, 2, 640)
         assert achieved["err_u"] == 0.0
-        assert state.t == 0.0
         assert state.N == 640
 
     def test_err_du_within_budget(self, soliton_p2):

@@ -71,6 +71,15 @@ class TestFpu:
         assert outputs[0] == outputs[1]
         assert len(outputs[0].splitlines()) == 7
 
+    def test_samples_are_uniform_when_dt_does_not_divide_them(self, tmp_path, capsys):
+        # 10/3 is not a multiple of --dt 0.5: each interval runs 7 equal steps
+        code, _, _ = run_cli(["fpu", "--eps", "0.1", "--t-end", "10", "--n-samples", "3",
+                              "--out-dir", str(tmp_path)], capsys)
+        assert code == 0
+        with open(tmp_path / "fpu_p2_eps0.1.csv") as fh:
+            times = [float(row["t"]) for row in csv.DictReader(fh)]
+        assert times == [0.0, 10 / 3, 20 / 3, 10.0]
+
 
 class TestConfigMerge:
     def test_config_supplies_defaults_flags_win(self, tmp_path, capsys):
@@ -165,11 +174,20 @@ class TestMetastabilityAndNormGrowth:
         assert (tmp_path / "metastability_p2_eps0.1.csv").exists()
 
     def test_norm_growth_smoke(self, tmp_path, capsys):
-        code, out, _ = run_cli(["norm-growth", "--p", "2", "--L", "32", "--M", "2048",
+        code, out, _ = run_cli(["kdv", "--p", "2", "--L", "32", "--M", "2048",
                                 "--dtau", "2e-4", "--tau-end", "0.02",
                                 "--n-samples", "2", "--out-dir", str(tmp_path)], capsys)
         assert code == 0
-        with open(tmp_path / "norm_growth_p2.csv") as fh:
+        assert "growth_exponent" not in out  # fitted for p >= 4 only
+        with open(tmp_path / "kdv_p2.csv") as fh:
             rows = list(csv.reader(fh))
         assert rows[0][0] == "tau"
         assert len(rows) >= 3
+
+    def test_kdv_reports_growth_exponent_for_p4(self, tmp_path, capsys):
+        code, out, _ = run_cli(["kdv", "--p", "4", "--initial-mode", "gaussian",
+                                "--amplitude", "0.3", "--L", "32", "--M", "256",
+                                "--dtau", "1e-3", "--tau-end", "2", "--n-samples", "4",
+                                "--s", "2", "--out-dir", str(tmp_path)], capsys)
+        assert code == 0
+        assert "growth_exponent=" in out

@@ -237,7 +237,7 @@ class TestProfileOps:
 
     def test_validate_rejects_mismatch(self, soliton_p2):
         bad = FieldProfile(values=soliton_p2.values + 1.0, coeffs=soliton_p2.coeffs,
-                           tau=0.0, L=soliton_p2.L)
+                           L=soliton_p2.L)
         with pytest.raises(InvalidInputError):
             bad.validate()
 
@@ -291,9 +291,9 @@ class TestModelParams:
 class TestLatticeState:
     def test_rejects_non_finite(self):
         with pytest.raises(InvalidInputError):
-            LatticeState(u=np.array([np.inf]), q=np.array([0.0]), t=0.0)
+            LatticeState(u=np.array([np.inf]), q=np.array([0.0]))
 
     def test_udot_is_forward_difference(self):
         q = np.array([1.0, 2.0, 4.0, 8.0])
-        state = LatticeState(u=np.zeros(4), q=q, t=0.0)
+        state = LatticeState(u=np.zeros(4), q=q)
         assert np.all(state.udot() == np.roll(q, -1) - q)

@@ -151,7 +151,7 @@ class TestErrorNorms:
 
 def _reference_p_epsilon(W, eps, p):
     dW = derivative(W, 1)
-    grad_term = FieldProfile.from_values(W.values ** (p - 1) * dW.values, W.L, W.tau)
+    grad_term = FieldProfile.from_values(W.values ** (p - 1) * dW.values, W.L)
     return combine([(-1.0, W), (0.5 * eps, dW), (-0.125 * eps**2, derivative(W, 2)),
                     (-0.5 * eps**2, pointwise_power(W, p)), (eps**3 / 48.0, derivative(W, 3)),
                     (0.25 * eps**3 * p, grad_term)], like=W)
@@ -160,10 +160,10 @@ def _reference_p_epsilon(W, eps, p):
 def _reference_p_tau(W, eps, p):
     G = time_derivative(W, p)
     dG = derivative(G, 1)
-    wpm1_G = FieldProfile.from_values(W.values ** (p - 1) * G.values, W.L, W.tau)
+    wpm1_G = FieldProfile.from_values(W.values ** (p - 1) * G.values, W.L)
     chain3 = FieldProfile.from_values(
         (p - 1) * W.values ** (p - 2) * derivative(W, 1).values * G.values
-        + W.values ** (p - 1) * dG.values, W.L, W.tau)
+        + W.values ** (p - 1) * dG.values, W.L)
     return combine([(-1.0, G), (0.5 * eps, dG), (-0.125 * eps**2, derivative(G, 2)),
                     (-0.5 * eps**2 * p, wpm1_G), (eps**3 / 48.0, derivative(G, 3)),
                     (0.25 * eps**3 * p, chain3)], like=W)

@@ -75,7 +75,7 @@ class TestRhsAndEnergy:
         # H = 1/2 (1 + 2*0.01/3) = 0.50333...
         u = np.zeros(16)
         u[0] = 1.0
-        state = LatticeState(u=u, q=np.zeros(16), t=0.0)
+        state = LatticeState(u=u, q=np.zeros(16))
         assert fpu_energy(state, 0.1, 2) == pytest.approx(0.5 * (1.0 + 2.0 * 0.01 / 3.0))
 
     def test_rhs_telescopes(self):
@@ -130,7 +130,7 @@ class TestIntegrators:
         sols = []
         for dt in (0.2, 0.1, 0.05):
             params = ModelParams(p=2, epsilon=0.1, L=6.4, N=64, dt_lattice=dt)
-            out = fpu_integrate(LatticeState(u=u0, q=q0, t=0.0), FpuRunConfig(params=params, t_end=4.0))
+            out = fpu_integrate(LatticeState(u=u0, q=q0), FpuRunConfig(params=params, t_end=4.0))
             sols.append(np.concatenate([out.u, out.q]))
         e1 = np.max(np.abs(sols[0] - sols[1]))
         e2 = np.max(np.abs(sols[1] - sols[2]))
@@ -183,29 +183,10 @@ class TestIntegrators:
         out = fpu_integrate(state, FpuRunConfig(params=_params(), t_end=100.0))
         assert abs(fpu_energy(out, 0.1, 2) - H0) / abs(H0) < 1e-9
 
-    def test_observer_sees_initial_and_sampled_states(self):
-        state, _ = traveling_wave_initializer(2, 1.0, 0.1, 64.0, 1024, 640)
-        params = _params(dt=0.05)
-        seen = []
-        cfg = FpuRunConfig(params=params, t_end=1.0, sample_stride=5)
-        fpu_integrate(state, cfg, observer=seen.append)
-        assert [s.t for s in seen] == pytest.approx([0.0, 0.25, 0.5, 0.75, 1.0])
-
-    def test_observer_free_run_ignores_stride(self):
-        # without an observer the whole run is one chunk, whatever the stride
-        state, _ = traveling_wave_initializer(3, 1.0, 0.1, 64.0, 1024, 640)
-        params = _params(p=3)
-        n_total = 40
-        a, b = (fpu_integrate(state, FpuRunConfig(params=params, t_end=n_total * DT_LATTICE,
-                                                  sample_stride=stride))
-                for stride in (1, n_total))
-        assert np.array_equal(a.u, b.u) and np.array_equal(a.q, b.q)
-        assert a.t == b.t
-
     def test_blowup_raises(self, monkeypatch):
         monkeypatch.setattr(fpu_module, "BLOWUP_GUARD", 1.0e-3)
         rng = np.random.default_rng(8)
-        state = LatticeState(u=rng.standard_normal(32), q=rng.standard_normal(32), t=0.0)
+        state = LatticeState(u=rng.standard_normal(32), q=rng.standard_normal(32))
         params = ModelParams(p=2, epsilon=0.1, L=3.2, N=32, dt_lattice=0.05)
         with pytest.raises(BlowUpError):
             fpu_integrate(state, FpuRunConfig(params=params, t_end=5.0))
@@ -236,7 +217,7 @@ class TestIntegrators:
         # a 64-site state under N = 640: the N eps = L wrap check in
         # ModelParams is only worth something if the run enforces it
         rng = np.random.default_rng(3)
-        state = LatticeState(u=rng.standard_normal(64), q=rng.standard_normal(64), t=0.0)
+        state = LatticeState(u=rng.standard_normal(64), q=rng.standard_normal(64))
         with pytest.raises(ConfigurationError, match="64 sites"):
             fpu_integrate(state, FpuRunConfig(params=_params(N=640), t_end=1.0))
 
@@ -258,7 +239,7 @@ class TestIntegrators:
         T = 2.0 * np.pi / omega
         dt = T / 2000
         params = ModelParams(p=2, epsilon=1e-8, L=N * 1e-8, N=N, dt_lattice=dt)
-        out = fpu_integrate(LatticeState(u=u0, q=q0, t=0.0),
+        out = fpu_integrate(LatticeState(u=u0, q=q0),
                             FpuRunConfig(params=params, t_end=T))
         assert np.max(np.abs(out.u - u0)) < 1e-13
 

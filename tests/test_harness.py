@@ -7,12 +7,22 @@ import pytest
 
 from fpukdv import harness
 from fpukdv.cli import main
-from fpukdv.core import BlowUpError, ConfigurationError, ErrorRecord, InvalidInputError
+from fpukdv.core import (
+    BlowUpError,
+    ConfigurationError,
+    ErrorRecord,
+    InvalidInputError,
+    LatticeState,
+    ModelParams,
+    sample_to_lattice,
+)
+from fpukdv.fpu import FpuRunConfig, fpu_integrate
 from fpukdv.harness import (
     ERROR_CSV_HEADER,
     ExperimentSpec,
     error_records_rows,
     fit_scaling_exponent,
+    lattice_samples,
     orbital_distance,
     pairwise_exponent,
     run_error_scan,
@@ -97,6 +107,54 @@ class TestOrbitalDistance:
         v = 1.5 * u
         assert orbital_distance(v, u) == pytest.approx(
             0.5 * math.sqrt(np.sum(u**2)), rel=1e-6)
+
+    def test_small_distance_matches_direct_sum(self, soliton_p2):
+        # oracle: the squared distance to every integer shift, summed
+        # directly in O(N^2), then the same parabola.  With |u|^2 ~ 98 and a
+        # distance ~ 1e-3, forming d^2 as |u|^2 + |u_ref|^2 - 2 corr would
+        # lose ~8 of its digits
+        N = 1280
+        u_ref = sample_to_lattice(soliton_p2, 0.05, 0.0, N)
+        noise = np.random.default_rng(11).standard_normal(N)
+        u = np.roll(u_ref, 7) + 1.0e-3 * noise / np.linalg.norm(noise)
+        d2 = np.array([np.sum((u - np.roll(u_ref, j)) ** 2) for j in range(N)])
+        i = int(np.argmin(d2))
+        ym, y0, yp = d2[i - 1], d2[i], d2[(i + 1) % N]
+        expected = math.sqrt(y0 - (yp - ym) ** 2 / (8.0 * (ym - 2.0 * y0 + yp)))
+        assert np.dot(u, u) == pytest.approx(98.0, rel=0.01)
+        assert expected == pytest.approx(1.0e-3, rel=0.1)
+        assert orbital_distance(u, u_ref) == pytest.approx(expected, rel=1e-12)
+
+
+class TestLatticeSamples:
+    PARAMS = ModelParams(p=2, epsilon=0.1, L=6.4, N=64)
+
+    @staticmethod
+    def _state():
+        rng = np.random.default_rng(5)
+        return LatticeState(u=0.3 * rng.standard_normal(64), q=0.3 * rng.standard_normal(64))
+
+    def test_times_are_uniform(self):
+        # 10/3 is not a multiple of dt_lattice = 0.5: each interval is 7 steps of 10/21
+        times = [t for t, _ in lattice_samples(self._state(), self.PARAMS, 10.0, 3)]
+        assert times == [10 / 3, 20 / 3, 10.0]
+
+    def test_sampling_only_splits_the_run(self):
+        # the last sample is the state one fpu_integrate call over the whole
+        # window reaches at the same step, up to round-off
+        *_, (_, last) = lattice_samples(self._state(), self.PARAMS, 10.0, 3)
+        cfg = FpuRunConfig(params=ModelParams(p=2, epsilon=0.1, L=6.4, N=64,
+                                              dt_lattice=10.0 / 21),
+                           t_end=10.0)
+        whole = fpu_integrate(self._state(), cfg)
+        scale = max(np.max(np.abs(whole.u)), np.max(np.abs(whole.q)))
+        assert np.max(np.abs(last.u - whole.u)) <= 1e-12 * scale
+        assert np.max(np.abs(last.q - whole.q)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("t_end,n_samples", [(10.0, 0), (0.0, 3)])
+    def test_needs_a_sample_and_a_window(self, t_end, n_samples):
+        with pytest.raises(InvalidInputError):
+            next(lattice_samples(self._state(), self.PARAMS, t_end, n_samples))
 
 
 class TestExperimentSpecValidation:

@@ -3,12 +3,17 @@
 ``perfbench/spans.py`` names its layers as (module, attribute) strings and
 rebinds them when a traced run starts; a renamed or deleted function would
 only show up there as an AttributeError.  This test resolves each name with
-getattr, without installing the tracer.
+getattr, without installing the tracer; one test then installs it around
+a tiny error-scan and fpu run.
 """
 
 import importlib
+import json
+import os
 import pathlib
 import runpy
+import subprocess
+import sys
 
 import pytest
 
@@ -22,3 +27,35 @@ def test_layer_resolves(name, module, attr):
     for part in attr.split("."):
         target = getattr(target, part)
     assert callable(target), name
+
+
+TRACED_RUN = """
+import json, runpy, sys
+from fpukdv import cli
+spans = runpy.run_path(sys.argv[1], run_name="perfbench_spans")
+tracer = spans["Tracer"]()
+tracer.install()
+out = sys.argv[2]
+codes = [
+    cli.main(["error-scan", "--eps", "0.2", "--tau0", "0.01", "--n-samples", "2",
+              "--out-dir", out]),
+    cli.main(["fpu", "--eps", "0.1", "--t-end", "5", "--n-samples", "2", "--out-dir", out]),
+]
+work = [s.work for s in tracer.spans if s.name == "fpu.fpu_integrate"]
+with open(out + "/traced.json", "w") as fh:
+    json.dump({"codes": codes, "work": work}, fh)
+"""
+
+
+def test_traced_cli_runs(tmp_path):
+    # the tracer rebinds package attributes in place, so it runs in a child
+    # process and leaves this one untouched
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    subprocess.run([sys.executable, "-c", TRACED_RUN, str(SPANS), str(tmp_path)],
+                   env=env, check=True, timeout=300)
+    result = json.loads((tmp_path / "traced.json").read_text())
+    assert result["codes"] == [0, 0]
+    assert len(result["work"]) == 4  # two samples per run
+    assert all(w.get("site_steps", 0) > 0 for w in result["work"])
