@@ -11,7 +11,6 @@ Exit codes: 0 success, 1 configuration error, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import sys
 import time
@@ -19,7 +18,7 @@ import time
 import numpy as np
 
 from .core import DT_LATTICE, BlowUpError, ConfigurationError, InvalidInputError, ModelParams
-from .fpu import fpu_energy, traveling_wave_initializer
+from .fpu import fpu_energy, lattice_samples, traveling_wave_initializer
 from .harness import (
     ExperimentSpec,
     error_records_rows,
@@ -27,7 +26,6 @@ from .harness import (
     fit_scaling_exponent,
     kdv_samples_rows,
     KDV_CSV_HEADER,
-    lattice_samples,
     run_error_scan,
     run_metastability,
     run_norm_growth,
@@ -94,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = add_parser("fpu", help="run the FPU lattice with energy tracking")
     _add_common(sp)
-    _add_model(sp)
+    _add_model(sp, eps_default="0.2")
     sp.add_argument("--t-end", type=float, default=100.0)
     sp.add_argument("--integrator", default="splitting", choices=("rk4", "splitting"),
                     help="accepted for compatibility; both values run the one "
@@ -207,14 +205,15 @@ def _cmd_kdv(args) -> int:
 
 
 def _cmd_fpu(args) -> int:
+    if len(args.eps) != 1:
+        raise ConfigurationError(f"fpu runs one epsilon, got {len(args.eps)}: "
+                                 f"{','.join(map(str, args.eps))}")
     eps = args.eps[0]
     N = round(args.L / eps)
     state, _ = traveling_wave_initializer(args.p, args.c, eps, args.L, args.M, N)
     params = ModelParams(p=args.p, epsilon=eps, L=args.L, N=N, dt_lattice=args.dt)
-    samples = itertools.chain([(0.0, state)],
-                              lattice_samples(state, params, args.t_end, args.n_samples))
     rows = [(t, fpu_energy(st, eps, args.p), float(np.sum(st.u)), float(np.sum(st.q)))
-            for t, st in samples]
+            for t, st in lattice_samples(state, params, args.t_end, args.n_samples)]
     path = f"{args.out_dir}/fpu_p{args.p}_eps{eps}.csv"
     write_csv(path, ["t", "H", "sum_u", "sum_q"], rows)
     h0, hT = rows[0][1], rows[-1][1]

@@ -10,11 +10,14 @@ Conventions:
     package's one Nyquist rule: an odd derivative vanishes there, and a
     translate by delta keeps c_{M/2} cos(k_{M/2} delta);
   * the periodic lattice has N sites with N*epsilon = L, so the moving
-    frame xi = epsilon*(n - t) wraps consistently.
+    frame xi = epsilon*(n - t) wraps consistently;
+  * both solvers keep time by one rule, ``uniform_samples``: a run over
+    [0, t_end] is sampled at t_i = i * (t_end / n_samples), i = 0..n_samples.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -151,6 +154,30 @@ class ErrorRecord:
     H_lattice: float
     coercivity_lhs: float = 0.0
     coercivity_ok: bool = True
+
+
+# ---------------------------------------------------------------------------
+# sampling in time
+# ---------------------------------------------------------------------------
+
+def uniform_samples(advance, x, t_end: float, n_samples: int, dt_max: float):
+    """Yield (t_i, x_i) for t_i = i * (t_end / n_samples), i = 0..n_samples,
+    starting with (0.0, x).
+
+    The one clock of both solvers: each interval is split into n equal steps
+    of size <= dt_max, and x_i = advance(x_{i-1}, n, dt) with dt = interval / n,
+    so every sample lands on its t_i whatever dt_max is.
+    """
+    if n_samples < 1 or not t_end > 0.0:
+        raise InvalidInputError(f"sampling needs t_end > 0 and n_samples >= 1, "
+                                f"got t_end = {t_end}, n_samples = {n_samples}")
+    interval = t_end / n_samples
+    n = max(1, math.ceil(interval / dt_max - 1.0e-12))
+    dt = interval / n
+    yield 0.0, x
+    for i in range(1, n_samples + 1):
+        x = advance(x, n, dt)
+        yield i * interval, x
 
 
 # ---------------------------------------------------------------------------

@@ -156,7 +156,7 @@ def check_energy_derivative_bound(
                            + e^3 (d^(p-1) + d^(2p-2)) E^(1/2)
                            + e^2 (d^(p-2) + E^((p-2)/2)) E ]
 
-    dE/dt is centered-differenced at the sampling stride; E = 0 windows
+    dE/dt is centered-differenced over the sample times; E = 0 windows
     fall back to a one-sided bound (the bracket is evaluated anyway).
     """
     times = np.asarray(times, dtype=float)

@@ -6,12 +6,13 @@
 One integrator: Blanes & Moan's order-4 symplectic splitting S6, whose linear
 flows are solved exactly in Fourier space and whose nonlinear kicks act on the
 momentum spectrum only.  The RK4 loop in kernels.py is kept as a reference for
-tests; no run uses it.
+tests; no run uses it.  ``lattice_samples`` samples a run on the clock of
+``core.uniform_samples``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -23,6 +24,7 @@ from .core import (
     InvalidInputError,
     LatticeState,
     ModelParams,
+    uniform_samples,
 )
 
 BLOWUP_GUARD = 1.0e6
@@ -141,6 +143,19 @@ def fpu_integrate(state: LatticeState, cfg: FpuRunConfig) -> LatticeState:
     if status != 0:
         raise BlowUpError(f"FPU solution exceeded the sup-norm guard in a run of {cfg.t_end}")
     return LatticeState(u=u, q=q)
+
+
+def lattice_samples(state: LatticeState, params: ModelParams, t_end: float, n_samples: int):
+    """Yield (t_i, state at t_i) for t_i = i * (t_end / n_samples), i = 0..n_samples,
+    starting with the given state.
+
+    ``core.uniform_samples`` keeps the time: each interval is one
+    ``fpu_integrate`` call of equal steps of size <= params.dt_lattice.
+    """
+    def advance(state, n, dt):
+        return fpu_integrate(state, FpuRunConfig(replace(params, dt_lattice=dt), t_end=n * dt))
+
+    return uniform_samples(advance, state, t_end, n_samples, params.dt_lattice)
 
 
 def traveling_wave_initializer(

@@ -13,7 +13,7 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -25,21 +25,14 @@ from .core import (
     ErrorRecord,
     FieldProfile,
     InvalidInputError,
-    LatticeState,
     ModelParams,
     l2_norm,
     sample_to_lattice,
     sobolev_norm,
 )
 from .diagnostics import error_norms, residual_profiles
-from .fpu import FpuRunConfig, fpu_integrate
-from .kdv import (
-    KdvRunConfig,
-    SolitonSpec,
-    kdv_integrate,
-    soliton_profile,
-    track_norm_growth,
-)
+from .fpu import lattice_samples
+from .kdv import KdvRunConfig, SolitonSpec, kdv_samples, soliton_profile, track_norm_growth
 
 EXPERIMENT_KINDS = (
     "residual_scan",
@@ -207,31 +200,8 @@ def run_residual_scan(spec: ExperimentSpec) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# lattice sampling over a time window
+# lattice cells
 # ---------------------------------------------------------------------------
-
-def _align_steps(total: float, target: float) -> tuple[int, float]:
-    """Split ``total`` into n equal steps of size <= target."""
-    n = max(1, math.ceil(total / target - 1.0e-12))
-    return n, total / n
-
-
-def lattice_samples(state: LatticeState, params: ModelParams, t_end: float, n_samples: int):
-    """Yield (t_i, state at t_i) for t_i = i * (t_end / n_samples), i = 1..n_samples.
-
-    The run's one clock: each interval is a whole number of equal steps of
-    size <= params.dt_lattice, so every sample lands on its t_i.
-    """
-    if n_samples < 1 or not t_end > 0.0:
-        raise InvalidInputError(f"sampling needs t_end > 0 and n_samples >= 1, "
-                                f"got t_end = {t_end}, n_samples = {n_samples}")
-    dt_sample = t_end / n_samples
-    _, dt = _align_steps(dt_sample, params.dt_lattice)
-    cfg = FpuRunConfig(params=replace(params, dt_lattice=dt), t_end=dt_sample)
-    for i in range(1, n_samples + 1):
-        state = fpu_integrate(state, cfg)
-        yield i * dt_sample, state
-
 
 def _cell_start(spec: ExperimentSpec, epsilon: float):
     """(params, W0, state, achieved, delta) of a lattice cell: the initial
@@ -256,17 +226,14 @@ def _error_scan_cell(spec: ExperimentSpec, epsilon: float) -> dict:
     """One epsilon cell: co-integrate FPU and KdV, record error diagnostics."""
     params, W0, state, achieved, _ = _cell_start(spec, epsilon)
     t0, tau0 = _window_for(spec, epsilon)
+    kcfg = KdvRunConfig(p=spec.p, L=spec.L, M=spec.M, dtau=spec.dtau_kdv)
 
-    n_kdv, dtau = _align_steps(tau0 / spec.n_samples, spec.dtau_kdv)
-    kcfg = KdvRunConfig(p=spec.p, L=spec.L, M=spec.M, dtau=dtau, tau_end=tau0)
-
-    W = W0
-    records: list[ErrorRecord] = [error_norms(state, W, epsilon, spec.p, 0.0)]
-    hs_sup = sobolev_norm(W0, spec.s)
+    records: list[ErrorRecord] = []
+    hs_sup = 0.0
     flags = {"blow_up": False}
     try:
-        for t, state in lattice_samples(state, params, t0, spec.n_samples):
-            W = kdv_integrate(W, kcfg, n_kdv)
+        for (t, state), (_, W) in zip(lattice_samples(state, params, t0, spec.n_samples),
+                                      kdv_samples(W0, kcfg, tau0, spec.n_samples)):
             hs_sup = max(hs_sup, sobolev_norm(W, spec.s))
             records.append(error_norms(state, W, epsilon, spec.p, t))
     except BlowUpError as exc:  # a blow-up goes into the table; bugs propagate
@@ -324,7 +291,7 @@ def _metastability_cell(spec: ExperimentSpec, epsilon: float) -> dict:
     t0, tau0 = _window_for(spec, epsilon)
     u_ref = sample_to_lattice(W0, epsilon, 0.0, params.N)
 
-    rows = [{"t": 0.0, "orbital_distance": orbital_distance(state.u, u_ref)}]
+    rows = []
     flags = {"blow_up": False, "growth": False}
     try:
         for t, state in lattice_samples(state, params, t0, spec.n_samples):
@@ -360,8 +327,8 @@ def run_metastability(spec: ExperimentSpec, jobs: int = 1) -> dict:
 def run_norm_growth(spec: ExperimentSpec) -> dict:
     """Track the H^s norm along one KdV run; fit the growth exponent for p >= 4."""
     W0 = _initial_profile(spec)
-    cfg = KdvRunConfig(p=spec.p, L=spec.L, M=spec.M, dtau=spec.dtau_kdv, tau_end=spec.tau_end)
-    samples = track_norm_growth(W0, cfg, spec.s, n_samples=spec.n_samples)
+    cfg = KdvRunConfig(p=spec.p, L=spec.L, M=spec.M, dtau=spec.dtau_kdv)
+    samples = track_norm_growth(W0, cfg, spec.s, spec.tau_end, spec.n_samples)
     norms = [smp.hs_norm for smp in samples]
     out = {
         "samples": samples,

@@ -6,13 +6,14 @@ fourth-order exponential (ETDRK4) scheme with contour-quadrature
 coefficients (Kassam & Trefethen, SISC 2005; Cox & Matthews, JCP 2002).
 The integrator steps the rfft half-spectrum (modes 0..M/2) that a
 ``FieldProfile`` stores, so a run starts from ``W.coeffs`` and ends in one
-``FieldProfile.from_coeffs``.
+``FieldProfile.from_coeffs``.  ``kdv_samples`` samples a run on the clock of
+``core.uniform_samples``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -27,6 +28,7 @@ from .core import (
     pointwise_power,
     sobolev_norm,
     spectral_tail_fraction,
+    uniform_samples,
 )
 from .kernels import int_power
 
@@ -42,15 +44,12 @@ class KdvRunConfig:
     L: float
     M: int
     dtau: float
-    tau_end: float = 0.0
 
     def __post_init__(self):
         if self.M < 256 or self.M & (self.M - 1) != 0:
             raise InvalidInputError(f"M must be a power of two >= 256, got {self.M}")
         if self.dtau <= 0.0:
             raise InvalidInputError("dtau must be positive")
-        if self.tau_end < 0.0:
-            raise InvalidInputError("tau_end must be nonnegative")
         if self.p < 2:
             raise InvalidInputError(f"p must be >= 2, got {self.p}")
 
@@ -167,6 +166,17 @@ def kdv_integrate(W: FieldProfile, cfg: KdvRunConfig, n_steps: int) -> FieldProf
     return _integrator(cfg).run(W, n_steps)
 
 
+def kdv_samples(W: FieldProfile, cfg: KdvRunConfig, tau_end: float, n_samples: int):
+    """Yield (tau_i, W at tau_i) for tau_i = i * (tau_end / n_samples),
+    i = 0..n_samples, starting with W.
+
+    ``core.uniform_samples`` keeps the time: each interval is one
+    ``kdv_integrate`` call of equal steps of size <= cfg.dtau.
+    """
+    return uniform_samples(lambda W, n, dt: kdv_integrate(W, replace(cfg, dtau=dt), n),
+                           W, tau_end, n_samples, cfg.dtau)
+
+
 def kdv_invariants(W: FieldProfile, p: int) -> tuple[float, float, float]:
     """(mass, momentum, energy) by spectral quadrature.
 
@@ -196,36 +206,12 @@ def track_norm_growth(
     W0: FieldProfile,
     cfg: KdvRunConfig,
     s: float,
-    n_samples: int = 50,
+    tau_end: float,
+    n_samples: int,
 ) -> list[KdvSample]:
-    """Integrate from tau = 0 to cfg.tau_end recording invariants and the
-    H^s norm; each sample's resolution flag compares the spectral tail
-    with ``TAIL_TOL``."""
-    n_total = int(round(cfg.tau_end / cfg.dtau))
-    if abs(n_total * cfg.dtau - cfg.tau_end) > 1.0e-9 * max(1.0, cfg.tau_end):
-        raise InvalidInputError("tau_end must be an integer multiple of dtau")
-    stride = max(1, n_total // max(1, n_samples))
-    integ = _integrator(cfg)
-
-    def sample(W: FieldProfile, tau: float) -> KdvSample:
-        mass, momentum, energy = kdv_invariants(W, cfg.p)
-        return KdvSample(
-            tau=tau,
-            mass=mass,
-            momentum=momentum,
-            energy=energy,
-            hs_norm=sobolev_norm(W, s),
-            sup_norm=float(np.max(np.abs(W.values))),
-            resolution_flag=spectral_tail_fraction(W, s) > TAIL_TOL,
-        )
-
-    out = [sample(W0, 0.0)]
-    W, tau = W0, 0.0
-    done = 0
-    while done < n_total:
-        n = min(stride, n_total - done)
-        W = integ.run(W, n)
-        tau += n * cfg.dtau
-        done += n
-        out.append(sample(W, tau))
-    return out
+    """Invariants, H^s norm and sup norm at the n_samples + 1 sample times of
+    ``kdv_samples`` (tau = 0 included); each sample's resolution flag
+    compares the spectral tail with ``TAIL_TOL``."""
+    return [KdvSample(tau, *kdv_invariants(W, cfg.p), sobolev_norm(W, s),
+                      float(np.max(np.abs(W.values))), spectral_tail_fraction(W, s) > TAIL_TOL)
+            for tau, W in kdv_samples(W0, cfg, tau_end, n_samples)]

@@ -80,6 +80,25 @@ class TestFpu:
             times = [float(row["t"]) for row in csv.DictReader(fh)]
         assert times == [0.0, 10 / 3, 20 / 3, 10.0]
 
+    def test_runs_one_epsilon(self, tmp_path, capsys):
+        code, _, err = run_cli(["fpu", "--eps", "0.2,0.1", "--t-end", "5",
+                                "--out-dir", str(tmp_path)], capsys)
+        assert code == 1
+        assert "one epsilon" in err
+        assert not list(tmp_path.iterdir())
+
+
+class TestKdv:
+    def test_samples_are_uniform_when_dtau_does_not_divide_them(self, tmp_path, capsys):
+        # 0.05/30 is not a multiple of --dtau 1e-3: each interval runs 2 equal steps
+        code, _, _ = run_cli(["kdv", "--p", "2", "--tau-end", "0.05", "--dtau", "1e-3",
+                              "--n-samples", "30", "--s", "2", "--out-dir", str(tmp_path)],
+                             capsys)
+        assert code == 0
+        with open(tmp_path / "kdv_p2.csv") as fh:
+            taus = [float(row["tau"]) for row in csv.DictReader(fh)]
+        assert taus == [i * (0.05 / 30) for i in range(31)]
+
 
 class TestConfigMerge:
     def test_config_supplies_defaults_flags_win(self, tmp_path, capsys):
@@ -141,12 +160,15 @@ class TestExitCodes:
     def test_unknown_command(self, capsys):
         assert main(["transmogrify"]) == 1
 
-    def test_tau_end_not_a_step_multiple(self, capsys, tmp_path):
-        code, _, err = run_cli(["kdv", "--p", "2", "--L", "16", "--M", "256",
-                                "--dtau", "0.03", "--tau-end", "0.1",
-                                "--out-dir", str(tmp_path)], capsys)
+    @pytest.mark.parametrize("argv", [
+        ["kdv", "--L", "16", "--M", "256", "--tau-end", "0.1"],
+        ["error-scan", "--eps", "0.2", "--tau0", "0.01"],
+    ], ids=["kdv", "error-scan"])
+    def test_needs_a_sample(self, capsys, tmp_path, argv):
+        code, _, err = run_cli(argv + ["--n-samples", "0", "--out-dir", str(tmp_path)], capsys)
         assert code == 1
-        assert "multiple of dtau" in err
+        assert "n_samples >= 1" in err
+        assert not list(tmp_path.glob("*.csv"))
 
 
 class TestFit:

@@ -22,6 +22,7 @@ from fpukdv.core import (
     sobolev_norm,
     spectral_tail_fraction,
     translate,
+    uniform_samples,
 )
 
 
@@ -167,14 +168,18 @@ class TestSampleToLattice:
     @example(M=256, N=4096, shift=1.0e5, seed=1)  # N > M: no two modes share a bin
     @example(M=80, N=81, shift=0.0, seed=2)  # even M, not a power of two
     @example(M=1000, N=1280, shift=-2.5, seed=3)
+    @example(M=1024, N=1010, shift=-64716.052228441804, seed=0)  # n - shift would round
     @settings(max_examples=60, deadline=None)
     def test_fold_matches_direct_sum(self, M, N, shift, seed):
         # oracle: the direct Fourier sum at the moving-frame points, on a
-        # random real full-band profile (Nyquist mode included)
+        # random real full-band profile (Nyquist mode included); the whole
+        # part of the shift is wrapped exactly before its fraction is taken
         L = 64.0
         eps = L / N
         W = FieldProfile.from_values(np.random.default_rng(seed).standard_normal(M), L)
-        ref = kernels.fourier_eval(np.fft.fft(W.values), L, eps * ((np.arange(N) - shift) % N))
+        whole = math.floor(shift)
+        sites = ((np.arange(N) - whole) % N - (shift - whole)) % N
+        ref = kernels.fourier_eval(np.fft.fft(W.values), L, eps * sites)
         out = sample_to_lattice(W, eps, shift, N)
         assert np.max(np.abs(out - ref)) <= 1.0e-11 * np.max(np.abs(ref))
 
@@ -297,3 +302,28 @@ class TestLatticeState:
         q = np.array([1.0, 2.0, 4.0, 8.0])
         state = LatticeState(u=np.zeros(4), q=q)
         assert np.all(state.udot() == np.roll(q, -1) - q)
+
+
+class TestUniformSamples:
+    @staticmethod
+    def _run(t_end, n_samples, dt_max):
+        """(samples, advance calls) for the clock x(t) = t."""
+        calls = []
+
+        def advance(x, n, dt):
+            calls.append((n, dt))
+            return x + n * dt
+
+        return list(uniform_samples(advance, 0.0, t_end, n_samples, dt_max)), calls
+
+    def test_one_advance_per_interval_in_equal_steps(self):
+        # 10/3 is not a multiple of dt_max = 0.5: each interval is 7 steps of 10/21
+        samples, calls = self._run(10.0, 3, 0.5)
+        assert [t for t, _ in samples] == [0.0, 10 / 3, 20 / 3, 10.0]
+        assert calls == [(7, (10 / 3) / 7)] * 3
+        assert [x for _, x in samples] == pytest.approx([t for t, _ in samples], rel=1e-15)
+
+    def test_step_is_never_longer_than_dt_max(self):
+        # an interval that dt_max divides keeps dt_max; one step is the least
+        assert [n for n, _ in self._run(1.0, 4, 0.05)[1]] == [5] * 4
+        assert self._run(0.1, 5, 0.03)[1] == [(1, 0.1 / 5)] * 5

@@ -19,6 +19,7 @@ from fpukdv.fpu import (
     FpuRunConfig,
     fpu_energy,
     fpu_integrate,
+    lattice_samples,
     traveling_wave_initializer,
 )
 from fpukdv.harness import fit_scaling_exponent
@@ -242,6 +243,37 @@ class TestIntegrators:
         out = fpu_integrate(LatticeState(u=u0, q=q0),
                             FpuRunConfig(params=params, t_end=T))
         assert np.max(np.abs(out.u - u0)) < 1e-13
+
+
+class TestLatticeSamples:
+    PARAMS = ModelParams(p=2, epsilon=0.1, L=6.4, N=64)
+
+    @staticmethod
+    def _state():
+        rng = np.random.default_rng(5)
+        return LatticeState(u=0.3 * rng.standard_normal(64), q=0.3 * rng.standard_normal(64))
+
+    def test_times_are_uniform(self):
+        # 10/3 is not a multiple of dt_lattice = 0.5: each interval is 7 steps of 10/21
+        times = [t for t, _ in lattice_samples(self._state(), self.PARAMS, 10.0, 3)]
+        assert times == [0.0, 10 / 3, 20 / 3, 10.0]
+
+    def test_sampling_only_splits_the_run(self):
+        # the last sample is the state one fpu_integrate call over the whole
+        # window reaches at the same step, up to round-off
+        *_, (_, last) = lattice_samples(self._state(), self.PARAMS, 10.0, 3)
+        cfg = FpuRunConfig(params=ModelParams(p=2, epsilon=0.1, L=6.4, N=64,
+                                              dt_lattice=10.0 / 21),
+                           t_end=10.0)
+        whole = fpu_integrate(self._state(), cfg)
+        scale = max(np.max(np.abs(whole.u)), np.max(np.abs(whole.q)))
+        assert np.max(np.abs(last.u - whole.u)) <= 1e-12 * scale
+        assert np.max(np.abs(last.q - whole.q)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("t_end,n_samples", [(10.0, 0), (0.0, 3)])
+    def test_needs_a_sample_and_a_window(self, t_end, n_samples):
+        with pytest.raises(InvalidInputError):
+            next(lattice_samples(self._state(), self.PARAMS, t_end, n_samples))
 
 
 class TestTravelingWaveInitializer:

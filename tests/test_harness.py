@@ -5,24 +5,20 @@ import math
 import numpy as np
 import pytest
 
-from fpukdv import harness
+from fpukdv import fpu, kdv
 from fpukdv.cli import main
 from fpukdv.core import (
     BlowUpError,
     ConfigurationError,
     ErrorRecord,
     InvalidInputError,
-    LatticeState,
-    ModelParams,
     sample_to_lattice,
 )
-from fpukdv.fpu import FpuRunConfig, fpu_integrate
 from fpukdv.harness import (
     ERROR_CSV_HEADER,
     ExperimentSpec,
     error_records_rows,
     fit_scaling_exponent,
-    lattice_samples,
     orbital_distance,
     pairwise_exponent,
     run_error_scan,
@@ -124,37 +120,6 @@ class TestOrbitalDistance:
         assert np.dot(u, u) == pytest.approx(98.0, rel=0.01)
         assert expected == pytest.approx(1.0e-3, rel=0.1)
         assert orbital_distance(u, u_ref) == pytest.approx(expected, rel=1e-12)
-
-
-class TestLatticeSamples:
-    PARAMS = ModelParams(p=2, epsilon=0.1, L=6.4, N=64)
-
-    @staticmethod
-    def _state():
-        rng = np.random.default_rng(5)
-        return LatticeState(u=0.3 * rng.standard_normal(64), q=0.3 * rng.standard_normal(64))
-
-    def test_times_are_uniform(self):
-        # 10/3 is not a multiple of dt_lattice = 0.5: each interval is 7 steps of 10/21
-        times = [t for t, _ in lattice_samples(self._state(), self.PARAMS, 10.0, 3)]
-        assert times == [10 / 3, 20 / 3, 10.0]
-
-    def test_sampling_only_splits_the_run(self):
-        # the last sample is the state one fpu_integrate call over the whole
-        # window reaches at the same step, up to round-off
-        *_, (_, last) = lattice_samples(self._state(), self.PARAMS, 10.0, 3)
-        cfg = FpuRunConfig(params=ModelParams(p=2, epsilon=0.1, L=6.4, N=64,
-                                              dt_lattice=10.0 / 21),
-                           t_end=10.0)
-        whole = fpu_integrate(self._state(), cfg)
-        scale = max(np.max(np.abs(whole.u)), np.max(np.abs(whole.q)))
-        assert np.max(np.abs(last.u - whole.u)) <= 1e-12 * scale
-        assert np.max(np.abs(last.q - whole.q)) <= 1e-12 * scale
-
-    @pytest.mark.parametrize("t_end,n_samples", [(10.0, 0), (0.0, 3)])
-    def test_needs_a_sample_and_a_window(self, t_end, n_samples):
-        with pytest.raises(InvalidInputError):
-            next(lattice_samples(self._state(), self.PARAMS, t_end, n_samples))
 
 
 class TestExperimentSpecValidation:
@@ -280,21 +245,21 @@ class TestFailureClassification:
     META = ExperimentSpec(kind="metastability", p=2, epsilons=(0.2,), n_samples=2)
 
     def test_error_scan_bug_propagates(self, monkeypatch, tmp_path):
-        monkeypatch.setattr(harness, "kdv_integrate", _raising(RuntimeError("bug")))
+        monkeypatch.setattr(kdv, "kdv_integrate", _raising(RuntimeError("bug")))
         with pytest.raises(RuntimeError, match="bug"):
             main(self.SCAN_ARGV + ["--out-dir", str(tmp_path)])
 
     def test_error_scan_blowup_is_flagged(self, monkeypatch, tmp_path):
-        monkeypatch.setattr(harness, "kdv_integrate", _raising(BlowUpError("guard")))
+        monkeypatch.setattr(kdv, "kdv_integrate", _raising(BlowUpError("guard")))
         assert main(self.SCAN_ARGV + ["--out-dir", str(tmp_path)]) == 2
         flags = json.loads((tmp_path / "error_scan_p2.json").read_text())["flags"]
         assert flags["0.2"]["blow_up"]
 
     def test_metastability_bug_propagates(self, monkeypatch):
-        monkeypatch.setattr(harness, "fpu_integrate", _raising(RuntimeError("bug")))
+        monkeypatch.setattr(fpu, "fpu_integrate", _raising(RuntimeError("bug")))
         with pytest.raises(RuntimeError, match="bug"):
             run_metastability(self.META)
 
     def test_metastability_blowup_is_flagged(self, monkeypatch):
-        monkeypatch.setattr(harness, "fpu_integrate", _raising(BlowUpError("guard")))
+        monkeypatch.setattr(fpu, "fpu_integrate", _raising(BlowUpError("guard")))
         assert run_metastability(self.META)["cells"][0]["flags"]["blow_up"]

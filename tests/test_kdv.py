@@ -18,6 +18,7 @@ from fpukdv.kdv import (
     SolitonSpec,
     kdv_integrate,
     kdv_invariants,
+    kdv_samples,
     soliton_profile,
     steady_residual,
     time_derivative,
@@ -259,12 +260,22 @@ class TestIntegrator:
             KdvIntegrator(KdvRunConfig(p=2, L=L, M=M, dtau=1e-3)).run(soliton_p2, 1)
 
 
+class TestKdvSamples:
+    def test_sampling_only_splits_the_run(self):
+        # the last sample is the profile one kdv_integrate call over the
+        # whole window reaches at the same step: 5 intervals of one step 0.02
+        W0 = soliton_profile(SolitonSpec(p=2, c=1.0, center=8.0), 16.0, 256)
+        *_, (_, last) = kdv_samples(W0, KdvRunConfig(p=2, L=16.0, M=256, dtau=0.03), 0.1, 5)
+        whole = kdv_integrate(W0, KdvRunConfig(p=2, L=16.0, M=256, dtau=0.02), 5)
+        assert np.max(np.abs(last.values - whole.values)) <= 1e-12 * np.max(np.abs(whole.values))
+
+
 class TestNormTracking:
     def test_soliton_hs_norm_flat(self):
         # M = 2048 keeps the H^6-weighted spectral tail below the flag threshold
         W0 = soliton_profile(SolitonSpec(p=2, c=1.0, center=32.0), 64.0, 2048)
-        cfg = KdvRunConfig(p=2, L=64.0, M=2048, dtau=1e-3, tau_end=0.2)
-        samples = track_norm_growth(W0, cfg, s=6, n_samples=10)
+        cfg = KdvRunConfig(p=2, L=64.0, M=2048, dtau=1e-3)
+        samples = track_norm_growth(W0, cfg, 6, 0.2, 10)
         norms = np.array([s.hs_norm for s in samples])
         assert np.max(np.abs(norms - norms[0])) / norms[0] < 1e-6
         assert not any(s.resolution_flag for s in samples)
@@ -276,13 +287,15 @@ class TestNormTracking:
         coeffs = np.zeros(M // 2 + 1, dtype=complex)
         coeffs[1:M // 2] = 1.0 / np.arange(1, M // 2)
         W = FieldProfile.from_coeffs(coeffs, L)
-        cfg = KdvRunConfig(p=2, L=L, M=M, dtau=1e-4, tau_end=1e-3)
-        samples = track_norm_growth(W, cfg, s=6, n_samples=2)
+        cfg = KdvRunConfig(p=2, L=L, M=M, dtau=1e-4)
+        samples = track_norm_growth(W, cfg, 6, 1e-3, 2)
         assert samples[0].resolution_flag
 
     def test_tau_end_must_be_step_multiple(self):
-        # 0.1 / 0.03 is not an integer: the run must not end early at tau 0.09
+        # 0.1 / 0.03 is not an integer: the run must not end early at tau 0.09,
+        # so each of the 5 intervals of 0.02 runs one step of 0.02 <= dtau
         W0 = soliton_profile(SolitonSpec(p=2, c=1.0, center=8.0), 16.0, 256)
-        cfg = KdvRunConfig(p=2, L=16.0, M=256, dtau=0.03, tau_end=0.1)
-        with pytest.raises(InvalidInputError, match="multiple of dtau"):
-            track_norm_growth(W0, cfg, s=2, n_samples=5)
+        cfg = KdvRunConfig(p=2, L=16.0, M=256, dtau=0.03)
+        samples = track_norm_growth(W0, cfg, 2, 0.1, 5)
+        assert [smp.tau for smp in samples] == [i * (0.1 / 5) for i in range(6)]
+        assert samples[-1].tau == pytest.approx(0.1, abs=1e-15)

@@ -4,7 +4,7 @@
 rebinds them when a traced run starts; a renamed or deleted function would
 only show up there as an AttributeError.  This test resolves each name with
 getattr, without installing the tracer; one test then installs it around
-a tiny error-scan and fpu run.
+a tiny error-scan, fpu and kdv run.
 """
 
 import importlib
@@ -31,7 +31,7 @@ def test_layer_resolves(name, module, attr):
 
 TRACED_RUN = """
 import json, runpy, sys
-from fpukdv import cli
+from fpukdv import cli, kdv
 spans = runpy.run_path(sys.argv[1], run_name="perfbench_spans")
 tracer = spans["Tracer"]()
 tracer.install()
@@ -41,9 +41,15 @@ codes = [
               "--out-dir", out]),
     cli.main(["fpu", "--eps", "0.1", "--t-end", "5", "--n-samples", "2", "--out-dir", out]),
 ]
+before_kdv = len(tracer.spans)
+codes.append(cli.main(["kdv", "--L", "16", "--M", "256", "--dtau", "0.03", "--tau-end", "0.1",
+                       "--n-samples", "5", "--s", "2", "--out-dir", out]))
 work = [s.work for s in tracer.spans if s.name == "fpu.fpu_integrate"]
+kdv_work = [s.work for s in tracer.spans[before_kdv:] if s.name == "kdv.KdvIntegrator.run"]
+cache = kdv._integrator.cache_info()
 with open(out + "/traced.json", "w") as fh:
-    json.dump({"codes": codes, "work": work}, fh)
+    json.dump({"codes": codes, "work": work, "kdv_work": kdv_work,
+               "cache": [cache.hits, cache.misses]}, fh)
 """
 
 
@@ -56,6 +62,10 @@ def test_traced_cli_runs(tmp_path):
     subprocess.run([sys.executable, "-c", TRACED_RUN, str(SPANS), str(tmp_path)],
                    env=env, check=True, timeout=300)
     result = json.loads((tmp_path / "traced.json").read_text())
-    assert result["codes"] == [0, 0]
+    assert result["codes"] == [0, 0, 0]
     assert len(result["work"]) == 4  # two samples per run
     assert all(w.get("site_steps", 0) > 0 for w in result["work"])
+    # kdv: 0.1 / 5 is one step of 0.02 <= dtau per sample
+    assert result["kdv_work"] == [{"steps": 1, "mode_steps": 256}] * 5
+    hits, misses = result["cache"]
+    assert hits >= 4 and misses >= 1  # one lookup per sample interval
