@@ -43,9 +43,8 @@ class FpuRunConfig:
 def fpu_energy(state: LatticeState, epsilon: float, p: int) -> float:
     """H = (1/2) sum(q^2 + u^2 + 2 eps^2/(p+1) u^(p+1))."""
     u, q = state.u, state.q
-    return float(
-        0.5 * np.sum(q * q + u * u + (2.0 * epsilon**2 / (p + 1)) * u ** (p + 1))
-    )
+    up1 = kernels.int_power(u, p + 1, np.empty_like(u))
+    return float(0.5 * np.sum(q * q + u * u + (2.0 * epsilon**2 / (p + 1)) * up1))
 
 
 # Blanes & Moan's six-stage order-4 splitting S6 (J. Comput. Appl. Math. 142

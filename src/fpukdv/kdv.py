@@ -5,9 +5,11 @@ part -(1/2)(W^p)_x is a dealiased pseudospectral product inside a
 fourth-order exponential (ETDRK4) scheme with contour-quadrature
 coefficients (Kassam & Trefethen, SISC 2005; Cox & Matthews, JCP 2002).
 The integrator steps the rfft half-spectrum (modes 0..M/2) that a
-``FieldProfile`` stores, so a run starts from ``W.coeffs`` and ends in one
-``FieldProfile.from_coeffs``.  ``kdv_samples`` samples a run on the clock of
-``core.uniform_samples``.
+``FieldProfile`` stores, so a run starts from a copy of ``W.coeffs`` and ends
+in one ``FieldProfile.from_coeffs``.  Each stage runs in scratch arrays the
+integrator allocates once; integrators are ``lru_cache``d per process
+(``_integrator``), so one integrator must not be stepped from two threads at
+once.  ``kdv_samples`` samples a run on the clock of ``core.uniform_samples``.
 """
 
 from __future__ import annotations
@@ -89,7 +91,8 @@ def soliton_profile(spec: SolitonSpec, L: float, M: int) -> FieldProfile:
 
 def steady_residual(W: FieldProfile, p: int, c: float) -> np.ndarray:
     """(1/12) W'' + W^p - 2c W on the grid (zero for the exact soliton)."""
-    return derivative(W, 2).values / 12.0 + W.values**p - 2.0 * c * W.values
+    wp = int_power(W.values, p, np.empty(W.M))
+    return derivative(W, 2).values / 12.0 + wp - 2.0 * c * W.values
 
 
 def time_derivative(W: FieldProfile, p: int) -> FieldProfile:
@@ -106,6 +109,12 @@ class KdvIntegrator:
     The step carries the profile's rfft half-spectrum (modes 0..M/2).  Its
     wavenumber is zeroed at Nyquist, so the odd symbols ik and i k^3 vanish
     there and the Nyquist coefficient stays real and constant.
+
+    The nonlinear multiplier -(1/2) ik (with the 2/3-rule mask) is folded
+    into the phi-coefficients g0..g3, so a stage is irfft, W^p and rfft.
+    Every stage writes into scratch arrays allocated once here, so a step
+    allocates nothing.  That scratch is per-call state, so an integrator
+    (cached per process by ``_integrator``) must not be shared across threads.
     """
 
     def __init__(self, cfg: KdvRunConfig):
@@ -122,38 +131,75 @@ class KdvIntegrator:
         r = np.exp(2j * np.pi * (np.arange(32) + 0.5) / 32)
         lr = h * lin[:, None] + r[None, :]
         elr = np.exp(lr)
-        self.f0 = h * np.mean((np.exp(lr / 2.0) - 1.0) / lr, axis=1)
-        self.f1 = h * np.mean((-4.0 - lr + elr * (4.0 - 3.0 * lr + lr**2)) / lr**3, axis=1)
-        self.f2 = h * np.mean((2.0 + lr + elr * (lr - 2.0)) / lr**3, axis=1)
-        self.f3 = h * np.mean((-4.0 - 3.0 * lr - lr**2 + elr * (4.0 - lr)) / lr**3, axis=1)
-        # -(1/2) d/dx with the 2/3-rule dealiasing folded in
-        self.nl_mult = -0.5 * ik * dealias_mask(M)
+        f0 = h * np.mean((np.exp(lr / 2.0) - 1.0) / lr, axis=1)
+        f1 = h * np.mean((-4.0 - lr + elr * (4.0 - 3.0 * lr + lr**2)) / lr**3, axis=1)
+        f2 = h * np.mean((2.0 + lr + elr * (lr - 2.0)) / lr**3, axis=1)
+        f3 = h * np.mean((-4.0 - 3.0 * lr - lr**2 + elr * (4.0 - lr)) / lr**3, axis=1)
+        # -(1/2) d/dx with the 2/3-rule dealiasing, folded into the phi-coefficients
+        nl_mult = -0.5 * ik * dealias_mask(M)
+        self.g0 = f0 * nl_mult
+        self.g1 = f1 * nl_mult
+        self.g2 = 2.0 * f2 * nl_mult
+        self.g3 = f3 * nl_mult
+        # scratch: grid values, W^p, the four stage spectra and three stage vectors
+        self._w = np.empty(M)
+        self._wp = np.empty(M)
+        self._n = [np.empty(M // 2 + 1, dtype=complex) for _ in range(4)]
+        self._ehv = np.empty(M // 2 + 1, dtype=complex)
+        self._s1 = np.empty(M // 2 + 1, dtype=complex)
+        self._s2 = np.empty(M // 2 + 1, dtype=complex)
 
-    def _nonlinear(self, v: np.ndarray) -> np.ndarray:
-        w = np.fft.irfft(v, n=self.cfg.M)
-        if not (np.max(np.abs(w)) <= BLOWUP_GUARD):
+    def _power_spectrum(self, v: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """out = rfft(w^p) for w = irfft(v); raises BlowUpError when
+        sup|w| > BLOWUP_GUARD (NaN included)."""
+        w, wp = self._w, self._wp
+        np.fft.irfft(v, n=self.cfg.M, out=w)
+        np.multiply(w, w, out=wp)
+        # sup|w| <= guard tested on w*w, the first product of W^p = ((w*w)*w)*...;
+        # the max is NaN if any w is, and NaN fails the comparison
+        if not (wp.max() <= BLOWUP_GUARD**2):
             raise BlowUpError("KdV solution exceeded the sup-norm guard")
-        wp = int_power(w, self.cfg.p, np.empty_like(w))
-        return self.nl_mult * np.fft.rfft(wp)
+        for _ in range(self.cfg.p - 2):
+            np.multiply(wp, w, out=wp)
+        return np.fft.rfft(wp, out=out)
 
-    def step_coeffs(self, v: np.ndarray) -> np.ndarray:
-        n0 = self._nonlinear(v)
-        v1 = self.exp_half * v + self.f0 * n0
-        n1 = self._nonlinear(v1)
-        v2 = self.exp_half * v + self.f0 * n1
-        n2 = self._nonlinear(v2)
-        v3 = self.exp_half * v1 + self.f0 * (2.0 * n2 - n0)
-        n3 = self._nonlinear(v3)
-        return self.exp_full * v + self.f1 * n0 + 2.0 * self.f2 * (n1 + n2) + self.f3 * n3
+    def _step(self, v: np.ndarray, out: np.ndarray) -> None:
+        """out = one ETDRK4 step from v; out must not overlap v."""
+        n0, n1, n2, n3 = self._n
+        ehv, s1, s2 = self._ehv, self._s1, self._s2
+        self._power_spectrum(v, n0)
+        np.multiply(self.exp_half, v, out=ehv)
+        np.multiply(self.g0, n0, out=s1)
+        np.add(ehv, s1, out=s1)                         # v1 = E_h v + g0 N0
+        self._power_spectrum(s1, n1)
+        np.multiply(self.g0, n1, out=s2)
+        np.add(ehv, s2, out=s2)                         # v2 = E_h v + g0 N1
+        self._power_spectrum(s2, n2)
+        np.multiply(n2, 2.0, out=s2)
+        np.subtract(s2, n0, out=s2)
+        np.multiply(self.g0, s2, out=s2)
+        np.multiply(self.exp_half, s1, out=s1)
+        np.add(s1, s2, out=s1)                          # v3 = E_h v1 + g0 (2 N2 - N0)
+        self._power_spectrum(s1, n3)
+        np.multiply(self.exp_full, v, out=out)
+        np.multiply(self.g1, n0, out=s2)
+        np.add(out, s2, out=out)
+        np.add(n1, n2, out=s2)
+        np.multiply(self.g2, s2, out=s2)
+        np.add(out, s2, out=out)
+        np.multiply(self.g3, n3, out=s2)
+        np.add(out, s2, out=out)                        # E v + g1 N0 + g2 (N1 + N2) + g3 N3
 
     def run(self, W: FieldProfile, n_steps: int) -> FieldProfile:
         cfg = self.cfg
         if W.M != cfg.M or W.L != cfg.L:
             raise ConfigurationError(f"profile (M = {W.M}, L = {W.L}) does not match "
                                      f"the run (M = {cfg.M}, L = {cfg.L})")
-        v = W.coeffs
+        v = W.coeffs.copy()
+        out = np.empty_like(v)
         for _ in range(n_steps):
-            v = self.step_coeffs(v)
+            self._step(v, out)
+            v, out = out, v
         return FieldProfile.from_coeffs(v, W.L)
 
 
@@ -187,7 +233,8 @@ def kdv_invariants(W: FieldProfile, p: int) -> tuple[float, float, float]:
     mass = float(dx * np.sum(W.values))
     momentum = float(dx * np.sum(W.values**2))
     wx = derivative(W, 1).values
-    energy = float(dx * np.sum(wx**2 / 24.0 - W.values ** (p + 1) / (p + 1)))
+    wp1 = int_power(W.values, p + 1, np.empty(W.M))
+    energy = float(dx * np.sum(wx**2 / 24.0 - wp1 / (p + 1)))
     return mass, momentum, energy
 
 

@@ -13,6 +13,7 @@ from fpukdv.core import (
     translate,
 )
 from fpukdv.kdv import (
+    BLOWUP_GUARD,
     KdvIntegrator,
     KdvRunConfig,
     SolitonSpec,
@@ -24,6 +25,7 @@ from fpukdv.kdv import (
     time_derivative,
     track_norm_growth,
 )
+from fpukdv.kdv import _integrator as cached_integrator
 
 
 class _ComplexSpectrumEtdrk4:
@@ -145,19 +147,16 @@ class TestTimeDerivative:
 class TestIntegrator:
     @pytest.mark.parametrize("p", [2, 3, 4, 5])
     def test_nonlinear_term_matches_pow_reference(self, p):
-        # W^p is taken by repeated multiplication on the half-spectrum; the
-        # reference is -(1/2) ik mask rfft(w**p) with ik and the mask cut from
-        # the full fftfreq convention: bit-for-bit at p = 2, within 1e-13 of
-        # the largest mode above (bound fixed beforehand from float64 round-off)
+        # the stage spectrum rfft(W^p) takes W^p by repeated multiplication
+        # into the integrator's scratch; the reference is rfft(w**p) (the
+        # multiplier -(1/2) ik mask sits in the phi-coefficients): bit-for-bit
+        # at p = 2, within 1e-13 of the largest mode above (bound fixed
+        # beforehand from float64 round-off)
         L, M = 64.0, 1024
         W = _smooth_profile(L, M)
         integ = KdvIntegrator(KdvRunConfig(p=p, L=L, M=M, dtau=1e-3))
-        got = integ._nonlinear(W.coeffs)
-        w = np.fft.irfft(W.coeffs, n=M)
-        ik = 1j * 2.0 * np.pi * np.fft.fftfreq(M, d=L / M)
-        ik[M // 2] = 0.0
-        mask = np.abs(np.fft.fftfreq(M, d=1.0 / M)) <= M / 3.0
-        ref = -0.5 * ik[:M // 2 + 1] * mask[:M // 2 + 1] * np.fft.rfft(w**p)
+        got = integ._power_spectrum(W.coeffs, np.empty(M // 2 + 1, dtype=complex))
+        ref = np.fft.rfft(np.fft.irfft(W.coeffs, n=M) ** p)
         if p == 2:
             assert np.array_equal(got, ref)
         else:
@@ -247,6 +246,22 @@ class TestIntegrator:
         with pytest.raises(BlowUpError):
             KdvIntegrator(KdvRunConfig(p=2, L=16.0, M=M, dtau=1e-3)).run(W, 1)
 
+    @pytest.mark.parametrize("p", [2, 3, 4, 5])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_blowup_guard_is_sup_norm(self, p, sign):
+        # a constant profile has a zero nonlinear term and a zero linear
+        # symbol, so every stage sees the constant itself: the guard trips
+        # on sup|w| > BLOWUP_GUARD whatever the sign of w (a max(w) guard
+        # misses the negative case) and lets |w| < BLOWUP_GUARD run
+        L, M = 16.0, 256
+        cfg = KdvRunConfig(p=p, L=L, M=M, dtau=1e-3)
+        over = FieldProfile.from_values(np.full(M, sign * 1.1 * BLOWUP_GUARD), L)
+        with pytest.raises(BlowUpError):
+            KdvIntegrator(cfg).run(over, 2)
+        under = FieldProfile.from_values(np.full(M, sign * 0.9 * BLOWUP_GUARD), L)
+        got = KdvIntegrator(cfg).run(under, 2)
+        assert np.max(np.abs(got.values - under.values)) <= 1e-12 * 0.9 * BLOWUP_GUARD
+
     def test_config_validation(self):
         with pytest.raises(InvalidInputError):
             KdvRunConfig(p=2, L=64.0, M=1000, dtau=1e-3)
@@ -258,6 +273,43 @@ class TestIntegrator:
         # soliton_p2 has L = 64, M = 1024
         with pytest.raises(ConfigurationError, match="does not match"):
             KdvIntegrator(KdvRunConfig(p=2, L=L, M=M, dtau=1e-3)).run(soliton_p2, 1)
+
+
+class TestScratchOwnership:
+    # the step runs in scratch the integrator owns; none of it may leak into
+    # the caller's profile or into a result already returned (all bitwise)
+    @pytest.fixture
+    def setup(self):
+        L, M = 64.0, 1024
+        return _smooth_profile(L, M), KdvRunConfig(p=3, L=L, M=M, dtau=1e-3)
+
+    @pytest.mark.parametrize("n_steps", [1, 2, 7])
+    def test_run_leaves_input_unchanged(self, setup, n_steps):
+        W, cfg = setup
+        coeffs, values = W.coeffs.copy(), W.values.copy()
+        cached_integrator(cfg).run(W, n_steps)
+        assert np.array_equal(W.coeffs, coeffs)
+        assert np.array_equal(W.values, values)
+
+    def test_second_run_leaves_first_result_unchanged(self, setup):
+        W, cfg = setup
+        integ = cached_integrator(cfg)
+        first = integ.run(W, 3)
+        coeffs, values = first.coeffs.copy(), first.values.copy()
+        integ.run(FieldProfile.from_values(0.5 * W.values, W.L), 4)
+        assert np.array_equal(first.coeffs, coeffs)
+        assert np.array_equal(first.values, values)
+
+    def test_interleaved_sample_generators_match_sequential(self, setup):
+        W, cfg = setup
+        sequential = list(kdv_samples(W, cfg, 0.01, 4))
+        interleaved = list(zip(kdv_samples(W, cfg, 0.01, 4), kdv_samples(W, cfg, 0.01, 4)))
+        assert len(interleaved) == len(sequential) == 5
+        for (tau, ref), pair in zip(sequential, interleaved):
+            for t, Wi in pair:
+                assert t == tau
+                assert np.array_equal(Wi.coeffs, ref.coeffs)
+                assert np.array_equal(Wi.values, ref.values)
 
 
 class TestKdvSamples:
