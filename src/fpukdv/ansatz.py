@@ -22,7 +22,6 @@ from .core import (
     LatticeState,
     combine,
     derivative,
-    l2_norm,
     pointwise_power,
     sample_to_lattice,
 )
@@ -101,13 +100,9 @@ def initial_lattice_data(
     p: int,
     N: int,
     perturbation: tuple[np.ndarray, np.ndarray] | None = None,
-) -> tuple[LatticeState, dict]:
-    """Sample the ansatz at t = 0, optionally adding an l2-bounded perturbation.
-
-    Returns the state and the achieved initial error norms
-    (err_u = |u - sample(W0)|, err_du = |udot + e sample(W0')|).
-    """
-    u = w0 = sample_to_lattice(W0, epsilon, 0.0, N)
+) -> LatticeState:
+    """Sample the ansatz at t = 0, optionally adding an l2-bounded perturbation."""
+    u = sample_to_lattice(W0, epsilon, 0.0, N)
     q = sample_to_lattice(build_p_epsilon(W0, epsilon, p), epsilon, 0.0, N)
     if perturbation is not None:
         du, dq = perturbation
@@ -119,13 +114,7 @@ def initial_lattice_data(
             )
         u = u + du
         q = q + dq
-    state = LatticeState(u=u, q=q)
-    dw_sample = sample_to_lattice(derivative(W0, 1), epsilon, 0.0, N)
-    achieved = {
-        "err_u": l2_norm(state.u - w0),
-        "err_du": l2_norm(state.udot() + epsilon * dw_sample),
-    }
-    return state, achieved
+    return LatticeState(u=u, q=q)
 
 
 def decompose(

@@ -1,9 +1,11 @@
 """Command-line interface.
 
 Subcommands: soliton, kdv, fpu, residual-scan, error-scan, metastability,
-fit.  Configuration comes from an optional JSON document
-(--config) with individual flags overriding it; there is no
-environment-variable configuration for experiments.
+fit.  Each takes only the flags it reads (the _COMMANDS table), so a flag
+or config key that a command would ignore is a usage error.  Configuration
+comes from an optional JSON document (--config) with individual flags
+overriding it; there is no environment-variable configuration for
+experiments.
 
 Exit codes: 0 success, 1 configuration error, 2 numerical failure.
 """
@@ -11,6 +13,7 @@ Exit codes: 0 success, 1 configuration error, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -40,145 +43,100 @@ def _eps_list(text: str) -> tuple:
     return tuple(float(tok) for tok in text.split(","))
 
 
-def _add_common(sp):
-    sp.add_argument("--config", help="JSON config file; flags override its entries")
-    sp.add_argument("--out-dir", default="out", help="directory for CSV/JSON outputs")
-    sp.add_argument("--jobs", type=int, default=1, help="parallel workers per sweep")
-    sp.add_argument("--seed", type=int, default=0, help="perturbation generator seed")
+# Every flag of the CLI: its spelling, which is also its config key (with
+# "-" or "_"), and its add_argument keywords.  _COMMANDS picks each
+# command's flags from here.
+_FLAGS = {
+    "config": dict(help="JSON config file; flags override its entries"),
+    "out-dir": dict(default="out", help="directory for CSV/JSON outputs"),
+    "jobs": dict(type=int, default=1, help="parallel workers per sweep"),
+    "seed": dict(type=int, default=0, help="perturbation generator seed"),
+    "p": dict(type=int, default=2),
+    "eps": dict(type=_eps_list, default=(0.2, 0.1, 0.05),
+                help="comma-separated decreasing epsilon list"),
+    "c": dict(type=float, default=1.0),
+    "L": dict(type=float, default=64.0),
+    "M": dict(type=int, default=1024),
+    "r": dict(type=float, default=0.25),
+    "K": dict(type=float, default=1.0),
+    "tau0": dict(type=float, default=None,
+                 help="fixed KdV-time window; excludes --theorem"),
+    "theorem": dict(type=int, choices=(1, 2), default=None,
+                    help="extended window of theorem 1 (the default) or 2"),
+    "n-samples": dict(type=int, default=100),
+    "dt": dict(type=float, default=DT_LATTICE,
+               help="largest lattice time step of the order-4 splitting"),
+    "dtau": dict(type=float, default=1.0e-3),
+    "s": dict(type=int, default=6),
+    "tau-end": dict(type=float, default=5.0),
+    "initial-mode": dict(default="soliton", choices=("soliton", "gaussian")),
+    "amplitude": dict(type=float, default=1.0),
+    "t-end": dict(type=float, default=100.0),
+    "integrator": dict(default="splitting", choices=("rk4", "splitting"),
+                       help="accepted for compatibility; both values run the one "
+                            "order-4 splitting"),
+    "perturbation-mode": dict(default="none", choices=("none", "random")),
+    "perturbation-size": dict(type=float, default=None),
+    "input": dict(required=True, help="CSV with two columns: epsilon,value"),
+}
 
 
-def _add_model(sp, eps_default="0.2,0.1,0.05"):
-    sp.add_argument("--p", type=int, default=2)
-    sp.add_argument("--eps", type=_eps_list, default=_eps_list(eps_default),
-                    help="comma-separated decreasing epsilon list")
-    sp.add_argument("--c", type=float, default=1.0)
-    sp.add_argument("--L", type=float, default=64.0)
-    sp.add_argument("--M", type=int, default=1024)
-    sp.add_argument("--r", type=float, default=0.25)
-    sp.add_argument("--K", type=float, default=1.0)
-    sp.add_argument("--tau0", type=float, default=None,
-                    help="fixed KdV-time window (otherwise a theorem window)")
-    sp.add_argument("--theorem", type=int, choices=(1, 2), default=None)
-    sp.add_argument("--n-samples", type=int, default=100)
-    sp.add_argument("--dt", type=float, default=DT_LATTICE,
-                    help="largest lattice time step of the order-4 splitting")
-    sp.add_argument("--dtau", type=float, default=1.0e-3)
-    sp.add_argument("--s", type=int, default=6)
-
-
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(explicit_only: bool = False) -> argparse.ArgumentParser:
+    """The CLI parser; with explicit_only every default is suppressed, so a
+    parse yields just the flags given on the command line."""
     parser = argparse.ArgumentParser(prog="fpukdv")
-    parser._fpukdv_subparsers = {}
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_parser(name, **kwargs):
-        sp = sub.add_parser(name, **kwargs)
-        parser._fpukdv_subparsers[name] = sp
-        return sp
-
-    sp = add_parser("soliton", help="soliton profile and steady-ODE residual")
-    _add_common(sp)
-    sp.add_argument("--p", type=int, default=2)
-    sp.add_argument("--c", type=float, default=1.0)
-    sp.add_argument("--L", type=float, default=32.0)
-    sp.add_argument("--M", type=int, default=1024)
-
-    sp = add_parser("kdv", help="run the KdV solver with invariant and H^s norm tracking")
-    _add_common(sp)
-    _add_model(sp)
-    sp.add_argument("--tau-end", type=float, default=5.0)
-    sp.add_argument("--initial-mode", default="soliton", choices=("soliton", "gaussian"))
-    sp.add_argument("--amplitude", type=float, default=1.0)
-
-    sp = add_parser("fpu", help="run the FPU lattice with energy tracking")
-    _add_common(sp)
-    _add_model(sp, eps_default="0.2")
-    sp.add_argument("--t-end", type=float, default=100.0)
-    sp.add_argument("--integrator", default="splitting", choices=("rk4", "splitting"),
-                    help="accepted for compatibility; both values run the one "
-                         "order-4 splitting")
-
-    sp = add_parser("residual-scan", help="epsilon sweep of the ansatz residuals")
-    _add_common(sp)
-    _add_model(sp)
-
-    sp = add_parser("error-scan", help="approximation-error sweep over a time window")
-    _add_common(sp)
-    _add_model(sp)
-    sp.add_argument("--perturbation-mode", default="none", choices=("none", "random"))
-    sp.add_argument("--perturbation-size", type=float, default=None)
-
-    sp = add_parser("metastability", help="orbital-distance tracking over the window")
-    _add_common(sp)
-    _add_model(sp)
-    sp.add_argument("--perturbation-mode", default="random", choices=("none", "random"))
-    sp.add_argument("--perturbation-size", type=float, default=None)
-
-    sp = add_parser("fit", help="log-log scaling fit of (epsilon, value) CSV data")
-    _add_common(sp)
-    sp.add_argument("--input", required=True, help="CSV with two columns: epsilon,value")
-
+    for name, (_, help_text, flags, defaults) in _COMMANDS.items():
+        # no abbreviations: a dropped --dt must not turn into --dtau
+        sp = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        for flag in flags.split():
+            kwargs = dict(_FLAGS[flag])
+            if flag in defaults:
+                kwargs["default"] = defaults[flag]
+            if explicit_only:
+                kwargs["default"] = argparse.SUPPRESS
+            sp.add_argument(f"--{flag}", **kwargs)
     return parser
-
-
-def _explicit_dests(argv) -> set:
-    """Dests given on the command line: re-parse with every default suppressed."""
-    parser = build_parser()
-    for sp in parser._fpukdv_subparsers.values():
-        for action in sp._actions:
-            action.default = argparse.SUPPRESS
-    return set(vars(parser.parse_args(argv)))
 
 
 def _load_config(args: argparse.Namespace, argv) -> None:
     """Merge a JSON config under the explicit flags (flags win)."""
-    if not getattr(args, "config", None):
+    if not args.config:
         return
     try:
         with open(args.config) as fh:
             doc = json.load(fh)
     except OSError as exc:
         raise ConfigurationError(f"cannot read config file {args.config}: {exc}") from exc
-    explicit = _explicit_dests(argv)
+    explicit = set(vars(build_parser(explicit_only=True).parse_args(argv)))
     for key, value in doc.items():
         attr = key.replace("-", "_")
-        if not hasattr(args, attr):
-            raise ConfigurationError(f"unknown config key {key!r}")
+        if attr == "command" or not hasattr(args, attr):
+            raise ConfigurationError(f"{args.command} takes no config key {key!r}")
         if attr not in explicit:
             if attr == "eps" and isinstance(value, (list, tuple)):
                 value = tuple(float(v) for v in value)
             setattr(args, attr, value)
 
 
+# parsed flag -> ExperimentSpec field, where the two names differ
+_SPEC_FIELDS = {"eps": "epsilons", "dt": "dt_lattice", "dtau": "dtau_kdv"}
+
+
 def _spec_from_args(args, kind: str) -> ExperimentSpec:
-    return ExperimentSpec(
-        kind=kind,
-        p=args.p,
-        epsilons=tuple(args.eps),
-        r=args.r,
-        K=args.K,
-        c=args.c,
-        L=args.L,
-        M=args.M,
-        tau0=args.tau0 if args.tau0 is not None else 1.0,
-        s=args.s,
-        dt_lattice=args.dt,
-        dtau_kdv=args.dtau,
-        n_samples=args.n_samples,
-        perturbation_mode=getattr(args, "perturbation_mode", "none"),
-        seed=args.seed,
-        perturbation_size=getattr(args, "perturbation_size", None),
-        tau_end=getattr(args, "tau_end", 5.0),
-        initial_mode=getattr(args, "initial_mode", "soliton"),
-        amplitude=getattr(args, "amplitude", 1.0),
-    )
+    """The spec of a command's flags; a field no flag sets, or one whose
+    flag is unset (None), keeps the spec's default."""
+    fields = {f.name for f in dataclasses.fields(ExperimentSpec)}
+    values = {_SPEC_FIELDS.get(dest, dest): v for dest, v in vars(args).items() if v is not None}
+    return ExperimentSpec(kind=kind, **{k: v for k, v in values.items() if k in fields})
 
 
 def _scan_kind(args) -> str:
+    if args.tau0 is not None and args.theorem is not None:
+        raise ConfigurationError("tau0 and theorem select different windows; give one")
     if args.tau0 is not None:
         return "error_scan"
-    theorem = args.theorem if args.theorem is not None else 1
-    return "theorem1_window" if theorem == 1 else "theorem2_window"
+    return "theorem2_window" if args.theorem == 2 else "theorem1_window"
 
 
 def _cmd_soliton(args) -> int:
@@ -274,35 +232,56 @@ def _cmd_metastability(args) -> int:
     return 0
 
 
+def _is_number(tok: str) -> bool:
+    try:
+        float(tok)
+    except ValueError:
+        return False
+    return True
+
+
 def _cmd_fit(args) -> int:
-    points = []
     try:
         with open(args.input) as fh:
-            for row in fh:
-                row = row.strip()
-                if not row or row.startswith("#"):
-                    continue
-                toks = row.split(",")
-                try:
-                    points.append((float(toks[0]), float(toks[1])))
-                except ValueError:
-                    continue  # header line
+            rows = [(n, line.strip()) for n, line in enumerate(fh, 1)]
     except OSError as exc:
         raise ConfigurationError(f"cannot read input file {args.input}: {exc}") from exc
+    rows = [(n, row) for n, row in rows if row and not row.startswith("#")]
+    points = []
+    for i, (n, row) in enumerate(rows):
+        toks = row.split(",")
+        numeric = [_is_number(tok) for tok in toks]
+        if i == 0 and not any(numeric):
+            continue  # header line
+        if len(toks) != 2 or not all(numeric):
+            raise ConfigurationError(
+                f"{args.input} line {n}: expected two numbers epsilon,value, got {row!r}")
+        points.append((float(toks[0]), float(toks[1])))
     fit = fit_scaling_exponent(points)
     print(f"fit: slope={fit.slope:.6g} intercept={fit.intercept:.6g} "
           f"rms={fit.residual_rms:.3e}")
     return 0
 
 
+# command -> (runner, help, the flags it reads, its defaults that differ
+# from _FLAGS).  A flag, or config key, that a command does not list is an
+# error.
 _COMMANDS = {
-    "soliton": _cmd_soliton,
-    "kdv": _cmd_kdv,
-    "fpu": _cmd_fpu,
-    "residual-scan": _cmd_residual_scan,
-    "error-scan": _cmd_error_scan,
-    "metastability": _cmd_metastability,
-    "fit": _cmd_fit,
+    "soliton": (_cmd_soliton, "soliton profile and steady-ODE residual",
+                "config out-dir p c L M", {"L": 32.0}),
+    "kdv": (_cmd_kdv, "run the KdV solver with invariant and H^s norm tracking",
+            "config out-dir p c L M n-samples dtau s tau-end initial-mode amplitude", {}),
+    "fpu": (_cmd_fpu, "run the FPU lattice with energy tracking",
+            "config out-dir p eps c L M n-samples dt t-end integrator", {"eps": (0.2,)}),
+    "residual-scan": (_cmd_residual_scan, "epsilon sweep of the ansatz residuals",
+                      "config out-dir p eps c L M", {}),
+    "error-scan": (_cmd_error_scan, "approximation-error sweep over a time window",
+                   "config out-dir jobs seed p eps c L M r K tau0 theorem n-samples dt dtau "
+                   "perturbation-mode perturbation-size", {}),
+    "metastability": (_cmd_metastability, "orbital-distance tracking over the window",
+                      "config out-dir jobs seed p eps c L M r K n-samples dt "
+                      "perturbation-mode perturbation-size", {"perturbation-mode": "random"}),
+    "fit": (_cmd_fit, "log-log scaling fit of (epsilon, value) CSV data", "config input", {}),
 }
 
 
@@ -314,7 +293,7 @@ def main(argv=None) -> int:
         return 1 if exc.code not in (0, None) else 0
     try:
         _load_config(args, argv)
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except (InvalidInputError, ConfigurationError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1

@@ -45,6 +45,9 @@ class BudgetViolationError(ValueError):
 # N = 640 its error against a fine-step RK4 is below that of RK4 at dt = 0.05.
 DT_LATTICE = 0.5
 
+# Sup-norm overflow guard of both integrators; a NaN trips it too.
+BLOWUP_GUARD = 1.0e6
+
 
 @dataclass(frozen=True)
 class ModelParams:

@@ -18,6 +18,7 @@ import numpy as np
 
 from . import kernels
 from .core import (
+    BLOWUP_GUARD,
     BlowUpError,
     ConfigurationError,
     FieldProfile,
@@ -26,8 +27,6 @@ from .core import (
     ModelParams,
     uniform_samples,
 )
-
-BLOWUP_GUARD = 1.0e6
 
 
 @dataclass(frozen=True)
@@ -175,5 +174,5 @@ def traveling_wave_initializer(
     from .kdv import SolitonSpec, soliton_profile
 
     W0 = soliton_profile(SolitonSpec(p=p, c=c, center=L / 2.0), L, M)
-    state, _ = initial_lattice_data(W0, epsilon, p, N)
+    state = initial_lattice_data(W0, epsilon, p, N)
     return state, W0

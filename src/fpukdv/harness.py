@@ -28,7 +28,6 @@ from .core import (
     ModelParams,
     l2_norm,
     sample_to_lattice,
-    sobolev_norm,
 )
 from .diagnostics import error_norms, residual_profiles
 from .fpu import lattice_samples
@@ -204,9 +203,9 @@ def run_residual_scan(spec: ExperimentSpec) -> dict:
 # ---------------------------------------------------------------------------
 
 def _cell_start(spec: ExperimentSpec, epsilon: float):
-    """(params, W0, state, achieved, delta) of a lattice cell: the initial
-    profile W0, its sampled ansatz and, in random mode, a seeded perturbation
-    of l2 size delta added to it (``initial_lattice_data`` gives achieved)."""
+    """(params, W0, state, delta) of a lattice cell: the initial profile W0,
+    its sampled ansatz and, in random mode, a seeded perturbation of l2 size
+    delta added to it."""
     N = _lattice_size(spec, epsilon)
     params = ModelParams(p=spec.p, epsilon=epsilon, L=spec.L, N=N, dt_lattice=spec.dt_lattice)
     W0 = _initial_profile(spec)
@@ -214,8 +213,8 @@ def _cell_start(spec: ExperimentSpec, epsilon: float):
     perturbation = None
     if spec.perturbation_mode == "random":
         perturbation = seeded_perturbation(N, delta, spec.seed)
-    state, achieved = initial_lattice_data(W0, epsilon, spec.p, N, perturbation)
-    return params, W0, state, achieved, delta
+    state = initial_lattice_data(W0, epsilon, spec.p, N, perturbation)
+    return params, W0, state, delta
 
 
 # ---------------------------------------------------------------------------
@@ -224,17 +223,15 @@ def _cell_start(spec: ExperimentSpec, epsilon: float):
 
 def _error_scan_cell(spec: ExperimentSpec, epsilon: float) -> dict:
     """One epsilon cell: co-integrate FPU and KdV, record error diagnostics."""
-    params, W0, state, achieved, _ = _cell_start(spec, epsilon)
+    params, W0, state, _ = _cell_start(spec, epsilon)
     t0, tau0 = _window_for(spec, epsilon)
     kcfg = KdvRunConfig(p=spec.p, L=spec.L, M=spec.M, dtau=spec.dtau_kdv)
 
     records: list[ErrorRecord] = []
-    hs_sup = 0.0
     flags = {"blow_up": False}
     try:
         for (t, state), (_, W) in zip(lattice_samples(state, params, t0, spec.n_samples),
                                       kdv_samples(W0, kcfg, tau0, spec.n_samples)):
-            hs_sup = max(hs_sup, sobolev_norm(W, spec.s))
             records.append(error_norms(state, W, epsilon, spec.p, t))
     except BlowUpError as exc:  # a blow-up goes into the table; bugs propagate
         flags["blow_up"] = True
@@ -246,8 +243,6 @@ def _error_scan_cell(spec: ExperimentSpec, epsilon: float) -> dict:
         "t0": t0,
         "tau0": tau0,
         "sup_error": sup_error,
-        "initial": achieved,
-        "hs_sup": hs_sup,
         "records": records,
         "flags": flags,
         "coercivity_violations": sum(0 if rec.coercivity_ok else 1 for rec in records),
@@ -287,7 +282,7 @@ def orbital_distance(u: np.ndarray, u_ref: np.ndarray) -> float:
 
 
 def _metastability_cell(spec: ExperimentSpec, epsilon: float) -> dict:
-    params, W0, state, _, delta = _cell_start(spec, epsilon)
+    params, W0, state, delta = _cell_start(spec, epsilon)
     t0, tau0 = _window_for(spec, epsilon)
     u_ref = sample_to_lattice(W0, epsilon, 0.0, params.N)
 

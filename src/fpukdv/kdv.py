@@ -21,6 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from .core import (
+    BLOWUP_GUARD,
     BlowUpError,
     ConfigurationError,
     FieldProfile,
@@ -34,7 +35,6 @@ from .core import (
 )
 from .kernels import int_power
 
-BLOWUP_GUARD = 1.0e6
 # A tracked sample is flagged under-resolved when the top third of the
 # spectrum holds more than this fraction of its H^s energy.
 TAIL_TOL = 1.0e-8

@@ -15,7 +15,7 @@ from fpukdv.core import (
     InvalidInputError,
     l2_norm,
 )
-from fpukdv.diagnostics import residual_profiles
+from fpukdv.diagnostics import error_norms, residual_profiles
 from fpukdv.harness import fit_scaling_exponent
 
 
@@ -83,16 +83,16 @@ class TestSeededPerturbation:
 
 class TestInitialData:
     def test_unperturbed_err_u_zero(self, soliton_p2):
-        state, achieved = initial_lattice_data(soliton_p2, 0.1, 2, 640)
-        assert achieved["err_u"] == 0.0
+        state = initial_lattice_data(soliton_p2, 0.1, 2, 640)
+        assert error_norms(state, soliton_p2, 0.1, 2, 0.0).err_u == 0.0
         assert state.N == 640
 
     def test_err_du_within_budget(self, soliton_p2):
         # |udot(0) + eps W'| <= eps^(3/2) for unperturbed ansatz data
         for eps in (0.1, 0.05):
             N = round(64.0 / eps)
-            _, achieved = initial_lattice_data(soliton_p2, eps, 2, N)
-            assert achieved["err_du"] <= eps**1.5
+            state = initial_lattice_data(soliton_p2, eps, 2, N)
+            assert error_norms(state, soliton_p2, eps, 2, 0.0).err_du <= eps**1.5
 
     def test_budget_enforced(self, soliton_p2):
         eps, N = 0.1, 640
@@ -103,14 +103,15 @@ class TestInitialData:
     def test_perturbation_is_applied(self, soliton_p2):
         eps, N = 0.1, 640
         pert = seeded_perturbation(N, 0.5 * eps**1.5, seed=3)
-        state, achieved = initial_lattice_data(soliton_p2, eps, 2, N, perturbation=pert)
-        assert achieved["err_u"] == pytest.approx(l2_norm(pert[0]), rel=1e-12)
+        state = initial_lattice_data(soliton_p2, eps, 2, N, perturbation=pert)
+        err_u = error_norms(state, soliton_p2, eps, 2, 0.0).err_u
+        assert err_u == pytest.approx(l2_norm(pert[0]), rel=1e-12)
 
 
 class TestDecomposition:
     def test_exact_ansatz_state_has_zero_error_parts(self, soliton_p2):
         eps, N = 0.1, 640
-        state, _ = initial_lattice_data(soliton_p2, eps, 2, N)
+        state = initial_lattice_data(soliton_p2, eps, 2, N)
         U, Q = decompose(state, soliton_p2, build_p_epsilon(soliton_p2, eps, 2), eps, 0.0)
         assert l2_norm(U) < 1e-12
         assert l2_norm(Q) < 1e-12

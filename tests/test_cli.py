@@ -1,9 +1,13 @@
 import csv
 import json
+import pathlib
+import runpy
 
 import pytest
 
-from fpukdv.cli import main
+from fpukdv.cli import build_parser, main
+
+WORKLOADS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 
 def run_cli(argv, capsys):
@@ -180,6 +184,22 @@ class TestFit:
         assert code == 0
         assert "slope=4.5" in out
 
+    @pytest.mark.parametrize("text,line", [
+        ("epsilon,value\n0.2,1e-3\n0.1,2e-5\n0.05,O.1\n0.025,1e-9\n", 4),
+        ("0.2,1e-3\n0.1\n0.05,1e-7\n0.025,1e-9\n", 2),
+        ("0.2,1e-3\n0.1,2e-5\nepsilon,value\n0.05,1e-7\n", 3),
+        ("# points\n\n0.2,1e-3,7\n0.1,2e-5\n0.05,1e-7\n", 3),
+    ], ids=["letter-O", "one-column", "late-header", "three-columns"])
+    def test_fit_rejects_bad_row(self, tmp_path, capsys, text, line):
+        # only a first row with no number in it is a header; any other row
+        # that is not two numbers is an error naming its line
+        path = tmp_path / "points.csv"
+        path.write_text(text)
+        code, out, err = run_cli(["fit", "--input", str(path)], capsys)
+        assert code == 1
+        assert f"line {line}:" in err
+        assert "slope" not in out
+
     def test_fit_missing_file(self, tmp_path, capsys):
         code, _, err = run_cli(["fit", "--input", str(tmp_path / "gone.csv")], capsys)
         assert code == 1
@@ -213,3 +233,59 @@ class TestMetastabilityAndNormGrowth:
                                 "--s", "2", "--out-dir", str(tmp_path)], capsys)
         assert code == 0
         assert "growth_exponent=" in out
+
+
+class TestFlagTable:
+    """Each command takes only the flags it reads."""
+
+    def test_benchmark_argv_parses(self):
+        # perfbench/workloads.py is read, not imported as a package module
+        workloads = runpy.run_path(str(WORKLOADS), run_name="perfbench_workloads")
+        parser = build_parser()
+        argvs = [inv.argv for make in workloads["WORKLOADS"].values()
+                 for inv in make(workloads["DEFAULT_SEED"])]
+        assert len(argvs) == 7
+        for argv in argvs:
+            parser.parse_args(argv + ["--out-dir", "out"])
+
+    @pytest.mark.parametrize("argv", [
+        ["metastability", "--eps", "0.1", "--theorem", "2"],
+        ["kdv", "--eps", "0.1"],
+        ["residual-scan", "--n-samples", "3"],
+        ["fit", "--input", "points.csv", "--seed", "1"],
+        ["error-scan", "--s", "4"],
+        ["soliton", "--jobs", "2"],
+        ["fpu", "--dtau", "1e-3"],
+        ["kdv", "--dt", "0.5"],
+        ["kdv", "--tau", "1"],
+    ], ids=["metastability-theorem", "kdv-eps", "residual-scan-n-samples", "fit-seed",
+            "error-scan-s", "soliton-jobs", "fpu-dtau", "kdv-dt", "kdv-abbreviation"])
+    def test_flag_a_command_ignores_is_rejected(self, tmp_path, capsys, argv):
+        # no prefix match either: error-scan --s is not --seed, kdv --dt not --dtau
+        code, _, err = run_cli(argv + ["--config", str(tmp_path / "unread.json")], capsys)
+        assert code == 1
+        assert f"unrecognized arguments: {argv[-2]}" in err
+
+    def test_config_key_a_command_ignores_is_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"eps": [0.1], "dtau": 1e-3}))
+        code, _, err = run_cli(["metastability", "--config", str(cfg),
+                                "--out-dir", str(tmp_path)], capsys)
+        assert code == 1
+        assert "'dtau'" in err
+        assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("flags,config", [
+        (["--tau0", "1", "--theorem", "1"], {}),
+        (["--theorem", "1"], {"tau0": 1.0}),
+        ([], {"tau0": 1.0, "theorem": 2}),
+    ], ids=["flags", "flag-and-config", "config"])
+    def test_error_scan_takes_one_window(self, tmp_path, capsys, flags, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code, _, err = run_cli(["error-scan", "--eps", "0.2", "--n-samples", "2",
+                                "--config", str(cfg), *flags, "--out-dir", str(tmp_path)],
+                               capsys)
+        assert code == 1
+        assert "tau0 and theorem" in err
+        assert not list(tmp_path.glob("*.csv"))

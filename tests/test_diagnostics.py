@@ -102,7 +102,7 @@ class TestCoercivity:
 class TestErrorNorms:
     def test_exact_ansatz_state(self, soliton_p2):
         eps, N = 0.1, 640
-        state, _ = initial_lattice_data(soliton_p2, eps, 2, N)
+        state = initial_lattice_data(soliton_p2, eps, 2, N)
         rec = error_norms(state, soliton_p2, eps, 2, 0.0)
         assert rec.err_u < 1e-12
         assert rec.energy_quantity < 1e-20
@@ -112,7 +112,7 @@ class TestErrorNorms:
     def test_perturbation_shows_up(self, soliton_p2):
         eps, N = 0.1, 640
         pert = seeded_perturbation(N, 0.5 * eps**1.5, seed=11)
-        state, _ = initial_lattice_data(soliton_p2, eps, 2, N, perturbation=pert)
+        state = initial_lattice_data(soliton_p2, eps, 2, N, perturbation=pert)
         rec = error_norms(state, soliton_p2, eps, 2, 0.0)
         assert rec.err_u == pytest.approx(l2_norm(pert[0]), rel=1e-12)
 
@@ -123,7 +123,7 @@ class TestErrorNorms:
         W = soliton_profile(SolitonSpec(p=p, c=1.0, center=32.0), 64.0, 1024)
         eps, N, t = 0.1, 640, 37.0
         pert = seeded_perturbation(N, 0.5 * eps**1.5, seed=12)
-        state, _ = initial_lattice_data(W, eps, p, N, perturbation=pert)
+        state = initial_lattice_data(W, eps, p, N, perturbation=pert)
         assert error_norms(state, W, eps, p, t) == _reference_record(state, W, eps, p, t)
 
     def test_builds_each_field_once(self, soliton_p2, monkeypatch):
@@ -143,7 +143,7 @@ class TestErrorNorms:
                     if getattr(mod, name, None) is fn:
                         monkeypatch.setattr(mod, name, counting(name, fn))
         eps, N = 0.1, 640
-        state, _ = initial_lattice_data(soliton_p2, eps, 2, N)
+        state = initial_lattice_data(soliton_p2, eps, 2, N)
         calls.update(build_p_epsilon=0, time_derivative=0)
         error_norms(state, soliton_p2, eps, 2, 5.0)
         assert calls == {"build_p_epsilon": 1, "time_derivative": 1}
