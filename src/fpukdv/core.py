@@ -9,6 +9,9 @@ Conventions:
     ``FieldProfile.from_coeffs`` drops their imaginary parts.  This is the
     package's one Nyquist rule: an odd derivative vanishes there, and a
     translate by delta keeps c_{M/2} cos(k_{M/2} delta);
+  * the half-spectrum is the profile: derivative, translate, combine and
+    the integrators work on it, and the grid values are formed on demand,
+    by one irfft the first time ``FieldProfile.values`` is read;
   * the periodic lattice has N sites with N*epsilon = L, so the moving
     frame xi = epsilon*(n - t) wraps consistently;
   * both solvers keep time by one rule, ``uniform_samples``: a run over
@@ -100,13 +103,24 @@ class LatticeState:
         return forward_diff(self.q, np.empty_like(self.q))
 
 
-@dataclass(frozen=True)
 class FieldProfile:
-    """Periodic continuum profile stored as grid values + rfft half-spectrum."""
+    """Periodic continuum profile: its rfft half-spectrum ``coeffs`` and
+    period ``L``.  The grid ``values`` are formed on demand, by one irfft the
+    first time they are read (``from_values`` and a direct ``values=`` seed
+    them).  Immutable."""
 
-    values: np.ndarray
-    coeffs: np.ndarray
-    L: float
+    __slots__ = ("coeffs", "L", "_values")
+
+    def __init__(self, coeffs: np.ndarray, L: float, values: np.ndarray | None = None):
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "L", L)
+        object.__setattr__(self, "_values", values)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"FieldProfile is immutable; cannot set {name!r}")
+
+    def __reduce__(self):  # pickle and copy through __init__, not __setattr__
+        return type(self), (self.coeffs, self.L, self._values)
 
     @classmethod
     def from_values(cls, values, L) -> "FieldProfile":
@@ -115,7 +129,7 @@ class FieldProfile:
             raise InvalidInputError(f"M must be even, got {values.shape[0]} grid points")
         if not np.all(np.isfinite(values)):
             raise InvalidInputError("profile values contain non-finite entries")
-        return cls(values=values, coeffs=np.fft.rfft(values), L=float(L))
+        return cls(np.fft.rfft(values), float(L), values)
 
     @classmethod
     def from_coeffs(cls, coeffs, L) -> "FieldProfile":
@@ -123,12 +137,17 @@ class FieldProfile:
         if not np.all(np.isfinite(coeffs)):
             raise InvalidInputError("profile coefficients contain non-finite entries")
         coeffs[[0, -1]] = coeffs[[0, -1]].real  # irfft ignores their imaginary parts
-        values = np.fft.irfft(coeffs)
-        return cls(values=values, coeffs=coeffs, L=float(L))
+        return cls(coeffs, float(L))
+
+    @property
+    def values(self) -> np.ndarray:
+        if self._values is None:
+            object.__setattr__(self, "_values", np.fft.irfft(self.coeffs, n=self.M))
+        return self._values
 
     @property
     def M(self) -> int:
-        return self.values.shape[0]
+        return 2 * (self.coeffs.shape[0] - 1)
 
     def grid(self) -> np.ndarray:
         return np.arange(self.M) * (self.L / self.M)

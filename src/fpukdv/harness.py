@@ -1,9 +1,12 @@
 """Experiment orchestration: epsilon sweeps, theorem time windows,
 scaling-exponent fits, metastability runs and persistence.
 
-Sweeps are embarrassingly parallel (one worker per epsilon cell, shared
-nothing); results are aggregated ordered by epsilon, so serial and
-concurrent execution produce identical output.
+An error scan runs one KdV solution per KdV window tau0 and shares it
+among the epsilon cells of that window, sampled in lockstep with one lattice
+run per cell: a fixed --tau0 is one window for all cells, a theorem window
+is one per epsilon.  With --jobs, whole windows (and metastability cells)
+go to worker processes, shared nothing; results are aggregated ordered by
+epsilon, so serial and concurrent execution produce identical output.
 """
 
 from __future__ import annotations
@@ -12,7 +15,6 @@ import csv
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -101,8 +103,9 @@ def fit_scaling_exponent(points) -> FitResult:
     pts = [(float(e), float(v)) for e, v in points]
     if len(pts) < 3:
         raise InvalidInputError("need at least 3 points for a reported slope")
-    if any(v <= 0.0 or e <= 0.0 for e, v in pts):
-        raise InvalidInputError("scaling fit requires positive epsilons and values")
+    # written so that NaN fails it too
+    if not all(0.0 < e < math.inf and 0.0 < v < math.inf for e, v in pts):
+        raise InvalidInputError("scaling fit requires finite positive epsilons and values")
     x = np.log([e for e, _ in pts])
     y = np.log([v for _, v in pts])
     slope, intercept = np.polyfit(x, y, 1)
@@ -221,37 +224,72 @@ def _cell_start(spec: ExperimentSpec, epsilon: float):
 # error scan (KdV-time window or theorem windows)
 # ---------------------------------------------------------------------------
 
-def _error_scan_cell(spec: ExperimentSpec, epsilon: float) -> dict:
-    """One epsilon cell: co-integrate FPU and KdV, record error diagnostics."""
-    params, W0, state, _ = _cell_start(spec, epsilon)
-    t0, tau0 = _window_for(spec, epsilon)
+def _blow_up(flags: dict, exc: BlowUpError) -> None:
+    """Flag a cell's blow-up; the records taken before it stay."""
+    flags["blow_up"] = True
+    flags["error"] = f"{type(exc).__name__}: {exc}"
+
+
+def _kdv_windows(spec: ExperimentSpec) -> list[tuple]:
+    """The epsilons grouped by their KdV window tau0, in epsilon order: one
+    group for a fixed --tau0, one group per epsilon for a theorem window."""
+    groups: dict[float, list] = {}
+    for eps in spec.epsilons:
+        groups.setdefault(_window_for(spec, eps)[1], []).append(eps)
+    return [tuple(group) for group in groups.values()]
+
+
+def _error_scan_window(spec: ExperimentSpec, epsilons: tuple) -> list[dict]:
+    """The cells of epsilons that share one KdV window: one KdV run, sampled
+    in lockstep with one lattice run per epsilon, and at each sample an
+    error record for every cell still running.  Only the current KdV sample
+    is held.
+
+    A lattice blow-up ends its own cell; a KdV blow-up ends every cell
+    still running.  Either way a flagged cell keeps the records taken
+    before it.
+    """
+    cells, running = [], []
+    for eps in epsilons:  # every cell of the window has the same W0 and tau0
+        params, W0, state, _ = _cell_start(spec, eps)
+        t0, tau0 = _window_for(spec, eps)
+        cell = {"epsilon": eps, "t0": t0, "tau0": tau0, "records": [],
+                "flags": {"blow_up": False}}
+        cells.append(cell)
+        running.append((cell, lattice_samples(state, params, t0, spec.n_samples)))
     kcfg = KdvRunConfig(p=spec.p, L=spec.L, M=spec.M, dtau=spec.dtau_kdv)
+    kdv_run = kdv_samples(W0, kcfg, tau0, spec.n_samples)
 
-    records: list[ErrorRecord] = []
-    flags = {"blow_up": False}
-    try:
-        for (t, state), (_, W) in zip(lattice_samples(state, params, t0, spec.n_samples),
-                                      kdv_samples(W0, kcfg, tau0, spec.n_samples)):
-            records.append(error_norms(state, W, epsilon, spec.p, t))
-    except BlowUpError as exc:  # a blow-up goes into the table; bugs propagate
-        flags["blow_up"] = True
-        flags["error"] = f"{type(exc).__name__}: {exc}"
+    for _ in range(spec.n_samples + 1):
+        sampled = []
+        for cell, lattice in running:
+            try:
+                sampled.append((cell, lattice, next(lattice)))
+            except BlowUpError as exc:  # a blow-up goes into the table; bugs propagate
+                _blow_up(cell["flags"], exc)
+        running = [(cell, lattice) for cell, lattice, _ in sampled]
+        if not running:
+            break
+        try:
+            _, W = next(kdv_run)
+        except BlowUpError as exc:
+            for cell, _ in running:
+                _blow_up(cell["flags"], exc)
+            break
+        for cell, _, (t, state) in sampled:
+            cell["records"].append(error_norms(state, W, cell["epsilon"], spec.p, t))
 
-    sup_error = max(rec.err_u + rec.err_du for rec in records)
-    return {
-        "epsilon": epsilon,
-        "t0": t0,
-        "tau0": tau0,
-        "sup_error": sup_error,
-        "records": records,
-        "flags": flags,
-        "coercivity_violations": sum(0 if rec.coercivity_ok else 1 for rec in records),
-    }
+    for cell in cells:
+        records = cell["records"]
+        cell["sup_error"] = max(rec.err_u + rec.err_du for rec in records)
+        cell["coercivity_violations"] = sum(0 if rec.coercivity_ok else 1 for rec in records)
+    return cells
 
 
 def run_error_scan(spec: ExperimentSpec, jobs: int = 1) -> dict:
     """Sweep epsilons, tracking sup_{|t| <= t0} of the error norms."""
-    cells = _run_cells(_error_scan_cell, spec, jobs)
+    cells = [cell for window in _run_cells(_error_scan_window, spec, _kdv_windows(spec), jobs)
+             for cell in window]
     points = [(c["epsilon"], c["sup_error"]) for c in cells]
     fits = {}
     if len(points) >= 3 and all(v > 0.0 for _, v in points):
@@ -292,8 +330,7 @@ def _metastability_cell(spec: ExperimentSpec, epsilon: float) -> dict:
         for t, state in lattice_samples(state, params, t0, spec.n_samples):
             rows.append({"t": t, "orbital_distance": orbital_distance(state.u, u_ref)})
     except BlowUpError as exc:
-        flags["blow_up"] = True
-        flags["error"] = f"{type(exc).__name__}: {exc}"
+        _blow_up(flags, exc)
 
     sup_dist = max(r["orbital_distance"] for r in rows)
     if rows[-1]["orbital_distance"] > 10.0 * max(rows[0]["orbital_distance"], delta):
@@ -311,7 +348,7 @@ def _metastability_cell(spec: ExperimentSpec, epsilon: float) -> dict:
 
 
 def run_metastability(spec: ExperimentSpec, jobs: int = 1) -> dict:
-    cells = _run_cells(_metastability_cell, spec, jobs)
+    cells = _run_cells(_metastability_cell, spec, spec.epsilons, jobs)
     return {"cells": cells, "flags": {c["epsilon"]: c["flags"] for c in cells}}
 
 
@@ -343,12 +380,16 @@ def run_norm_growth(spec: ExperimentSpec) -> dict:
 # sweep execution and persistence
 # ---------------------------------------------------------------------------
 
-def _run_cells(cell_fn, spec: ExperimentSpec, jobs: int) -> list[dict]:
-    if jobs <= 1 or len(spec.epsilons) == 1:
-        return [cell_fn(spec, eps) for eps in spec.epsilons]
+def _run_cells(fn, spec: ExperimentSpec, units, jobs: int) -> list:
+    """[fn(spec, unit) for unit in units], in up to ``jobs`` worker processes
+    when there is more than one unit; results keep the order of units."""
+    if jobs <= 1 or len(units) == 1:
+        return [fn(spec, unit) for unit in units]
+    # imported here: a serial run never pays for loading multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(cell_fn, spec, eps) for eps in spec.epsilons]
-        return [f.result() for f in futures]
+        return list(pool.map(fn, [spec] * len(units), units))
 
 
 def _fmt(x) -> str:

@@ -1,7 +1,10 @@
 import csv
 import json
+import os
 import pathlib
 import runpy
+import subprocess
+import sys
 
 import pytest
 
@@ -200,6 +203,16 @@ class TestFit:
         assert f"line {line}:" in err
         assert "slope" not in out
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_fit_rejects_nonfinite_value(self, tmp_path, capsys, value):
+        # float() parses these, so the row check passes them to the fit
+        path = tmp_path / "points.csv"
+        path.write_text(f"0.2,1e-3\n0.1,{value}\n0.05,1e-7\n")
+        code, out, err = run_cli(["fit", "--input", str(path)], capsys)
+        assert code == 1
+        assert "finite" in err
+        assert "slope" not in out
+
     def test_fit_missing_file(self, tmp_path, capsys):
         code, _, err = run_cli(["fit", "--input", str(tmp_path / "gone.csv")], capsys)
         assert code == 1
@@ -289,3 +302,13 @@ class TestFlagTable:
         assert code == 1
         assert "tau0 and theorem" in err
         assert not list(tmp_path.glob("*.csv"))
+
+
+def test_import_does_not_load_multiprocessing():
+    # only a sweep with --jobs > 1 and more than one work unit starts
+    # workers; every other run must not pay for importing multiprocessing
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    code = "import sys, fpukdv.cli; print('multiprocessing' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "False"

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -213,6 +214,19 @@ class TestProfileOps:
         assert W.coeffs[0] == 1.0 and W.coeffs[4] == 3.0 and W.coeffs[2] == 1.0 - 1.0j
         assert c[0] == 1.0 + 2.0j  # the caller's array is not modified
         W.validate()
+
+    def test_values_formed_once_on_demand(self, soliton_p2, monkeypatch):
+        irfft, calls = np.fft.irfft, []
+        monkeypatch.setattr(np.fft, "irfft", lambda *a, **k: calls.append(1) or irfft(*a, **k))
+        W = derivative(translate(soliton_p2, 0.3), 1)
+        assert calls == []
+        values = W.values
+        assert W.values is values and len(calls) == 1
+        assert np.array_equal(values, irfft(W.coeffs))
+        with pytest.raises(AttributeError):
+            W.L = 1.0
+        back = pickle.loads(pickle.dumps(W))
+        assert back.L == W.L and np.array_equal(back.values, values)
 
     @pytest.mark.parametrize("order", [1, 2, 3])
     def test_derivative_matches_full_spectrum_reference(self, order):

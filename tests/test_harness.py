@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from fpukdv.harness import (
     run_norm_growth,
     run_residual_scan,
     time_window,
+    _kdv_windows,
     write_csv,
     write_summary_json,
 )
@@ -72,6 +74,15 @@ class TestFits:
     def test_rejects_nonpositive_values(self):
         with pytest.raises(InvalidInputError):
             fit_scaling_exponent([(0.1, 1.0), (0.05, 0.0), (0.025, 0.1)])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("column", [0, 1])
+    def test_rejects_nonfinite_points(self, bad, column):
+        # v <= 0.0 is False for NaN, so a sign test alone lets NaN through
+        pts = [[0.1, 1.0], [0.05, 0.5], [0.025, 0.1]]
+        pts[1][column] = bad
+        with pytest.raises(InvalidInputError):
+            fit_scaling_exponent(pts)
 
     def test_pairwise_exponent(self):
         assert pairwise_exponent((0.1, 1.0), (0.05, 2.0 ** -1.5)) == pytest.approx(1.5)
@@ -145,16 +156,22 @@ class TestRunners:
         assert out["fits"]["truncation"].slope == pytest.approx(5.0, abs=0.3)
 
     def test_error_scan_serial_parallel_identical(self):
-        spec = ExperimentSpec(kind="error_scan", p=2, epsilons=(0.2, 0.1),
-                              tau0=0.05, n_samples=4)
-        a = run_error_scan(spec, jobs=1)
-        b = run_error_scan(spec, jobs=2)
-        for ca, cb in zip(a["cells"], b["cells"]):
-            assert ca["epsilon"] == cb["epsilon"]
-            assert ca["sup_error"] == cb["sup_error"]
-            ra = [r.err_u for r in ca["records"]]
-            rb = [r.err_u for r in cb["records"]]
-            assert ra == rb
+        for spec, windows in (
+            # a fixed tau0 is one KdV window, so jobs=2 runs it in this process
+            (ExperimentSpec(kind="error_scan", p=2, epsilons=(0.2, 0.1), tau0=0.05,
+                            n_samples=4), 1),
+            # a theorem window is one per epsilon, so jobs=2 starts two workers
+            (ExperimentSpec(kind="theorem1_window", p=2, epsilons=(0.2, 0.1), r=0.01,
+                            n_samples=4), 2),
+        ):
+            assert len(_kdv_windows(spec)) == windows
+            a = run_error_scan(spec, jobs=1)
+            b = run_error_scan(spec, jobs=2)
+            assert [c["epsilon"] for c in a["cells"]] == list(spec.epsilons)
+            for ca, cb in zip(a["cells"], b["cells"], strict=True):
+                assert ca["epsilon"] == cb["epsilon"]
+                assert ca["sup_error"] == cb["sup_error"]
+                assert ca["records"] == cb["records"]
 
     def test_error_scan_no_coercivity_violations(self):
         spec = ExperimentSpec(kind="error_scan", p=2, epsilons=(0.1,),
@@ -263,3 +280,65 @@ class TestFailureClassification:
     def test_metastability_blowup_is_flagged(self, monkeypatch):
         monkeypatch.setattr(fpu, "fpu_integrate", _raising(BlowUpError("guard")))
         assert run_metastability(self.META)["cells"][0]["flags"]["blow_up"]
+
+
+class TestSharedKdvWindow:
+    """The eps cells of one KdV window share one KdV run, in lockstep."""
+
+    SPEC = ExperimentSpec(kind="error_scan", p=2, epsilons=(0.2, 0.1), tau0=0.02, n_samples=3)
+
+    def test_cells_equal_single_epsilon_runs(self):
+        shared = run_error_scan(self.SPEC)["cells"]
+        for cell in shared:
+            alone = run_error_scan(replace(self.SPEC, epsilons=(cell["epsilon"],)))["cells"][0]
+            assert cell["records"] == alone["records"]  # dataclass ==: bitwise float equality
+            assert cell["t0"] == alone["t0"] and cell["tau0"] == alone["tau0"]
+            assert cell["sup_error"] == alone["sup_error"]
+
+    def test_one_kdv_run_per_window(self, monkeypatch):
+        integrate = kdv.kdv_integrate
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(None)
+            return integrate(*args, **kwargs)
+
+        monkeypatch.setattr(kdv, "kdv_integrate", counting)
+        out = run_error_scan(self.SPEC)
+        assert len(calls) == self.SPEC.n_samples
+        assert [len(c["records"]) for c in out["cells"]] == [self.SPEC.n_samples + 1] * 2
+
+    def test_lattice_blowup_ends_only_its_cell(self, monkeypatch):
+        N_blown = round(self.SPEC.L / 0.1)
+        integrate = fpu.fpu_integrate
+
+        def blow_up_one_cell(state, cfg):
+            if state.N == N_blown:
+                raise BlowUpError("guard")
+            return integrate(state, cfg)
+
+        monkeypatch.setattr(fpu, "fpu_integrate", blow_up_one_cell)
+        good, blown = run_error_scan(self.SPEC)["cells"]
+        assert not good["flags"]["blow_up"]
+        assert len(good["records"]) == self.SPEC.n_samples + 1
+        assert good["records"] == run_error_scan(
+            replace(self.SPEC, epsilons=(0.2,)))["cells"][0]["records"]
+        assert blown["flags"]["blow_up"] and "guard" in blown["flags"]["error"]
+        assert [r.t for r in blown["records"]] == [0.0]
+
+    def test_kdv_blowup_flags_every_cell(self, monkeypatch):
+        integrate = kdv.kdv_integrate
+        calls = []
+
+        def blow_up_second_interval(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 2:
+                raise BlowUpError("kdv guard")
+            return integrate(*args, **kwargs)
+
+        monkeypatch.setattr(kdv, "kdv_integrate", blow_up_second_interval)
+        cells = run_error_scan(self.SPEC)["cells"]
+        assert len(calls) == 2
+        for cell in cells:
+            assert cell["flags"]["blow_up"] and "kdv guard" in cell["flags"]["error"]
+            assert len(cell["records"]) == 2  # samples 0 and 1, taken before the blow-up
