@@ -20,67 +20,35 @@ from .core import (
     FieldProfile,
     InvalidInputError,
     LatticeState,
-    combine,
-    derivative,
     pointwise_power,
     sample_to_lattice,
 )
 
 
 def _momentum_series(
-    V: FieldProfile,
-    dV: FieldProfile,
-    power: FieldProfile,
-    grad: FieldProfile,
-    epsilon: float,
-    p: int,
-) -> FieldProfile:
-    """The six terms of the expansion above with W replaced by V:
+    V: np.ndarray, N: np.ndarray, D: np.ndarray, z: np.ndarray, epsilon: float, p: int
+) -> np.ndarray:
+    """The six terms of the expansion above with W replaced by V, on
+    half-spectra: the four V terms are the symbol -1 + z/2 - z^2/8 + z^3/48,
+    z = i e k, acting on V^, and
 
-        -V + (1/2) e V' - (1/8) e^2 V'' - (1/2) e^2 N
-           + (1/48) e^3 V''' + (1/4) e^3 p D,
+        -(1/2) e^2 N^ + (1/4) e^3 p D^
 
-    where N = ``power`` and D = ``grad``.  P itself is (V, N, D) =
-    (W, W^p, W^(p-1) W'); its tau-derivative is
-    (W_tau, p W^(p-1) W_tau, d/dtau[W^(p-1) W']).
+    is added.  P itself is (V, N, D) = (W, W^p, W^(p-1) W'); its
+    tau-derivative is (W_tau, p W^(p-1) W_tau, d/dtau[W^(p-1) W']).
     """
-    return combine(
-        [
-            (-1.0, V),
-            (0.5 * epsilon, dV),
-            (-0.125 * epsilon**2, derivative(V, 2)),
-            (-0.5 * epsilon**2, power),
-            (epsilon**3 / 48.0, derivative(V, 3)),
-            (0.25 * epsilon**3 * p, grad),
-        ],
-        like=V,
-    )
+    series = -1.0 + z * (0.5 + z * (-0.125 + z / 48.0))
+    return series * V - 0.5 * epsilon**2 * N + 0.25 * epsilon**3 * p * D
 
 
 def build_p_epsilon(W: FieldProfile, epsilon: float, p: int) -> FieldProfile:
-    """The six-term momentum correction, computed spectrally (dealiased products)."""
+    """The six-term momentum correction, computed spectrally (dealiased W^p)."""
     if not 0.0 < epsilon < 1.0:
         raise InvalidInputError(f"epsilon must be in (0, 1), got {epsilon}")
-    dW = derivative(W, 1)
-    grad = FieldProfile.from_values(W.values ** (p - 1) * dW.values, W.L)
-    return _momentum_series(W, dW, pointwise_power(W, p), grad, epsilon, p)
-
-
-def build_p_epsilon_tau(
-    W: FieldProfile,
-    dW: FieldProfile,
-    G: FieldProfile,
-    epsilon: float,
-    p: int,
-) -> FieldProfile:
-    """d/dtau of the momentum expansion, given W' and G = W_tau (from the KdV equation)."""
-    dG = derivative(G, 1)
-    wpm1 = W.values ** (p - 1)
-    power_tau = FieldProfile.from_values(p * wpm1 * G.values, W.L)
-    grad_tau = FieldProfile.from_values(
-        (p - 1) * W.values ** (p - 2) * dW.values * G.values + wpm1 * dG.values, W.L
-    )
-    return _momentum_series(G, dG, power_tau, grad_tau, epsilon, p)
+    ik = 1j * W.wavenumbers()
+    grad = np.fft.rfft(W.values ** (p - 1) * np.fft.irfft(ik * W.coeffs, n=W.M))
+    c = _momentum_series(W.coeffs, pointwise_power(W, p).coeffs, grad, epsilon * ik, epsilon, p)
+    return FieldProfile.from_coeffs(c, W.L)
 
 
 def seeded_perturbation(N: int, size: float, seed: int) -> tuple[np.ndarray, np.ndarray]:

@@ -9,9 +9,10 @@ Conventions:
     ``FieldProfile.from_coeffs`` drops their imaginary parts.  This is the
     package's one Nyquist rule: an odd derivative vanishes there, and a
     translate by delta keeps c_{M/2} cos(k_{M/2} delta);
-  * the half-spectrum is the profile: derivative, translate, combine and
-    the integrators work on it, and the grid values are formed on demand,
-    by one irfft the first time ``FieldProfile.values`` is read;
+  * the half-spectrum is the profile: derivatives, translates, the ansatz
+    and its residuals (Fourier multipliers on it) and the integrators work
+    on it, and the grid values are formed on demand, by one irfft the first
+    time ``FieldProfile.values`` is read;
   * the periodic lattice has N sites with N*epsilon = L, so the moving
     frame xi = epsilon*(n - t) wraps consistently;
   * both solvers keep time by one rule, ``uniform_samples``: a run over
@@ -174,8 +175,8 @@ class ErrorRecord:
     res1_norm: float
     res2_norm: float
     H_lattice: float
-    coercivity_lhs: float = 0.0
-    coercivity_ok: bool = True
+    coercivity_lhs: float
+    coercivity_ok: bool
 
 
 # ---------------------------------------------------------------------------
@@ -228,14 +229,6 @@ def pointwise_power(W: FieldProfile, p: int) -> FieldProfile:
     dealiased by the 2/3 rule."""
     c = np.where(dealias_mask(W.M), np.fft.rfft(int_power(W.values, p, np.empty(W.M))), 0.0)
     return FieldProfile.from_coeffs(c, W.L)
-
-
-def combine(profiles_and_weights, like: FieldProfile) -> FieldProfile:
-    """Weighted sum of profiles sharing the grid of ``like``."""
-    c = np.zeros_like(like.coeffs)
-    for w, prof in profiles_and_weights:
-        c += w * prof.coeffs
-    return FieldProfile.from_coeffs(c, like.L)
 
 
 # ---------------------------------------------------------------------------
