@@ -2,10 +2,10 @@
 
 Subcommands: soliton, kdv, fpu, residual-scan, error-scan, metastability,
 fit.  Each takes only the flags it reads (the _COMMANDS table), so a flag
-or config key that a command would ignore is a usage error.  Configuration
-comes from an optional JSON document (--config) with individual flags
-overriding it; there is no environment-variable configuration for
-experiments.
+or config key that a command would ignore is a usage error.  The entries of
+an optional JSON document (--config) are parsed as flags, spliced in before
+the command line's own, which win; there is no environment-variable
+configuration.  A summary JSON records the command and the settings it read.
 
 Exit codes: 0 success, 1 configuration error, 2 numerical failure.
 """
@@ -81,9 +81,7 @@ _FLAGS = {
 }
 
 
-def build_parser(explicit_only: bool = False) -> argparse.ArgumentParser:
-    """The CLI parser; with explicit_only every default is suppressed, so a
-    parse yields just the flags given on the command line."""
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="fpukdv")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, help_text, flags, defaults) in _COMMANDS.items():
@@ -93,50 +91,38 @@ def build_parser(explicit_only: bool = False) -> argparse.ArgumentParser:
             kwargs = dict(_FLAGS[flag])
             if flag in defaults:
                 kwargs["default"] = defaults[flag]
-            if explicit_only:
-                kwargs["default"] = argparse.SUPPRESS
             sp.add_argument(f"--{flag}", **kwargs)
     return parser
 
 
-def _load_config(args: argparse.Namespace, argv) -> None:
-    """Merge a JSON config under the explicit flags (flags win)."""
-    if not args.config:
-        return
+def _config_flags(args: argparse.Namespace) -> list[str]:
+    """The --config entries as --key=value tokens ("=" lets a value start with "-"):
+    "_" in a key becomes "-", a list is comma-joined, null keeps the default."""
     try:
         with open(args.config) as fh:
             doc = json.load(fh)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigurationError(f"cannot read config file {args.config}: {exc}") from exc
-    explicit = set(vars(build_parser(explicit_only=True).parse_args(argv)))
-    for key, value in doc.items():
-        attr = key.replace("-", "_")
-        if attr == "command" or not hasattr(args, attr):
+    dests = vars(args).keys() - {"command"}
+    for key in doc:
+        if key.replace("-", "_") not in dests:
             raise ConfigurationError(f"{args.command} takes no config key {key!r}")
-        if attr not in explicit:
-            if attr == "eps" and isinstance(value, (list, tuple)):
-                value = tuple(float(v) for v in value)
-            setattr(args, attr, value)
+    return [f"--{key.replace('_', '-')}={','.join(map(str, v)) if isinstance(v, list) else v}"
+            for key, v in doc.items() if v is not None]
 
 
 # parsed flag -> ExperimentSpec field, where the two names differ
 _SPEC_FIELDS = {"eps": "epsilons", "dt": "dt_lattice", "dtau": "dtau_kdv"}
 
 
-def _spec_from_args(args, kind: str) -> ExperimentSpec:
-    """The spec of a command's flags; a field no flag sets, or one whose
-    flag is unset (None), keeps the spec's default."""
+def _spec_from_args(args) -> tuple[ExperimentSpec, dict]:
+    """The spec of a command's flags (an unset flag keeps the spec default),
+    and what it read: the command and each spec field one of its flags sets."""
     fields = {f.name for f in dataclasses.fields(ExperimentSpec)}
-    values = {_SPEC_FIELDS.get(dest, dest): v for dest, v in vars(args).items() if v is not None}
-    return ExperimentSpec(kind=kind, **{k: v for k, v in values.items() if k in fields})
-
-
-def _scan_kind(args) -> str:
-    if args.tau0 is not None and args.theorem is not None:
-        raise ConfigurationError("tau0 and theorem select different windows; give one")
-    if args.tau0 is not None:
-        return "error_scan"
-    return "theorem2_window" if args.theorem == 2 else "theorem1_window"
+    read = {_SPEC_FIELDS.get(dest, dest): v for dest, v in vars(args).items()}
+    read = {k: v for k, v in read.items() if k in fields}
+    spec = ExperimentSpec(**{k: v for k, v in read.items() if v is not None})
+    return spec, {"command": args.command, **{k: getattr(spec, k) for k in read}}
 
 
 def _cmd_soliton(args) -> int:
@@ -151,7 +137,7 @@ def _cmd_soliton(args) -> int:
 
 
 def _cmd_kdv(args) -> int:
-    spec = _spec_from_args(args, "kdv_norm_growth")
+    spec, _ = _spec_from_args(args)
     out = run_norm_growth(spec)
     path = f"{args.out_dir}/kdv_p{args.p}.csv"
     write_csv(path, KDV_CSV_HEADER, kdv_samples_rows(out["samples"]))
@@ -181,14 +167,14 @@ def _cmd_fpu(args) -> int:
 
 def _cmd_residual_scan(args) -> int:
     t_start = time.perf_counter()
-    spec = _spec_from_args(args, "residual_scan")
+    spec, settings = _spec_from_args(args)
     out = run_residual_scan(spec)
     path = f"{args.out_dir}/residual_scan_p{args.p}.csv"
     write_csv(path, ["epsilon", "res1_l2", "res2_l2", "truncation_sup"],
               ([r["epsilon"], r["res1_l2"], r["res2_l2"], r["truncation_sup"]]
                for r in out["rows"]))
     fits = out["fits"]
-    write_summary_json(f"{args.out_dir}/residual_scan_p{args.p}.json", spec,
+    write_summary_json(f"{args.out_dir}/residual_scan_p{args.p}.json", settings,
                        [fits["res1"], fits["res2"], fits["truncation"]],
                        out["flags"], time.perf_counter() - t_start)
     print(f"residual-scan p={args.p}: slope res1={fits['res1'].slope:.3f} "
@@ -198,13 +184,13 @@ def _cmd_residual_scan(args) -> int:
 
 def _cmd_error_scan(args) -> int:
     t_start = time.perf_counter()
-    spec = _spec_from_args(args, _scan_kind(args))
+    spec, settings = _spec_from_args(args)
     out = run_error_scan(spec, jobs=args.jobs)
     for cell in out["cells"]:
         write_csv(f"{args.out_dir}/error_scan_p{args.p}_eps{cell['epsilon']}.csv",
                   ERROR_CSV_HEADER, error_records_rows(cell["records"]))
     fits = list(out["fits"].values())
-    write_summary_json(f"{args.out_dir}/error_scan_p{args.p}.json", spec, fits,
+    write_summary_json(f"{args.out_dir}/error_scan_p{args.p}.json", settings, fits,
                        out["flags"], time.perf_counter() - t_start)
     summary = " ".join(f"eps={c['epsilon']}:sup={c['sup_error']:.4e}" for c in out["cells"])
     slope = f" slope={fits[0].slope:.3f}" if fits else ""
@@ -216,13 +202,13 @@ def _cmd_error_scan(args) -> int:
 
 def _cmd_metastability(args) -> int:
     t_start = time.perf_counter()
-    spec = _spec_from_args(args, "metastability")
+    spec, settings = _spec_from_args(args)
     out = run_metastability(spec, jobs=args.jobs)
     for cell in out["cells"]:
         write_csv(f"{args.out_dir}/metastability_p{args.p}_eps{cell['epsilon']}.csv",
                   ["t", "orbital_distance"],
                   ([r["t"], r["orbital_distance"]] for r in cell["rows"]))
-    write_summary_json(f"{args.out_dir}/metastability_p{args.p}.json", spec, [],
+    write_summary_json(f"{args.out_dir}/metastability_p{args.p}.json", settings, [],
                        out["flags"], time.perf_counter() - t_start)
     summary = " ".join(
         f"eps={c['epsilon']}:sup/delta={c['sup_over_delta']:.3f}" for c in out["cells"])
@@ -286,14 +272,17 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 1 if exc.code not in (0, None) else 0
-    try:
-        _load_config(args, argv)
+        if args.config:
+            # after the command name, so the last value, a command-line flag's, wins
+            i = argv.index(args.command) + 1
+            args = parser.parse_args(argv[:i] + _config_flags(args) + argv[i:])
         return _COMMANDS[args.command][0](args)
+    except SystemExit as exc:  # argparse has printed the help or a usage error
+        return 1 if exc.code not in (0, None) else 0
     except (InvalidInputError, ConfigurationError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1

@@ -41,7 +41,7 @@ class BlowUpError(RuntimeError):
     """A solution exceeded the sup-norm overflow guard."""
 
 
-class BudgetViolationError(ValueError):
+class BudgetViolationError(InvalidInputError):
     """Requested perturbation exceeds the eps^(3/2) initial-data budget."""
 
 

@@ -3,10 +3,11 @@ scaling-exponent fits, metastability runs and persistence.
 
 An error scan runs one KdV solution per KdV window tau0 and shares it
 among the epsilon cells of that window, sampled in lockstep with one lattice
-run per cell: a fixed --tau0 is one window for all cells, a theorem window
-is one per epsilon.  With --jobs, whole windows (and metastability cells)
-go to worker processes, shared nothing; results are aggregated ordered by
-epsilon, so serial and concurrent execution produce identical output.
+run per cell.  The window is ExperimentSpec data: a fixed tau0 is one window
+for all cells, the extended window of theorem 1 or 2 is one per epsilon.
+With --jobs, whole windows (and metastability cells) go to worker processes,
+shared nothing; results are aggregated ordered by epsilon, so serial and
+concurrent execution produce identical output.
 """
 
 from __future__ import annotations
@@ -35,19 +36,9 @@ from .diagnostics import error_norms, residual_profiles
 from .fpu import lattice_samples
 from .kdv import KdvRunConfig, SolitonSpec, kdv_samples, soliton_profile, track_norm_growth
 
-EXPERIMENT_KINDS = (
-    "residual_scan",
-    "error_scan",
-    "theorem1_window",
-    "theorem2_window",
-    "metastability",
-    "kdv_norm_growth",
-)
-
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    kind: str
     p: int = 2
     epsilons: tuple = (0.2, 0.1, 0.05)
     r: float = 0.25
@@ -55,7 +46,8 @@ class ExperimentSpec:
     c: float = 1.0
     L: float = 64.0
     M: int = 1024
-    tau0: float = 1.0
+    tau0: float | None = None
+    theorem: int | None = None
     s: int = 6
     dt_lattice: float = DT_LATTICE
     dtau_kdv: float = 1.0e-3
@@ -68,8 +60,16 @@ class ExperimentSpec:
     amplitude: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in EXPERIMENT_KINDS:
-            raise InvalidInputError(f"unknown experiment kind {self.kind!r}")
+        if self.tau0 is not None and self.theorem is not None:
+            raise ConfigurationError("tau0 and theorem select different windows; give one")
+        if self.tau0 is None and self.theorem is None:
+            object.__setattr__(self, "theorem", 1)
+        if self.theorem not in (None, 1, 2):
+            raise InvalidInputError(f"theorem must be 1 or 2, got {self.theorem}")
+        if not (self.tau0 is None or self.tau0 > 0.0):
+            raise InvalidInputError(f"tau0 must be positive, got {self.tau0}")
+        if not (self.perturbation_size is None or self.perturbation_size >= 0.0):
+            raise InvalidInputError(f"perturbation size {self.perturbation_size} is not >= 0")
         if not 0.0 < self.r < 0.5:
             raise InvalidInputError(f"r must be in (0, 1/2), got {self.r}")
         if self.K <= 0.0:
@@ -88,14 +88,6 @@ class FitResult:
     intercept: float
     residual_rms: float
     points: tuple
-
-    def to_dict(self) -> dict:
-        return {
-            "slope": self.slope,
-            "intercept": self.intercept,
-            "residual_rms": self.residual_rms,
-            "points": [list(pt) for pt in self.points],
-        }
 
 
 def fit_scaling_exponent(points) -> FitResult:
@@ -166,11 +158,9 @@ def _lattice_size(spec: ExperimentSpec, epsilon: float) -> int:
 
 
 def _window_for(spec: ExperimentSpec, epsilon: float) -> tuple[float, float]:
-    if spec.kind in ("theorem1_window", "metastability"):
-        return time_window(epsilon, spec.r, spec.K, spec.p, 1)
-    if spec.kind == "theorem2_window":
-        return time_window(epsilon, spec.r, spec.K, spec.p, 2)
-    # plain KdV-time window
+    """(t0, tau0) of the spec's window at epsilon."""
+    if spec.tau0 is None:
+        return time_window(epsilon, spec.r, spec.K, spec.p, spec.theorem)
     return spec.tau0 * epsilon**-3, spec.tau0
 
 
@@ -232,7 +222,7 @@ def _blow_up(flags: dict, exc: BlowUpError) -> None:
 
 def _kdv_windows(spec: ExperimentSpec) -> list[tuple]:
     """The epsilons grouped by their KdV window tau0, in epsilon order: one
-    group for a fixed --tau0, one group per epsilon for a theorem window."""
+    group for a fixed tau0, one group per epsilon for a theorem window."""
     groups: dict[float, list] = {}
     for eps in spec.epsilons:
         groups.setdefault(_window_for(spec, eps)[1], []).append(eps)
@@ -427,11 +417,12 @@ def kdv_samples_rows(samples):
                smp.hs_norm, smp.sup_norm, smp.resolution_flag]
 
 
-def write_summary_json(path: str, spec: ExperimentSpec, fits, flags, wall_time_s: float) -> None:
+def write_summary_json(path: str, settings: dict, fits, flags, wall_time_s: float) -> None:
+    """The run's summary; its spec is ``settings``, what the run read."""
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     payload = {
-        "spec": asdict(spec),
-        "fits": [f.to_dict() for f in fits],
+        "spec": settings,
+        "fits": [asdict(f) for f in fits],
         "flags": flags,
         "wall_time_s": wall_time_s,
     }

@@ -44,7 +44,7 @@ def _report(num: int, name: str, passed: bool, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def residual_scan():
-    spec = ExperimentSpec(kind="residual_scan", p=2, c=1.0, L=64.0, M=1024,
+    spec = ExperimentSpec(p=2, c=1.0, L=64.0, M=1024,
                           epsilons=(0.2, 0.1, 0.05))
     return run_residual_scan(spec)
 
@@ -52,21 +52,21 @@ def residual_scan():
 @pytest.fixture(scope="module")
 def kdv_time_scan():
     # fixed KdV-time window tau0 = 1, unperturbed ansatz data
-    spec = ExperimentSpec(kind="error_scan", p=2, c=1.0, L=64.0, M=1024,
+    spec = ExperimentSpec(p=2, c=1.0, L=64.0, M=1024,
                           epsilons=(0.2, 0.1, 0.05), tau0=1.0, n_samples=50)
     return run_error_scan(spec)
 
 
 @pytest.fixture(scope="module")
 def theorem1_scan():
-    spec = ExperimentSpec(kind="theorem1_window", p=2, c=1.0, L=64.0, M=1024,
+    spec = ExperimentSpec(p=2, c=1.0, L=64.0, M=1024,
                           epsilons=(0.1, 0.05), r=0.1, K=1.0, n_samples=50)
     return run_error_scan(spec)
 
 
 @pytest.fixture(scope="module")
 def p3_scan():
-    spec = ExperimentSpec(kind="error_scan", p=3, c=1.0, L=64.0, M=2048,
+    spec = ExperimentSpec(p=3, c=1.0, L=64.0, M=2048,
                           epsilons=(0.1, 0.05), tau0=1.0, n_samples=25)
     return run_error_scan(spec)
 
@@ -173,7 +173,7 @@ def test_08_metastability():
     ratios = {}
     ok = True
     for eps in (0.1, 0.05):
-        spec = ExperimentSpec(kind="metastability", p=2, c=1.0, L=64.0, M=1024,
+        spec = ExperimentSpec(p=2, c=1.0, L=64.0, M=1024,
                               epsilons=(eps,), r=0.1, K=1.0, n_samples=50,
                               perturbation_mode="random", seed=42)
         out = run_metastability(spec)
@@ -189,14 +189,14 @@ def test_08_metastability():
 
 def test_09_norm_growth():
     # p = 2: soliton H^6 norm constant to 1e-4 relative over tau in [0, 5]
-    spec2 = ExperimentSpec(kind="kdv_norm_growth", p=2, c=1.0, L=32.0, M=2048,
+    spec2 = ExperimentSpec(p=2, c=1.0, L=32.0, M=2048,
                            s=6, dtau_kdv=2e-4, tau_end=5.0, n_samples=25)
     out2 = run_norm_growth(spec2)
     norms = [s.hs_norm for s in out2["samples"]]
     variation = (max(norms) - min(norms)) / norms[0]
 
     # p = 4 small data: fitted H^2 growth exponent <= s - 1 = 1
-    spec4 = ExperimentSpec(kind="kdv_norm_growth", p=4, epsilons=(0.1,),
+    spec4 = ExperimentSpec(p=4, epsilons=(0.1,),
                            initial_mode="gaussian", amplitude=0.3,
                            s=2, L=32.0, M=512, dtau_kdv=5e-4,
                            tau_end=5.0, n_samples=50)
@@ -211,7 +211,7 @@ def test_09_norm_growth():
 
 def test_10_determinism(theorem1_scan, tmp_path):
     # re-run the eps = 0.1 extended-window cell and byte-compare its CSV
-    spec = ExperimentSpec(kind="theorem1_window", p=2, c=1.0, L=64.0, M=1024,
+    spec = ExperimentSpec(p=2, c=1.0, L=64.0, M=1024,
                           epsilons=(0.1,), r=0.1, K=1.0, n_samples=50)
     rerun = run_error_scan(spec)
 

@@ -40,7 +40,7 @@ class TestResidualScan:
         assert code == 0
         assert "slope res1=4.4" in out or "slope res1=4.5" in out
         payload = json.loads((tmp_path / "residual_scan_p2.json").read_text())
-        assert payload["spec"]["kind"] == "residual_scan"
+        assert payload["spec"]["command"] == "residual-scan"
         assert len(payload["fits"]) == 3
         with open(tmp_path / "residual_scan_p2.csv") as fh:
             rows = list(csv.reader(fh))
@@ -62,7 +62,18 @@ class TestErrorScan:
                                 "--out-dir", str(tmp_path)], capsys)
         assert code == 0
         payload = json.loads((tmp_path / "error_scan_p2.json").read_text())
-        assert payload["spec"]["kind"] == "theorem1_window"
+        assert payload["spec"]["theorem"] == 1
+        assert payload["spec"]["tau0"] is None
+
+    def test_json_records_what_was_read(self, tmp_path, capsys):
+        code, _, _ = run_cli(["error-scan", "--eps", "0.2", "--tau0", "0.01",
+                              "--n-samples", "2", "--out-dir", str(tmp_path)], capsys)
+        assert code == 0
+        spec = json.loads((tmp_path / "error_scan_p2.json").read_text())["spec"]
+        assert spec["command"] == "error-scan"
+        assert spec["tau0"] == 0.01
+        assert spec["theorem"] is None
+        assert not {"s", "tau_end", "initial_mode", "amplitude"} & spec.keys()
 
 
 class TestFpu:
@@ -134,6 +145,36 @@ class TestConfigMerge:
                                capsys)
         assert code == 1
         assert "nope.json" in err
+
+    @pytest.mark.parametrize("argv,config,message", [
+        (["error-scan"], {"n_samples": 2.5}, "invalid int value"),
+        (["fpu"], {"integrator": "euler"}, "invalid choice"),
+    ], ids=["error-scan-float-n-samples", "fpu-integrator-choice"])
+    def test_config_value_parsed_like_a_flag(self, tmp_path, capsys, argv, config, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code, _, err = run_cli(argv + ["--config", str(cfg), "--out-dir", str(tmp_path)], capsys)
+        assert code == 1
+        assert message in err
+        assert "Traceback" not in err
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_config_scalar_eps(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"eps": 0.1}))
+        code, out, _ = run_cli(["error-scan", "--tau0", "0.01", "--n-samples", "2",
+                                "--config", str(cfg), "--out-dir", str(tmp_path)], capsys)
+        assert code == 0
+        assert sorted(path.name for path in tmp_path.glob("*.csv")) == ["error_scan_p2_eps0.1.csv"]
+        assert json.loads((tmp_path / "error_scan_p2.json").read_text())["spec"]["epsilons"] == [0.1]
+
+    def test_config_string_value_goes_through_the_flag_type(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"p": "3"}))
+        code, _, _ = run_cli(["soliton", "--config", str(cfg), "--out-dir", str(tmp_path)],
+                             capsys)
+        assert code == 0
+        assert (tmp_path / "soliton_p3_c1.0.csv").exists()
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -227,6 +268,26 @@ class TestMetastabilityAndNormGrowth:
         assert code == 0
         assert "sup/delta" in out
         assert (tmp_path / "metastability_p2_eps0.1.csv").exists()
+
+    def test_metastability_json_records_what_was_read(self, tmp_path, capsys):
+        code, _, _ = run_cli(["metastability", "--eps", "0.1", "--r", "0.05",
+                              "--n-samples", "2", "--out-dir", str(tmp_path)], capsys)
+        assert code == 0
+        spec = json.loads((tmp_path / "metastability_p2.json").read_text())["spec"]
+        assert spec["command"] == "metastability"
+        assert not {"tau0", "theorem", "dtau_kdv"} & spec.keys()
+
+    @pytest.mark.parametrize("size,message", [
+        ("1.0", "configuration error: perturbation l2 size 1.0 exceeds the eps^(3/2) budget"),
+        ("-0.01", "configuration error: perturbation size -0.01 is not >= 0"),
+    ], ids=["over-budget", "negative"])
+    def test_perturbation_size_out_of_range(self, tmp_path, capsys, size, message):
+        code, out, err = run_cli(["metastability", "--eps", "0.1", "--r", "0.1",
+                                  "--n-samples", "2", "--perturbation-size", size,
+                                  "--out-dir", str(tmp_path)], capsys)
+        assert code == 1
+        assert message in err
+        assert "sup/delta" not in out
 
     def test_norm_growth_smoke(self, tmp_path, capsys):
         code, out, _ = run_cli(["kdv", "--p", "2", "--L", "32", "--M", "2048",

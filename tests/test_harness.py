@@ -134,22 +134,34 @@ class TestOrbitalDistance:
 
 
 class TestExperimentSpecValidation:
-    def test_unknown_kind(self):
+    def test_default_window_is_theorem1(self):
+        spec = ExperimentSpec()
+        assert spec.theorem == 1 and spec.tau0 is None
+
+    def test_tau0_and_theorem_exclude_each_other(self):
+        with pytest.raises(ConfigurationError, match="tau0 and theorem"):
+            ExperimentSpec(tau0=1.0, theorem=1)
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(theorem=3), dict(tau0=0.0), dict(tau0=float("nan")),
+        dict(perturbation_size=-0.01),
+    ], ids=["theorem-3", "tau0-zero", "tau0-nan", "negative-perturbation"])
+    def test_out_of_range(self, kwargs):
         with pytest.raises(InvalidInputError):
-            ExperimentSpec(kind="fourier_dance")
+            ExperimentSpec(**kwargs)
 
     def test_epsilons_must_decrease(self):
         with pytest.raises(InvalidInputError):
-            ExperimentSpec(kind="residual_scan", epsilons=(0.05, 0.1))
+            ExperimentSpec(epsilons=(0.05, 0.1))
 
     def test_r_range(self):
         with pytest.raises(InvalidInputError):
-            ExperimentSpec(kind="residual_scan", r=0.6)
+            ExperimentSpec(r=0.6)
 
 
 class TestRunners:
     def test_residual_scan_slopes(self):
-        spec = ExperimentSpec(kind="residual_scan", p=2, epsilons=(0.2, 0.1, 0.05))
+        spec = ExperimentSpec(p=2, epsilons=(0.2, 0.1, 0.05))
         out = run_residual_scan(spec)
         assert out["fits"]["res1"].slope == pytest.approx(4.5, abs=0.3)
         assert out["fits"]["res2"].slope == pytest.approx(4.5, abs=0.3)
@@ -158,10 +170,10 @@ class TestRunners:
     def test_error_scan_serial_parallel_identical(self):
         for spec, windows in (
             # a fixed tau0 is one KdV window, so jobs=2 runs it in this process
-            (ExperimentSpec(kind="error_scan", p=2, epsilons=(0.2, 0.1), tau0=0.05,
+            (ExperimentSpec(p=2, epsilons=(0.2, 0.1), tau0=0.05,
                             n_samples=4), 1),
             # a theorem window is one per epsilon, so jobs=2 starts two workers
-            (ExperimentSpec(kind="theorem1_window", p=2, epsilons=(0.2, 0.1), r=0.01,
+            (ExperimentSpec(p=2, epsilons=(0.2, 0.1), r=0.01,
                             n_samples=4), 2),
         ):
             assert len(_kdv_windows(spec)) == windows
@@ -174,7 +186,7 @@ class TestRunners:
                 assert ca["records"] == cb["records"]
 
     def test_error_scan_no_coercivity_violations(self):
-        spec = ExperimentSpec(kind="error_scan", p=2, epsilons=(0.1,),
+        spec = ExperimentSpec(p=2, epsilons=(0.1,),
                               tau0=0.1, n_samples=5)
         out = run_error_scan(spec)
         cell = out["cells"][0]
@@ -184,7 +196,7 @@ class TestRunners:
         assert cell["sup_error"] < 1.0
 
     def test_metastability_seeded_perturbation_stays_bounded(self):
-        spec = ExperimentSpec(kind="metastability", p=2, epsilons=(0.1,),
+        spec = ExperimentSpec(p=2, epsilons=(0.1,),
                               r=0.05, n_samples=10,
                               perturbation_mode="random", seed=42)
         out = run_metastability(spec)
@@ -194,7 +206,7 @@ class TestRunners:
         assert cell["sup_over_delta"] < 50.0
 
     def test_norm_growth_p4_reports_exponent(self):
-        spec = ExperimentSpec(kind="kdv_norm_growth", p=4, epsilons=(0.1,),
+        spec = ExperimentSpec(p=4, epsilons=(0.1,),
                               initial_mode="gaussian", amplitude=0.3,
                               s=2, L=32.0, M=512, dtau_kdv=5e-4,
                               tau_end=2.0, n_samples=20)
@@ -226,7 +238,7 @@ class TestPersistence:
         assert float(text) == value
 
     def test_csv_deterministic_bytes(self, tmp_path):
-        spec = ExperimentSpec(kind="error_scan", p=2, epsilons=(0.1,),
+        spec = ExperimentSpec(p=2, epsilons=(0.1,),
                               tau0=0.02, n_samples=2)
         payloads = []
         for name in ("a.csv", "b.csv"):
@@ -238,13 +250,14 @@ class TestPersistence:
         assert payloads[0] == payloads[1]
 
     def test_summary_json(self, tmp_path):
-        spec = ExperimentSpec(kind="residual_scan")
+        spec = ExperimentSpec()
         out = run_residual_scan(spec)
         path = tmp_path / "summary.json"
-        write_summary_json(str(path), spec, list(out["fits"].values()),
+        settings = {"command": "residual-scan", "p": spec.p, "epsilons": spec.epsilons}
+        write_summary_json(str(path), settings, list(out["fits"].values()),
                            out["flags"], wall_time_s=0.1)
         payload = json.loads(path.read_text())
-        assert payload["spec"]["kind"] == "residual_scan"
+        assert payload["spec"]["command"] == "residual-scan"
         assert len(payload["fits"]) == 3
         assert payload["wall_time_s"] == 0.1
 
@@ -259,7 +272,7 @@ class TestFailureClassification:
     """A blow-up is a numerical failure (flag, exit 2); any other error is a bug."""
 
     SCAN_ARGV = ["error-scan", "--eps", "0.2", "--tau0", "0.01", "--n-samples", "2"]
-    META = ExperimentSpec(kind="metastability", p=2, epsilons=(0.2,), n_samples=2)
+    META = ExperimentSpec(p=2, epsilons=(0.2,), n_samples=2)
 
     def test_error_scan_bug_propagates(self, monkeypatch, tmp_path):
         monkeypatch.setattr(kdv, "kdv_integrate", _raising(RuntimeError("bug")))
@@ -285,7 +298,7 @@ class TestFailureClassification:
 class TestSharedKdvWindow:
     """The eps cells of one KdV window share one KdV run, in lockstep."""
 
-    SPEC = ExperimentSpec(kind="error_scan", p=2, epsilons=(0.2, 0.1), tau0=0.02, n_samples=3)
+    SPEC = ExperimentSpec(p=2, epsilons=(0.2, 0.1), tau0=0.02, n_samples=3)
 
     def test_cells_equal_single_epsilon_runs(self):
         shared = run_error_scan(self.SPEC)["cells"]
