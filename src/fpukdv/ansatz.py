@@ -6,9 +6,14 @@ The momentum correction is the resummed six-term expansion
     P = -W + (1/2) e W' - (1/8) e^2 W'' - (1/2) e^2 W^p
         + (1/48) e^3 W''' + (1/4) e^3 p W^(p-1) W',
 
-which makes the first lattice equation hold to formal order e^5.  All
-slow-time derivatives are eliminated analytically through the KdV equation
-before discretization; nothing is finite-differenced in tau.
+which makes the first lattice equation hold to formal order e^5.  Since
+W^(p-1) W' = (W^p)'/p, it is two Fourier symbols acting on two spectra, W^
+and the dealiased N^ = (W^p)^ (z = i e k):
+
+    P^ = s(z) W^ + (1/4) e^2 (z - 2) N^,   s(z) = -1 + z/2 - z^2/8 + z^3/48.
+
+All slow-time derivatives are eliminated analytically through the KdV
+equation before discretization; nothing is finite-differenced in tau.
 """
 
 from __future__ import annotations
@@ -20,35 +25,30 @@ from .core import (
     FieldProfile,
     InvalidInputError,
     LatticeState,
-    pointwise_power,
     sample_to_lattice,
 )
+from .kdv import _nonlinear_fields
 
 
-def _momentum_series(
-    V: np.ndarray, N: np.ndarray, D: np.ndarray, z: np.ndarray, epsilon: float, p: int
-) -> np.ndarray:
-    """The six terms of the expansion above with W replaced by V, on
-    half-spectra: the four V terms are the symbol -1 + z/2 - z^2/8 + z^3/48,
-    z = i e k, acting on V^, and
+def _momentum_series(V: np.ndarray, N: np.ndarray, z: np.ndarray, epsilon: float) -> np.ndarray:
+    """s(z) V^ + (1/4) e^2 (z - 2) N^: P^ for (V, N) = (W, W^p), and its
+    tau-derivative for (W_tau, p W^(p-1) W_tau), since
+    d/dtau[W^(p-1) W'] = (W^(p-1) W_tau)'."""
+    s = -1.0 + z * (0.5 + z * (-0.125 + z / 48.0))
+    return s * V + 0.25 * epsilon**2 * (z - 2.0) * N
 
-        -(1/2) e^2 N^ + (1/4) e^3 p D^
 
-    is added.  P itself is (V, N, D) = (W, W^p, W^(p-1) W'); its
-    tau-derivative is (W_tau, p W^(p-1) W_tau, d/dtau[W^(p-1) W']).
-    """
-    series = -1.0 + z * (0.5 + z * (-0.125 + z / 48.0))
-    return series * V - 0.5 * epsilon**2 * N + 0.25 * epsilon**3 * p * D
+def _momentum(W: FieldProfile, N: np.ndarray, epsilon: float) -> FieldProfile:
+    """P_eps from W and the dealiased spectrum N^ of W^p."""
+    if not 0.0 < epsilon < 1.0:
+        raise InvalidInputError(f"epsilon must be in (0, 1), got {epsilon}")
+    z = 1j * epsilon * W.wavenumbers()
+    return FieldProfile.from_coeffs(_momentum_series(W.coeffs, N, z, epsilon), W.L)
 
 
 def build_p_epsilon(W: FieldProfile, epsilon: float, p: int) -> FieldProfile:
     """The six-term momentum correction, computed spectrally (dealiased W^p)."""
-    if not 0.0 < epsilon < 1.0:
-        raise InvalidInputError(f"epsilon must be in (0, 1), got {epsilon}")
-    ik = 1j * W.wavenumbers()
-    grad = np.fft.rfft(W.values ** (p - 1) * np.fft.irfft(ik * W.coeffs, n=W.M))
-    c = _momentum_series(W.coeffs, pointwise_power(W, p).coeffs, grad, epsilon * ik, epsilon, p)
-    return FieldProfile.from_coeffs(c, W.L)
+    return _momentum(W, _nonlinear_fields(W, p).N, epsilon)
 
 
 def seeded_perturbation(N: int, size: float, seed: int) -> tuple[np.ndarray, np.ndarray]:

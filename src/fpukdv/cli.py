@@ -77,7 +77,7 @@ _FLAGS = {
                             "order-4 splitting"),
     "perturbation-mode": dict(default="none", choices=("none", "random")),
     "perturbation-size": dict(type=float, default=None),
-    "input": dict(required=True, help="CSV with two columns: epsilon,value"),
+    "input": dict(help="CSV with two columns: epsilon,value (required)"),
 }
 
 
@@ -103,6 +103,8 @@ def _config_flags(args: argparse.Namespace) -> list[str]:
             doc = json.load(fh)
     except (OSError, ValueError) as exc:
         raise ConfigurationError(f"cannot read config file {args.config}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigurationError(f"config file {args.config} is not a JSON object")
     dests = vars(args).keys() - {"command"}
     for key in doc:
         if key.replace("-", "_") not in dests:
@@ -227,6 +229,8 @@ def _is_number(tok: str) -> bool:
 
 
 def _cmd_fit(args) -> int:
+    if args.input is None:
+        raise ConfigurationError("fit needs --input, on the command line or in --config")
     try:
         with open(args.input) as fh:
             rows = [(n, line.strip()) for n, line in enumerate(fh, 1)]

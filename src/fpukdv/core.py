@@ -9,6 +9,10 @@ Conventions:
     ``FieldProfile.from_coeffs`` drops their imaginary parts.  This is the
     package's one Nyquist rule: an odd derivative vanishes there, and a
     translate by delta keeps c_{M/2} cos(k_{M/2} delta);
+  * a product of profiles becomes a spectrum only under the package's one
+    dealiasing rule, the 2/3 rule of ``dealias_mask`` (which zeroes c_{M/2}
+    too): through ``dealiased_rfft``, or in the ETDRK4 stage with the mask
+    folded into the step's coefficients;
   * the half-spectrum is the profile: derivatives, translates, the ansatz
     and its residuals (Fourier multipliers on it) and the integrators work
     on it, and the grid values are formed on demand, by one irfft the first
@@ -26,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import forward_diff, int_power
+from .kernels import forward_diff
 
 
 class InvalidInputError(ValueError):
@@ -156,13 +160,6 @@ class FieldProfile:
     def wavenumbers(self) -> np.ndarray:
         return 2.0 * np.pi * np.fft.rfftfreq(self.M, d=self.L / self.M)
 
-    def validate(self, rtol=1.0e-12) -> None:
-        """Check that values and coeffs are one rfft pair."""
-        back = np.fft.irfft(self.coeffs, n=self.M)
-        scale = max(np.max(np.abs(self.values)), 1.0e-300)
-        if np.max(np.abs(back - self.values)) > rtol * scale:
-            raise InvalidInputError("values and coefficients are inconsistent")
-
 
 @dataclass(frozen=True)
 class ErrorRecord:
@@ -224,11 +221,9 @@ def dealias_mask(M: int) -> np.ndarray:
     return np.arange(M // 2 + 1) <= M / 3.0
 
 
-def pointwise_power(W: FieldProfile, p: int) -> FieldProfile:
-    """W^p as a profile, integer power computed on the grid (sign kept) and
-    dealiased by the 2/3 rule."""
-    c = np.where(dealias_mask(W.M), np.fft.rfft(int_power(W.values, p, np.empty(W.M))), 0.0)
-    return FieldProfile.from_coeffs(c, W.L)
+def dealiased_rfft(values: np.ndarray) -> np.ndarray:
+    """rfft half-spectrum of a grid product, its modes above M/3 zeroed."""
+    return np.where(dealias_mask(values.shape[0]), np.fft.rfft(values), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -241,11 +236,6 @@ def l2_norm(x) -> float:
     if not np.all(np.isfinite(x)):
         raise InvalidInputError("l2_norm: non-finite entry")
     return float(np.sqrt(np.dot(x, x)))
-
-
-def grid_l2_norm(W: FieldProfile) -> float:
-    """L-periodic quadrature L2 norm of the continuum profile."""
-    return float(np.sqrt(W.L / W.M * np.dot(W.values, W.values)))
 
 
 def _hs_density(W: FieldProfile, s: float) -> tuple[np.ndarray, np.ndarray]:

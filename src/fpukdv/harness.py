@@ -110,12 +110,6 @@ def fit_scaling_exponent(points) -> FitResult:
     )
 
 
-def pairwise_exponent(point_a, point_b) -> float:
-    """Exponent implied by two (epsilon, value) points."""
-    (e1, v1), (e2, v2) = point_a, point_b
-    return float(math.log(v2 / v1) / math.log(e2 / e1))
-
-
 def time_window(epsilon: float, r: float, K: float, p: int, theorem: int) -> tuple[float, float]:
     """(t0, tau0) of the extended justification windows.
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,8 +28,8 @@ from .core import (
     FieldProfile,
     InvalidInputError,
     dealias_mask,
+    dealiased_rfft,
     derivative,
-    pointwise_power,
     sobolev_norm,
     spectral_tail_fraction,
     uniform_samples,
@@ -95,12 +96,30 @@ def steady_residual(W: FieldProfile, p: int, c: float) -> np.ndarray:
     return derivative(W, 2).values / 12.0 + wp - 2.0 * c * W.values
 
 
+class NonlinearFields(NamedTuple):
+    """The fields of W, besides W itself, that the ansatz and its residuals
+    read: W^(p-1) on the grid, the dealiased spectrum N^ of W^p, and
+    G = W_tau."""
+
+    wpm1: np.ndarray
+    N: np.ndarray
+    G: FieldProfile
+
+
+def _nonlinear_fields(W: FieldProfile, p: int) -> NonlinearFields:
+    """W^(p-1), N^ = (W^p)^ and G^ = -(1/24) (ik)^3 W^ - (1/2) ik N^, each
+    formed once."""
+    w = W.values
+    wpm1 = int_power(w, p - 1, np.empty(W.M))
+    N = dealiased_rfft(wpm1 * w)
+    ik = 1j * W.wavenumbers()
+    G = FieldProfile.from_coeffs(-(ik**3 / 24.0) * W.coeffs - 0.5 * ik * N, W.L)
+    return NonlinearFields(wpm1, N, G)
+
+
 def time_derivative(W: FieldProfile, p: int) -> FieldProfile:
     """W_tau = -(1/24) W_xxx - (1/2) (W^p)_x, evaluated spectrally (W^p dealiased)."""
-    wp = pointwise_power(W, p)
-    d3 = derivative(W, 3)
-    dwp = derivative(wp, 1)
-    return FieldProfile.from_coeffs(-d3.coeffs / 24.0 - 0.5 * dwp.coeffs, W.L)
+    return _nonlinear_fields(W, p).G
 
 
 class KdvIntegrator:

@@ -62,8 +62,11 @@ def fourier_eval(coeffs, L, points):
 # ---------------------------------------------------------------------------
 
 def int_power(u, p, out):
-    """out = u^p for an integer p >= 2, as ((u*u)*u)*...; for p = 2 this
+    """out = u^p for an integer p >= 1, as ((u*u)*u)*...; for p = 2 this
     is bit-for-bit u**2."""
+    if p == 1:
+        np.copyto(out, u)
+        return out
     np.multiply(u, u, out=out)
     for _ in range(p - 2):
         np.multiply(out, u, out=out)

@@ -10,14 +10,13 @@ import math
 import numpy as np
 import pytest
 
-from fpukdv.core import translate, grid_l2_norm, FieldProfile
+from fpukdv.core import translate, FieldProfile
 from fpukdv.fpu import FpuRunConfig, fpu_energy, fpu_integrate, traveling_wave_initializer
 from fpukdv.core import ModelParams
 from fpukdv.harness import (
     ERROR_CSV_HEADER,
     ExperimentSpec,
     error_records_rows,
-    pairwise_exponent,
     run_error_scan,
     run_metastability,
     run_norm_growth,
@@ -31,6 +30,8 @@ from fpukdv.kdv import (
     soliton_profile,
     steady_residual,
 )
+
+from support import grid_l2_norm, pairwise_exponent
 
 
 ACCEPTANCE_LINES: list[str] = []

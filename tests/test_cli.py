@@ -183,6 +183,15 @@ class TestConfigMerge:
         assert code == 1
         assert "explosive_mode" in err
 
+    @pytest.mark.parametrize("doc", [[1], "ab", 3], ids=["list", "string", "number"])
+    def test_config_that_is_not_an_object_rejected(self, tmp_path, capsys, doc):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        code, _, err = run_cli(["error-scan", "--config", str(cfg)], capsys)
+        assert code == 1
+        assert "not a JSON object" in err
+        assert "Traceback" not in err
+
 
 class TestExitCodes:
     def test_invalid_epsilon_order(self, capsys, tmp_path):
@@ -252,6 +261,21 @@ class TestFit:
         code, out, err = run_cli(["fit", "--input", str(path)], capsys)
         assert code == 1
         assert "finite" in err
+        assert "slope" not in out
+
+    def test_fit_input_from_config(self, tmp_path, capsys):
+        path = tmp_path / "points.csv"
+        path.write_text("".join(f"{e},{2.0 * e**4.5}\n" for e in (0.2, 0.1, 0.05)))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"input": str(path)}))
+        code, out, _ = run_cli(["fit", "--config", str(cfg)], capsys)
+        assert code == 0
+        assert "slope=4.5" in out
+
+    def test_fit_without_input(self, capsys):
+        code, out, err = run_cli(["fit"], capsys)
+        assert code == 1
+        assert "--input" in err
         assert "slope" not in out
 
     def test_fit_missing_file(self, tmp_path, capsys):

@@ -8,13 +8,12 @@ from fpukdv.core import (
     ErrorRecord,
     FieldProfile,
     derivative,
+    dealiased_rfft,
     l2_norm,
-    pointwise_power,
     sample_to_lattice,
     translate,
 )
 from fpukdv.diagnostics import (
-    check_energy_derivative_bound,
     energy_quantity,
     error_norms,
     residual_profiles,
@@ -22,8 +21,10 @@ from fpukdv.diagnostics import (
 )
 from fpukdv.fpu import fpu_energy
 from fpukdv.harness import fit_scaling_exponent
-from fpukdv.kdv import SolitonSpec, soliton_profile, time_derivative
+from fpukdv.kdv import SolitonSpec, _nonlinear_fields, soliton_profile, time_derivative
 from fpukdv.kernels import forward_diff
+
+from support import check_energy_derivative_bound, pointwise_power
 
 
 class TestResiduals:
@@ -56,11 +57,11 @@ class TestResiduals:
         # Res1 = e W' - e^3 W_tau + P(. + e) - P(.), and on the lattice the
         # shift by e is one site, so its sampling is e S(W') - e^3 S(W_tau)
         # plus the forward difference of S(P): no Fourier shift symbol.
-        # M = 4096 because P's un-dealiased W^(p-1) W' term reaches the
-        # Nyquist mode at M = 1024, and a shifted profile keeps only the
-        # cosine part of that mode (sin(k_{M/2} x) vanishes on the grid, so
-        # the half-spectrum cannot hold it); there the p >= 3 cases miss by
-        # 1e-8 to 1e-6.
+        # M = 4096 because at M = 1024 the p >= 3 solitons carry Nyquist
+        # content of their own (2.5e-5 of the largest mode at p = 4), and a
+        # shifted profile keeps only the cosine part of that mode
+        # (sin(k_{M/2} x) vanishes on the grid, so the half-spectrum cannot
+        # hold it); there the p >= 3 cases miss by up to 1.4e-6.
         W = soliton_profile(SolitonSpec(p=p, c=1.0, center=32.0), 64.0, 4096)
         t, N = 3.7, round(64.0 / eps)
         P = build_p_epsilon(W, eps, p)
@@ -73,6 +74,17 @@ class TestResiduals:
                     + forward_diff(sP, np.empty(N)))
         got = S(residual_profiles(W, P, eps, p)[0])
         assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(sP))
+
+    @pytest.mark.parametrize("eps", [0.2, 0.1, 0.05])
+    @pytest.mark.parametrize("p", [2, 3, 4])
+    def test_p_epsilon_matches_grid_product_form(self, p, eps):
+        # the six-term P with its W^(p-1) W' term as the grid product equals
+        # the two-symbol form, in which that term is (W^p)'/p of the
+        # dealiased W^p, once the grid resolves W^p (bound fixed beforehand)
+        W = soliton_profile(SolitonSpec(p=p, c=1.0, center=32.0), 64.0, 4096)
+        P = build_p_epsilon(W, eps, p)
+        ref = _reference_p_epsilon(W, eps, p)
+        assert np.max(np.abs(P.values - ref.values)) <= 1e-9 * np.max(np.abs(P.values))
 
     def test_zero_profile_zero_residual(self):
         W = FieldProfile.from_values(np.zeros(1024), 64.0)
@@ -159,27 +171,24 @@ class TestErrorNorms:
                           ("res1_norm", 1e-11), ("res2_norm", 1e-11)):
             assert getattr(got, name) == pytest.approx(getattr(ref, name), rel=rel, abs=0.0), name
 
-    def test_builds_each_field_once(self, soliton_p2, monkeypatch):
-        calls = {"build_p_epsilon": 0, "time_derivative": 0}
+    def test_forms_the_nonlinear_fields_once(self, soliton_p2, monkeypatch):
+        calls = []
 
-        def counting(name, fn):
-            def wrapped(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-            return wrapped
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return _nonlinear_fields(*args, **kwargs)
 
-        # rebind every fpukdv module attribute that holds either function
-        originals = {"build_p_epsilon": build_p_epsilon, "time_derivative": time_derivative}
+        # rebind every fpukdv module attribute that holds the builder, so
+        # build_p_epsilon and time_derivative would count too
         for key, mod in list(sys.modules.items()):
             if key == "fpukdv" or key.startswith("fpukdv."):
-                for name, fn in originals.items():
-                    if getattr(mod, name, None) is fn:
-                        monkeypatch.setattr(mod, name, counting(name, fn))
+                if getattr(mod, "_nonlinear_fields", None) is _nonlinear_fields:
+                    monkeypatch.setattr(mod, "_nonlinear_fields", counting)
         eps, N = 0.1, 640
         state = initial_lattice_data(soliton_p2, eps, 2, N)
-        calls.update(build_p_epsilon=0, time_derivative=0)
+        calls.clear()
         error_norms(state, soliton_p2, eps, 2, 5.0)
-        assert calls == {"build_p_epsilon": 1, "time_derivative": 1}
+        assert len(calls) == 1
 
 
 def combine(profiles_and_weights, like):
@@ -190,40 +199,44 @@ def combine(profiles_and_weights, like):
     return FieldProfile.from_coeffs(c, like.L)
 
 
-def _reference_p_epsilon(W, eps, p):
+def _reference_p_epsilon(W, eps, p, product_rule=False):
+    """The six-term P, its W^(p-1) W' term the grid product, or with
+    ``product_rule`` the derivative (W^p)'/p of the dealiased W^p."""
     dW = derivative(W, 1)
-    grad_term = FieldProfile.from_values(W.values ** (p - 1) * dW.values, W.L)
+    if product_rule:
+        grad_term = FieldProfile.from_coeffs(derivative(pointwise_power(W, p), 1).coeffs / p, W.L)
+    else:
+        grad_term = FieldProfile.from_values(W.values ** (p - 1) * dW.values, W.L)
     return combine([(-1.0, W), (0.5 * eps, dW), (-0.125 * eps**2, derivative(W, 2)),
                     (-0.5 * eps**2, pointwise_power(W, p)), (eps**3 / 48.0, derivative(W, 3)),
                     (0.25 * eps**3 * p, grad_term)], like=W)
 
 
 def _reference_p_tau(W, eps, p):
+    # the product p W^(p-1) G dealiased, and d/dtau[W^(p-1) W'] = (p W^(p-1) G)'/p
     G = time_derivative(W, p)
     dG = derivative(G, 1)
-    wpm1_G = FieldProfile.from_values(W.values ** (p - 1) * G.values, W.L)
-    chain3 = FieldProfile.from_values(
-        (p - 1) * W.values ** (p - 2) * derivative(W, 1).values * G.values
-        + W.values ** (p - 1) * dG.values, W.L)
+    p_wpm1_G = FieldProfile.from_coeffs(dealiased_rfft(p * W.values ** (p - 1) * G.values), W.L)
     return combine([(-1.0, G), (0.5 * eps, dG), (-0.125 * eps**2, derivative(G, 2)),
-                    (-0.5 * eps**2 * p, wpm1_G), (eps**3 / 48.0, derivative(G, 3)),
-                    (0.25 * eps**3 * p, chain3)], like=W)
+                    (-0.5 * eps**2, p_wpm1_G), (eps**3 / 48.0, derivative(G, 3)),
+                    (0.25 * eps**3, derivative(p_wpm1_G, 1))], like=W)
 
 
 def _reference_record(state, W, eps, p, t):
     """The record composed term by term: W sampled twice, P built three times
     (error parts, Res1, Res2) and W_tau twice (Res1, P_tau)."""
     N = state.N
-    P1 = _reference_p_epsilon(W, eps, p)
+    P1 = _reference_p_epsilon(W, eps, p, product_rule=True)
     res1 = combine([(eps, derivative(W, 1)), (-(eps**3), time_derivative(W, p)),
                     (1.0, translate(P1, eps)), (-1.0, P1)], like=W)
-    P2 = _reference_p_epsilon(W, eps, p)
+    P2 = _reference_p_epsilon(W, eps, p, product_rule=True)
     wp = pointwise_power(W, p)
     res2 = combine([(eps, derivative(P2, 1)), (-(eps**3), _reference_p_tau(W, eps, p)),
                     (1.0, W), (-1.0, translate(W, -eps)),
                     (eps**2, wp), (-(eps**2), translate(wp, -eps))], like=W)
     U = state.u - sample_to_lattice(W, eps, t, N)
-    Q = state.q - sample_to_lattice(_reference_p_epsilon(W, eps, p), eps, t, N)
+    Q = state.q - sample_to_lattice(_reference_p_epsilon(W, eps, p, product_rule=True),
+                                    eps, t, N)
     eq = energy_quantity(U, Q, W, eps, p, t)
     return ErrorRecord(
         t=t,

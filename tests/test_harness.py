@@ -21,7 +21,6 @@ from fpukdv.harness import (
     error_records_rows,
     fit_scaling_exponent,
     orbital_distance,
-    pairwise_exponent,
     run_error_scan,
     run_metastability,
     run_norm_growth,
@@ -31,6 +30,8 @@ from fpukdv.harness import (
     write_csv,
     write_summary_json,
 )
+
+from support import pairwise_exponent
 
 
 class TestTimeWindow:

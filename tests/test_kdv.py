@@ -9,7 +9,6 @@ from fpukdv.core import (
     ConfigurationError,
     FieldProfile,
     InvalidInputError,
-    grid_l2_norm,
     translate,
 )
 from fpukdv.kdv import (
@@ -26,6 +25,8 @@ from fpukdv.kdv import (
     track_norm_growth,
 )
 from fpukdv.kdv import _integrator as cached_integrator
+
+from support import grid_l2_norm, validate
 
 
 class _ComplexSpectrumEtdrk4:
@@ -173,7 +174,7 @@ class TestIntegrator:
         cfg = KdvRunConfig(p=p, L=L, M=M, dtau=1e-3)
         got = KdvIntegrator(cfg).run(W, n_steps)
         ref = _ComplexSpectrumEtdrk4(cfg).run(W, n_steps)
-        got.validate()
+        validate(got)
         assert np.max(np.abs(got.values - ref.values)) <= 1e-13 * np.max(np.abs(ref.values))
 
     def test_nyquist_mode_matches_complex_spectrum_reference(self):
@@ -195,7 +196,7 @@ class TestIntegrator:
         L, M = 64.0, 512
         W0 = soliton_profile(SolitonSpec(p=4, c=1.0, center=L / 2.0), L, M)
         W = KdvIntegrator(KdvRunConfig(p=4, L=L, M=M, dtau=2e-4)).run(W0, 400)
-        W.validate()
+        validate(W)
         assert W.coeffs[M // 2].imag == 0.0
 
     def test_soliton_translates_at_speed_c(self, soliton_p2):
