@@ -209,7 +209,7 @@ def _cmd_metastability(args) -> int:
     for cell in out["cells"]:
         write_csv(f"{args.out_dir}/metastability_p{args.p}_eps{cell['epsilon']}.csv",
                   ["t", "orbital_distance"],
-                  ([r["t"], r["orbital_distance"]] for r in cell["rows"]))
+                  ([r["t"], r["orbital_distance"]] for r in cell["records"]))
     write_summary_json(f"{args.out_dir}/metastability_p{args.p}.json", settings, [],
                        out["flags"], time.perf_counter() - t_start)
     summary = " ".join(

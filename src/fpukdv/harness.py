@@ -1,18 +1,20 @@
 """Experiment orchestration: epsilon sweeps, theorem time windows,
 scaling-exponent fits, metastability runs and persistence.
 
-An error scan runs one KdV solution per KdV window tau0 and shares it
-among the epsilon cells of that window, sampled in lockstep with one lattice
-run per cell.  The window is ExperimentSpec data: a fixed tau0 is one window
-for all cells, the extended window of theorem 1 or 2 is one per epsilon.
-With --jobs, whole windows (and metastability cells) go to worker processes,
-shared nothing; results are aggregated ordered by epsilon, so serial and
-concurrent execution produce identical output.
+Both lattice scans run the epsilon cells of one KdV window tau0 in lockstep
+with one reference run: the error scan records errors against a KdV run,
+metastability the orbital distance from W0, which stands still.  The window
+is ExperimentSpec data: a fixed tau0 is one window for all cells, the
+extended window of theorem 1 or 2 is one per epsilon.  With --jobs, whole
+windows go to worker processes, shared nothing; results are aggregated
+ordered by epsilon, so serial and concurrent execution produce identical
+output.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import os
@@ -20,7 +22,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .ansatz import build_p_epsilon, initial_lattice_data, seeded_perturbation
+from .ansatz import _momentum, initial_lattice_data, seeded_perturbation
 from .core import (
     DT_LATTICE,
     BlowUpError,
@@ -32,9 +34,10 @@ from .core import (
     l2_norm,
     sample_to_lattice,
 )
-from .diagnostics import error_norms, residual_profiles
+from .diagnostics import _residual_profiles, error_norms
 from .fpu import lattice_samples
-from .kdv import KdvRunConfig, SolitonSpec, kdv_samples, soliton_profile, track_norm_growth
+from .kdv import (KdvRunConfig, SolitonSpec, _nonlinear_fields, kdv_samples, soliton_profile,
+                  track_norm_growth)
 
 
 @dataclass(frozen=True)
@@ -68,6 +71,8 @@ class ExperimentSpec:
             raise InvalidInputError(f"theorem must be 1 or 2, got {self.theorem}")
         if not (self.tau0 is None or self.tau0 > 0.0):
             raise InvalidInputError(f"tau0 must be positive, got {self.tau0}")
+        if self.n_samples < 1:
+            raise InvalidInputError(f"sampling needs n_samples >= 1, got {self.n_samples}")
         if not (self.perturbation_size is None or self.perturbation_size >= 0.0):
             raise InvalidInputError(f"perturbation size {self.perturbation_size} is not >= 0")
         if not 0.0 < self.r < 0.5:
@@ -167,12 +172,14 @@ def run_residual_scan(spec: ExperimentSpec) -> dict:
 
     Res1 is the defect of the truncated first lattice equation, so one
     profile gives both its lattice l2 norm and its grid sup (truncation_sup).
+    The nonlinear fields of W0 do not depend on epsilon: formed once.
     """
     W0 = _initial_profile(spec)
+    fields = _nonlinear_fields(W0, spec.p)
     rows = []
     for eps in spec.epsilons:
         N = _lattice_size(spec, eps)
-        res1, res2 = residual_profiles(W0, build_p_epsilon(W0, eps, spec.p), eps, spec.p)
+        res1, res2 = _residual_profiles(W0, fields, _momentum(W0, fields.N, eps), eps, spec.p)
         rows.append({"epsilon": eps,
                      "res1_l2": l2_norm(sample_to_lattice(res1, eps, 0.0, N)),
                      "res2_l2": l2_norm(sample_to_lattice(res2, eps, 0.0, N)),
@@ -186,33 +193,8 @@ def run_residual_scan(spec: ExperimentSpec) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# lattice cells
+# lattice cells: one window's epsilons, sampled in lockstep with a reference
 # ---------------------------------------------------------------------------
-
-def _cell_start(spec: ExperimentSpec, epsilon: float):
-    """(params, W0, state, delta) of a lattice cell: the initial profile W0,
-    its sampled ansatz and, in random mode, a seeded perturbation of l2 size
-    delta added to it."""
-    N = _lattice_size(spec, epsilon)
-    params = ModelParams(p=spec.p, epsilon=epsilon, L=spec.L, N=N, dt_lattice=spec.dt_lattice)
-    W0 = _initial_profile(spec)
-    delta = spec.perturbation_size if spec.perturbation_size is not None else epsilon**1.5
-    perturbation = None
-    if spec.perturbation_mode == "random":
-        perturbation = seeded_perturbation(N, delta, spec.seed)
-    state = initial_lattice_data(W0, epsilon, spec.p, N, perturbation)
-    return params, W0, state, delta
-
-
-# ---------------------------------------------------------------------------
-# error scan (KdV-time window or theorem windows)
-# ---------------------------------------------------------------------------
-
-def _blow_up(flags: dict, exc: BlowUpError) -> None:
-    """Flag a cell's blow-up; the records taken before it stay."""
-    flags["blow_up"] = True
-    flags["error"] = f"{type(exc).__name__}: {exc}"
-
 
 def _kdv_windows(spec: ExperimentSpec) -> list[tuple]:
     """The epsilons grouped by their KdV window tau0, in epsilon order: one
@@ -223,46 +205,70 @@ def _kdv_windows(spec: ExperimentSpec) -> list[tuple]:
     return [tuple(group) for group in groups.values()]
 
 
-def _error_scan_window(spec: ExperimentSpec, epsilons: tuple) -> list[dict]:
-    """The cells of epsilons that share one KdV window: one KdV run, sampled
-    in lockstep with one lattice run per epsilon, and at each sample an
-    error record for every cell still running.  Only the current KdV sample
-    is held.
+def _run_window(spec: ExperimentSpec, epsilons: tuple, measurement, reference) -> list[dict]:
+    """The cells of epsilons that share one window tau0: each a lattice run
+    from the sampled ansatz of W0 (plus, in random mode, a seeded
+    perturbation of l2 size delta), all advanced in lockstep with one
+    reference run of (tau, W) = reference(spec, W0, tau0), of which only the
+    current sample is held.  At every sample each running cell appends
+    record(t, state, W) to its records, record = measurement(spec, W0, eps, N).
 
-    A lattice blow-up ends its own cell; a KdV blow-up ends every cell
-    still running.  Either way a flagged cell keeps the records taken
-    before it.
+    A lattice blow-up ends its own cell; a reference blow-up ends every cell
+    still running.  Either way a flagged cell keeps the records before it.
     """
+    W0 = _initial_profile(spec)
     cells, running = [], []
-    for eps in epsilons:  # every cell of the window has the same W0 and tau0
-        params, W0, state, _ = _cell_start(spec, eps)
+    for eps in epsilons:  # every cell of the window has the same tau0
+        N = _lattice_size(spec, eps)
+        params = ModelParams(p=spec.p, epsilon=eps, L=spec.L, N=N, dt_lattice=spec.dt_lattice)
         t0, tau0 = _window_for(spec, eps)
-        cell = {"epsilon": eps, "t0": t0, "tau0": tau0, "records": [],
+        delta = spec.perturbation_size if spec.perturbation_size is not None else eps**1.5
+        perturbation = (seeded_perturbation(N, delta, spec.seed)
+                        if spec.perturbation_mode == "random" else None)
+        state = initial_lattice_data(W0, eps, spec.p, N, perturbation)
+        cell = {"epsilon": eps, "t0": t0, "tau0": tau0, "delta": delta, "records": [],
                 "flags": {"blow_up": False}}
         cells.append(cell)
-        running.append((cell, lattice_samples(state, params, t0, spec.n_samples)))
-    kcfg = KdvRunConfig(p=spec.p, L=spec.L, M=spec.M, dtau=spec.dtau_kdv)
-    kdv_run = kdv_samples(W0, kcfg, tau0, spec.n_samples)
+        running.append((cell, measurement(spec, W0, eps, N),
+                        lattice_samples(state, params, t0, spec.n_samples)))
+    reference_run = reference(spec, W0, tau0)
 
     for _ in range(spec.n_samples + 1):
-        sampled = []
-        for cell, lattice in running:
+        sampled, ended = [], []
+        for cell, record, lattice in running:
             try:
-                sampled.append((cell, lattice, next(lattice)))
+                sampled.append((cell, record, lattice, next(lattice)))
             except BlowUpError as exc:  # a blow-up goes into the table; bugs propagate
-                _blow_up(cell["flags"], exc)
-        running = [(cell, lattice) for cell, lattice, _ in sampled]
-        if not running:
-            break
-        try:
-            _, W = next(kdv_run)
-        except BlowUpError as exc:
-            for cell, _ in running:
-                _blow_up(cell["flags"], exc)
-            break
-        for cell, _, (t, state) in sampled:
-            cell["records"].append(error_norms(state, W, cell["epsilon"], spec.p, t))
+                ended.append((cell, exc))
+        if sampled:
+            try:
+                _, W = next(reference_run)
+            except BlowUpError as exc:
+                ended += [(cell, exc) for cell, *_ in sampled]
+                sampled = []
+        for cell, exc in ended:
+            cell["flags"].update(blow_up=True, error=f"{type(exc).__name__}: {exc}")
+        for cell, record, _, (t, state) in sampled:
+            cell["records"].append(record(t, state, W))
+        running = [(cell, record, lattice) for cell, record, lattice, _ in sampled]
+    return cells
 
+
+# ---------------------------------------------------------------------------
+# error scan: the cells against one KdV run per window
+# ---------------------------------------------------------------------------
+
+def _kdv_reference(spec: ExperimentSpec, W0: FieldProfile, tau0: float):
+    kcfg = KdvRunConfig(p=spec.p, L=spec.L, M=spec.M, dtau=spec.dtau_kdv)
+    return kdv_samples(W0, kcfg, tau0, spec.n_samples)
+
+
+def _error_measurement(spec: ExperimentSpec, W0: FieldProfile, epsilon: float, N: int):
+    return lambda t, state, W: error_norms(state, W, epsilon, spec.p, t)
+
+
+def _error_scan_window(spec: ExperimentSpec, epsilons: tuple) -> list[dict]:
+    cells = _run_window(spec, epsilons, _error_measurement, _kdv_reference)
     for cell in cells:
         records = cell["records"]
         cell["sup_error"] = max(rec.err_u + rec.err_du for rec in records)
@@ -272,8 +278,7 @@ def _error_scan_window(spec: ExperimentSpec, epsilons: tuple) -> list[dict]:
 
 def run_error_scan(spec: ExperimentSpec, jobs: int = 1) -> dict:
     """Sweep epsilons, tracking sup_{|t| <= t0} of the error norms."""
-    cells = [cell for window in _run_cells(_error_scan_window, spec, _kdv_windows(spec), jobs)
-             for cell in window]
+    cells = _run_cells(_error_scan_window, spec, _kdv_windows(spec), jobs)
     points = [(c["epsilon"], c["sup_error"]) for c in cells]
     fits = {}
     if len(points) >= 3 and all(v > 0.0 for _, v in points):
@@ -283,7 +288,7 @@ def run_error_scan(spec: ExperimentSpec, jobs: int = 1) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# metastability
+# metastability: the cells against W0 standing still
 # ---------------------------------------------------------------------------
 
 def orbital_distance(u: np.ndarray, u_ref: np.ndarray) -> float:
@@ -303,36 +308,28 @@ def orbital_distance(u: np.ndarray, u_ref: np.ndarray) -> float:
     return float(math.sqrt(max(dmin, 0.0)))
 
 
-def _metastability_cell(spec: ExperimentSpec, epsilon: float) -> dict:
-    params, W0, state, delta = _cell_start(spec, epsilon)
-    t0, tau0 = _window_for(spec, epsilon)
-    u_ref = sample_to_lattice(W0, epsilon, 0.0, params.N)
+def _still_reference(spec: ExperimentSpec, W0: FieldProfile, tau0: float):
+    return itertools.repeat((0.0, W0))
 
-    rows = []
-    flags = {"blow_up": False, "growth": False}
-    try:
-        for t, state in lattice_samples(state, params, t0, spec.n_samples):
-            rows.append({"t": t, "orbital_distance": orbital_distance(state.u, u_ref)})
-    except BlowUpError as exc:
-        _blow_up(flags, exc)
 
-    sup_dist = max(r["orbital_distance"] for r in rows)
-    if rows[-1]["orbital_distance"] > 10.0 * max(rows[0]["orbital_distance"], delta):
-        flags["growth"] = True
-    return {
-        "epsilon": epsilon,
-        "t0": t0,
-        "tau0": tau0,
-        "delta": delta,
-        "sup_orbital_distance": sup_dist,
-        "sup_over_delta": sup_dist / delta if delta > 0.0 else float("inf"),
-        "rows": rows,
-        "flags": flags,
-    }
+def _orbital_measurement(spec: ExperimentSpec, W0: FieldProfile, epsilon: float, N: int):
+    u_ref = sample_to_lattice(W0, epsilon, 0.0, N)
+    return lambda t, state, W: {"t": t, "orbital_distance": orbital_distance(state.u, u_ref)}
+
+
+def _metastability_window(spec: ExperimentSpec, epsilons: tuple) -> list[dict]:
+    cells = _run_window(spec, epsilons, _orbital_measurement, _still_reference)
+    for cell in cells:
+        dists = [rec["orbital_distance"] for rec in cell["records"]]
+        delta = cell["delta"]
+        cell["sup_orbital_distance"] = max(dists)
+        cell["sup_over_delta"] = max(dists) / delta if delta > 0.0 else float("inf")
+        cell["flags"]["growth"] = dists[-1] > 10.0 * max(dists[0], delta)
+    return cells
 
 
 def run_metastability(spec: ExperimentSpec, jobs: int = 1) -> dict:
-    cells = _run_cells(_metastability_cell, spec, spec.epsilons, jobs)
+    cells = _run_cells(_metastability_window, spec, _kdv_windows(spec), jobs)
     return {"cells": cells, "flags": {c["epsilon"]: c["flags"] for c in cells}}
 
 
@@ -364,16 +361,18 @@ def run_norm_growth(spec: ExperimentSpec) -> dict:
 # sweep execution and persistence
 # ---------------------------------------------------------------------------
 
-def _run_cells(fn, spec: ExperimentSpec, units, jobs: int) -> list:
-    """[fn(spec, unit) for unit in units], in up to ``jobs`` worker processes
-    when there is more than one unit; results keep the order of units."""
-    if jobs <= 1 or len(units) == 1:
-        return [fn(spec, unit) for unit in units]
+def _run_cells(fn, spec: ExperimentSpec, windows, jobs: int) -> list:
+    """The cells of fn(spec, window) for each window, in up to ``jobs``
+    worker processes when there is more than one window; cells keep the
+    order of windows."""
+    if jobs <= 1 or len(windows) == 1:
+        return [cell for window in windows for cell in fn(spec, window)]
     # imported here: a serial run never pays for loading multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, [spec] * len(units), units))
+        return [cell for cells in pool.map(fn, [spec] * len(windows), windows)
+                for cell in cells]
 
 
 def _fmt(x) -> str:

@@ -1,13 +1,34 @@
 """Helpers that only tests call: a grid norm, a two-point exponent, the
-dealiased integer power of a profile, the rfft-pair check of a profile, and
-the empirical constant of the paper's energy-derivative estimate."""
+dealiased integer power of a profile, the rfft-pair check of a profile, the
+empirical constant of the paper's energy-derivative estimate, and a counter
+of nonlinear-field builds."""
 
 import math
+import sys
 
 import numpy as np
 
+from fpukdv import kdv
 from fpukdv.core import FieldProfile, InvalidInputError, dealias_mask
 from fpukdv.kernels import int_power
+
+
+def count_nonlinear_field_builds(monkeypatch) -> list:
+    """Rebind kdv._nonlinear_fields to a counting wrapper in every fpukdv
+    module that holds it, so a build anywhere in the package counts; the
+    returned list gains one entry per build."""
+    build = kdv._nonlinear_fields
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return build(*args, **kwargs)
+
+    for key, mod in list(sys.modules.items()):
+        if key == "fpukdv" or key.startswith("fpukdv."):
+            if getattr(mod, "_nonlinear_fields", None) is build:
+                monkeypatch.setattr(mod, "_nonlinear_fields", counting)
+    return calls
 
 
 def validate(W: FieldProfile, rtol=1.0e-12) -> None:

@@ -227,6 +227,14 @@ class TestExitCodes:
         assert "n_samples >= 1" in err
         assert not list(tmp_path.glob("*.csv"))
 
+    def test_negative_sample_count(self, capsys, tmp_path):
+        # a scan with no samples used to end in a traceback from max([])
+        code, _, err = run_cli(["error-scan", "--eps", "0.2", "--tau0", "0.01",
+                                "--n-samples", "-1", "--out-dir", str(tmp_path)], capsys)
+        assert code == 1
+        assert "configuration error" in err and "n_samples >= 1" in err
+        assert "Traceback" not in err
+
 
 class TestFit:
     def test_fit_command(self, tmp_path, capsys):

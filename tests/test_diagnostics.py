@@ -1,5 +1,3 @@
-import sys
-
 import numpy as np
 import pytest
 
@@ -21,10 +19,10 @@ from fpukdv.diagnostics import (
 )
 from fpukdv.fpu import fpu_energy
 from fpukdv.harness import fit_scaling_exponent
-from fpukdv.kdv import SolitonSpec, _nonlinear_fields, soliton_profile, time_derivative
+from fpukdv.kdv import SolitonSpec, soliton_profile, time_derivative
 from fpukdv.kernels import forward_diff
 
-from support import check_energy_derivative_bound, pointwise_power
+from support import check_energy_derivative_bound, count_nonlinear_field_builds, pointwise_power
 
 
 class TestResiduals:
@@ -172,18 +170,8 @@ class TestErrorNorms:
             assert getattr(got, name) == pytest.approx(getattr(ref, name), rel=rel, abs=0.0), name
 
     def test_forms_the_nonlinear_fields_once(self, soliton_p2, monkeypatch):
-        calls = []
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return _nonlinear_fields(*args, **kwargs)
-
-        # rebind every fpukdv module attribute that holds the builder, so
         # build_p_epsilon and time_derivative would count too
-        for key, mod in list(sys.modules.items()):
-            if key == "fpukdv" or key.startswith("fpukdv."):
-                if getattr(mod, "_nonlinear_fields", None) is _nonlinear_fields:
-                    monkeypatch.setattr(mod, "_nonlinear_fields", counting)
+        calls = count_nonlinear_field_builds(monkeypatch)
         eps, N = 0.1, 640
         state = initial_lattice_data(soliton_p2, eps, 2, N)
         calls.clear()

@@ -31,7 +31,7 @@ from fpukdv.harness import (
     write_summary_json,
 )
 
-from support import pairwise_exponent
+from support import count_nonlinear_field_builds, pairwise_exponent
 
 
 class TestTimeWindow:
@@ -145,8 +145,9 @@ class TestExperimentSpecValidation:
 
     @pytest.mark.parametrize("kwargs", [
         dict(theorem=3), dict(tau0=0.0), dict(tau0=float("nan")),
-        dict(perturbation_size=-0.01),
-    ], ids=["theorem-3", "tau0-zero", "tau0-nan", "negative-perturbation"])
+        dict(perturbation_size=-0.01), dict(n_samples=0), dict(n_samples=-1),
+    ], ids=["theorem-3", "tau0-zero", "tau0-nan", "negative-perturbation",
+            "no-samples", "negative-samples"])
     def test_out_of_range(self, kwargs):
         with pytest.raises(InvalidInputError):
             ExperimentSpec(**kwargs)
@@ -168,23 +169,31 @@ class TestRunners:
         assert out["fits"]["res2"].slope == pytest.approx(4.5, abs=0.3)
         assert out["fits"]["truncation"].slope == pytest.approx(5.0, abs=0.3)
 
+    def test_residual_scan_forms_the_nonlinear_fields_once(self, monkeypatch):
+        # a build inside build_p_epsilon or residual_profiles would count too
+        calls = count_nonlinear_field_builds(monkeypatch)
+        run_residual_scan(ExperimentSpec(p=2, epsilons=(0.2, 0.1, 0.05)))
+        assert len(calls) == 1
+
     def test_error_scan_serial_parallel_identical(self):
-        for spec, windows in (
-            # a fixed tau0 is one KdV window, so jobs=2 runs it in this process
-            (ExperimentSpec(p=2, epsilons=(0.2, 0.1), tau0=0.05,
-                            n_samples=4), 1),
-            # a theorem window is one per epsilon, so jobs=2 starts two workers
-            (ExperimentSpec(p=2, epsilons=(0.2, 0.1), r=0.01,
-                            n_samples=4), 2),
+        # a fixed tau0 is one KdV window, so jobs=2 runs it in this process;
+        # a theorem window is one per epsilon, so jobs=2 starts two workers
+        fixed = ExperimentSpec(p=2, epsilons=(0.2, 0.1), tau0=0.05, n_samples=4)
+        theorem = ExperimentSpec(p=2, epsilons=(0.2, 0.1), r=0.01, n_samples=4)
+        perturbed = dict(perturbation_mode="random", seed=42)
+        for run, spec, windows in (
+            (run_error_scan, fixed, 1),
+            (run_error_scan, theorem, 2),
+            (run_metastability, replace(fixed, **perturbed), 1),
+            (run_metastability, replace(theorem, **perturbed), 2),
         ):
             assert len(_kdv_windows(spec)) == windows
-            a = run_error_scan(spec, jobs=1)
-            b = run_error_scan(spec, jobs=2)
+            a = run(spec, jobs=1)
+            b = run(spec, jobs=2)
             assert [c["epsilon"] for c in a["cells"]] == list(spec.epsilons)
             for ca, cb in zip(a["cells"], b["cells"], strict=True):
-                assert ca["epsilon"] == cb["epsilon"]
-                assert ca["sup_error"] == cb["sup_error"]
-                assert ca["records"] == cb["records"]
+                assert len(ca["records"]) == spec.n_samples + 1
+                assert ca == cb  # records, summaries and flags; floats bitwise
 
     def test_error_scan_no_coercivity_violations(self):
         spec = ExperimentSpec(p=2, epsilons=(0.1,),
@@ -297,17 +306,25 @@ class TestFailureClassification:
 
 
 class TestSharedKdvWindow:
-    """The eps cells of one KdV window share one KdV run, in lockstep."""
+    """The eps cells of one KdV window share one KdV run, in lockstep; a
+    metastability window runs its cells in the same lockstep against W0."""
 
     SPEC = ExperimentSpec(p=2, epsilons=(0.2, 0.1), tau0=0.02, n_samples=3)
+    # (runner, spec, the record's time): metastability cells start perturbed
+    RUNS = (
+        (run_error_scan, SPEC, lambda rec: rec.t),
+        (run_metastability, replace(SPEC, perturbation_mode="random", seed=42),
+         lambda rec: rec["t"]),
+    )
 
     def test_cells_equal_single_epsilon_runs(self):
-        shared = run_error_scan(self.SPEC)["cells"]
-        for cell in shared:
-            alone = run_error_scan(replace(self.SPEC, epsilons=(cell["epsilon"],)))["cells"][0]
-            assert cell["records"] == alone["records"]  # dataclass ==: bitwise float equality
-            assert cell["t0"] == alone["t0"] and cell["tau0"] == alone["tau0"]
-            assert cell["sup_error"] == alone["sup_error"]
+        for run, spec, _ in self.RUNS:
+            shared = run(spec)["cells"]
+            assert len(shared) == 2
+            for cell in shared:
+                alone = run(replace(spec, epsilons=(cell["epsilon"],)))["cells"][0]
+                assert len(cell["records"]) == spec.n_samples + 1
+                assert cell == alone  # records (floats bitwise), window, summaries, flags
 
     def test_one_kdv_run_per_window(self, monkeypatch):
         integrate = kdv.kdv_integrate
@@ -332,13 +349,13 @@ class TestSharedKdvWindow:
             return integrate(state, cfg)
 
         monkeypatch.setattr(fpu, "fpu_integrate", blow_up_one_cell)
-        good, blown = run_error_scan(self.SPEC)["cells"]
-        assert not good["flags"]["blow_up"]
-        assert len(good["records"]) == self.SPEC.n_samples + 1
-        assert good["records"] == run_error_scan(
-            replace(self.SPEC, epsilons=(0.2,)))["cells"][0]["records"]
-        assert blown["flags"]["blow_up"] and "guard" in blown["flags"]["error"]
-        assert [r.t for r in blown["records"]] == [0.0]
+        for run, spec, time_of in self.RUNS:
+            good, blown = run(spec)["cells"]
+            assert not good["flags"]["blow_up"]
+            assert len(good["records"]) == spec.n_samples + 1
+            assert good["records"] == run(replace(spec, epsilons=(0.2,)))["cells"][0]["records"]
+            assert blown["flags"]["blow_up"] and "guard" in blown["flags"]["error"]
+            assert [time_of(r) for r in blown["records"]] == [0.0]
 
     def test_kdv_blowup_flags_every_cell(self, monkeypatch):
         integrate = kdv.kdv_integrate
