@@ -13,7 +13,8 @@ from .core import (
     sample_to_lattice,
     sobolev_norm,
 )
-from .kdv import KdvIntegrator, KdvRunConfig, SolitonSpec, kdv_integrate, soliton_profile
+from .kdv import (KdvIntegrator, KdvRunConfig, SolitonSpec, kdv_integrate, nonlinear_fields,
+                  soliton_profile)
 from .fpu import FpuRunConfig, fpu_energy, fpu_integrate, traveling_wave_initializer
 from .ansatz import build_p_epsilon, initial_lattice_data
 from .diagnostics import energy_quantity, error_norms, residual_snapshot
@@ -52,6 +53,7 @@ __all__ = [
     "initial_lattice_data",
     "kdv_integrate",
     "l2_norm",
+    "nonlinear_fields",
     "residual_snapshot",
     "run_error_scan",
     "run_metastability",

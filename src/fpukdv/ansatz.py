@@ -12,8 +12,10 @@ and the dealiased N^ = (W^p)^ (z = i e k):
 
     P^ = s(z) W^ + (1/4) e^2 (z - 2) N^,   s(z) = -1 + z/2 - z^2/8 + z^3/48.
 
-All slow-time derivatives are eliminated analytically through the KdV
-equation before discretization; nothing is finite-differenced in tau.
+``build_p_epsilon`` takes N^ from ``kdv.nonlinear_fields``; on G = W_tau and
+the dealiased p W^(p-1) G it gives P_tau.  All slow-time derivatives are
+eliminated analytically through the KdV equation before discretization;
+nothing is finite-differenced in tau.
 """
 
 from __future__ import annotations
@@ -27,28 +29,18 @@ from .core import (
     LatticeState,
     sample_to_lattice,
 )
-from .kdv import _nonlinear_fields
+from .kdv import nonlinear_fields
 
 
-def _momentum_series(V: np.ndarray, N: np.ndarray, z: np.ndarray, epsilon: float) -> np.ndarray:
-    """s(z) V^ + (1/4) e^2 (z - 2) N^: P^ for (V, N) = (W, W^p), and its
-    tau-derivative for (W_tau, p W^(p-1) W_tau), since
+def build_p_epsilon(W: FieldProfile, N: np.ndarray, epsilon: float) -> FieldProfile:
+    """P_eps from W and the dealiased spectrum N^ of W^p; on (W_tau, the
+    dealiased p W^(p-1) W_tau) it is P_tau, since
     d/dtau[W^(p-1) W'] = (W^(p-1) W_tau)'."""
-    s = -1.0 + z * (0.5 + z * (-0.125 + z / 48.0))
-    return s * V + 0.25 * epsilon**2 * (z - 2.0) * N
-
-
-def _momentum(W: FieldProfile, N: np.ndarray, epsilon: float) -> FieldProfile:
-    """P_eps from W and the dealiased spectrum N^ of W^p."""
     if not 0.0 < epsilon < 1.0:
         raise InvalidInputError(f"epsilon must be in (0, 1), got {epsilon}")
     z = 1j * epsilon * W.wavenumbers()
-    return FieldProfile.from_coeffs(_momentum_series(W.coeffs, N, z, epsilon), W.L)
-
-
-def build_p_epsilon(W: FieldProfile, epsilon: float, p: int) -> FieldProfile:
-    """The six-term momentum correction, computed spectrally (dealiased W^p)."""
-    return _momentum(W, _nonlinear_fields(W, p).N, epsilon)
+    s = -1.0 + z * (0.5 + z * (-0.125 + z / 48.0))
+    return FieldProfile.from_coeffs(s * W.coeffs + 0.25 * epsilon**2 * (z - 2.0) * N, W.L)
 
 
 def seeded_perturbation(N: int, size: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -71,7 +63,7 @@ def initial_lattice_data(
 ) -> LatticeState:
     """Sample the ansatz at t = 0, optionally adding an l2-bounded perturbation."""
     u = sample_to_lattice(W0, epsilon, 0.0, N)
-    q = sample_to_lattice(build_p_epsilon(W0, epsilon, p), epsilon, 0.0, N)
+    q = sample_to_lattice(build_p_epsilon(W0, nonlinear_fields(W0, p).N, epsilon), epsilon, 0.0, N)
     if perturbation is not None:
         du, dq = perturbation
         size = float(np.sqrt(np.dot(du, du) + np.dot(dq, dq)))

@@ -13,10 +13,10 @@ Conventions:
     dealiasing rule, the 2/3 rule of ``dealias_mask`` (which zeroes c_{M/2}
     too): through ``dealiased_rfft``, or in the ETDRK4 stage with the mask
     folded into the step's coefficients;
-  * the half-spectrum is the profile: derivatives, translates, the ansatz
-    and its residuals (Fourier multipliers on it) and the integrators work
-    on it, and the grid values are formed on demand, by one irfft the first
-    time ``FieldProfile.values`` is read;
+  * the half-spectrum is the profile: derivatives, the ansatz and its
+    residuals (Fourier multipliers on it, lattice shifts included) and the
+    integrators work on it, and the grid values are formed on demand, by
+    one irfft the first time ``FieldProfile.values`` is read;
   * the periodic lattice has N sites with N*epsilon = L, so the moving
     frame xi = epsilon*(n - t) wraps consistently;
   * both solvers keep time by one rule, ``uniform_samples``: a run over
@@ -77,7 +77,7 @@ class ModelParams:
                 f"N*epsilon = {self.N * self.epsilon} must equal L = {self.L} "
                 "(moving-frame wrap consistency)"
             )
-        if self.dt_lattice <= 0.0:
+        if not self.dt_lattice > 0.0:
             raise InvalidInputError("the lattice time step must be positive")
 
 
@@ -207,12 +207,6 @@ def uniform_samples(advance, x, t_end: float, n_samples: int, dt_max: float):
 def derivative(W: FieldProfile, order: int = 1) -> FieldProfile:
     """Spectral derivative; odd orders vanish at Nyquist (see from_coeffs)."""
     c = W.coeffs * (1j * W.wavenumbers()) ** order
-    return FieldProfile.from_coeffs(c, W.L)
-
-
-def translate(W: FieldProfile, delta: float) -> FieldProfile:
-    """Profile V with V(xi) = W(xi + delta), done by spectral phase shift."""
-    c = W.coeffs * np.exp(1j * W.wavenumbers() * delta)
     return FieldProfile.from_coeffs(c, W.L)
 
 

@@ -5,9 +5,11 @@ Both residuals are formed as continuum profiles (all tau-derivatives
 eliminated through the KdV equation), each as one expression over
 half-spectra in which derivatives and lattice shifts are Fourier
 multipliers, and then sampled at the moving-frame lattice points, which
-keeps the measurable e^(9/2) scaling clean.  They read two spectra besides
-W^ and P^: N^ = (W^p)^ and the momentum series of (G, p W^(p-1) G) with
-G = W_tau, both products dealiased; one record forms them once.
+keeps the measurable e^(9/2) scaling clean.  Each formula is one function
+that takes the fields it reads: ``residual_profiles`` takes W's nonlinear
+fields (``kdv.nonlinear_fields``) and P (``ansatz.build_p_epsilon``, which
+also gives P_tau), and ``residual_snapshot`` samples both profiles; one
+``error_norms`` record forms the fields and P once.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ansatz import _momentum, _momentum_series, decompose
+from .ansatz import build_p_epsilon, decompose
 from .core import (
     ErrorRecord,
     FieldProfile,
@@ -27,14 +29,8 @@ from .core import (
     sample_to_lattice,
 )
 from .fpu import fpu_energy
-from .kdv import NonlinearFields, _nonlinear_fields
+from .kdv import NonlinearFields, nonlinear_fields
 from .kernels import int_power
-
-
-@dataclass(frozen=True)
-class ResidualSnapshot:
-    res1_l2: float
-    res2_l2: float
 
 
 @dataclass(frozen=True)
@@ -44,30 +40,17 @@ class EnergyQuantity:
     coercivity_lhs: float
 
 
-def _residual_profiles(
+def residual_profiles(
     W: FieldProfile, fields: NonlinearFields, P: FieldProfile, epsilon: float, p: int
 ) -> tuple[FieldProfile, FieldProfile]:
-    """(Res1, Res2) from W, its nonlinear fields (N^, G, W^(p-1)) and P."""
-    z = 1j * epsilon * W.wavenumbers()
-    G = fields.G
-    p_tau = _momentum_series(G.coeffs, dealiased_rfft(p * fields.wpm1 * G.values), z, epsilon)
-    res1 = z * W.coeffs - epsilon**3 * G.coeffs + np.expm1(z) * P.coeffs
-    res2 = (z * P.coeffs - epsilon**3 * p_tau
-            - np.expm1(-z) * (W.coeffs + epsilon**2 * fields.N))
-    return FieldProfile.from_coeffs(res1, W.L), FieldProfile.from_coeffs(res2, W.L)
-
-
-def residual_profiles(
-    W: FieldProfile, P: FieldProfile, epsilon: float, p: int
-) -> tuple[FieldProfile, FieldProfile]:
-    """(Res1, Res2) as continuum profiles, given W and its momentum P:
+    """(Res1, Res2) as continuum profiles, given W, its nonlinear fields
+    (W^(p-1), N^ = (W^p)^, G = W_tau) and its momentum P:
 
         Res1 = e W' - e^3 W_tau + P(.+e) - P(.),
         Res2 = e P' - e^3 P_tau + W - W(.-e) + e^2 [W^p - W^p(.-e)].
 
     Res1 is the defect of the truncated first lattice equation, of formal
-    order e^5 for a KdV solution snapshot.  On half-spectra, with z = i e k,
-    G = W_tau (from the KdV equation) and N = W^p (dealiased):
+    order e^5 for a KdV solution snapshot.  On half-spectra, with z = i e k:
 
         Res1^ = z W^ - e^3 G^ + (e^z - 1) P^,
         Res2^ = z P^ - e^3 P_tau^ + (1 - e^-z) (W^ + e^2 N^),
@@ -76,20 +59,18 @@ def residual_profiles(
     dealiased like N.  The shift symbols are taken by expm1, which keeps
     e^z - 1 accurate where e k is small.
     """
-    return _residual_profiles(W, _nonlinear_fields(W, p), P, epsilon, p)
+    z = 1j * epsilon * W.wavenumbers()
+    G = fields.G
+    P_tau = build_p_epsilon(G, dealiased_rfft(p * fields.wpm1 * G.values), epsilon)
+    res1 = z * W.coeffs - epsilon**3 * G.coeffs + np.expm1(z) * P.coeffs
+    res2 = (z * P.coeffs - epsilon**3 * P_tau.coeffs
+            - np.expm1(-z) * (W.coeffs + epsilon**2 * fields.N))
+    return FieldProfile.from_coeffs(res1, W.L), FieldProfile.from_coeffs(res2, W.L)
 
 
-def _snapshot(profiles, epsilon: float, t: float, N: int) -> ResidualSnapshot:
-    res1, res2 = profiles
-    return ResidualSnapshot(res1_l2=l2_norm(sample_to_lattice(res1, epsilon, t, N)),
-                            res2_l2=l2_norm(sample_to_lattice(res2, epsilon, t, N)))
-
-
-def residual_snapshot(
-    W: FieldProfile, P: FieldProfile, epsilon: float, p: int, t: float, N: int
-) -> ResidualSnapshot:
-    """l2 norms of Res1 and Res2 at the lattice points eps*(n - t)."""
-    return _snapshot(residual_profiles(W, P, epsilon, p), epsilon, t, N)
+def residual_snapshot(profiles, epsilon: float, t: float, N: int) -> tuple[float, float]:
+    """l2 norms of the profiles (Res1, Res2) at the lattice points eps*(n - t)."""
+    return tuple(l2_norm(sample_to_lattice(res, epsilon, t, N)) for res in profiles)
 
 
 def energy_quantity(
@@ -124,19 +105,20 @@ def error_norms(state: LatticeState, W: FieldProfile, epsilon: float, p: int, t:
     are shared by the error parts and the residuals.
     """
     N = state.N
-    fields = _nonlinear_fields(W, p)
-    P = _momentum(W, fields.N, epsilon)
+    fields = nonlinear_fields(W, p)
+    P = build_p_epsilon(W, fields.N, epsilon)
     U, Q = decompose(state, W, P, epsilon, t)
     err_du = l2_norm(state.udot() + epsilon * sample_to_lattice(derivative(W, 1), epsilon, t, N))
     eq = energy_quantity(U, Q, W, epsilon, p, t)
-    snap = _snapshot(_residual_profiles(W, fields, P, epsilon, p), epsilon, t, N)
+    res1_l2, res2_l2 = residual_snapshot(residual_profiles(W, fields, P, epsilon, p),
+                                         epsilon, t, N)
     return ErrorRecord(
         t=t,
         err_u=l2_norm(U),
         err_du=err_du,
         energy_quantity=eq.E,
-        res1_norm=snap.res1_l2,
-        res2_norm=snap.res2_l2,
+        res1_norm=res1_l2,
+        res2_norm=res2_l2,
         H_lattice=fpu_energy(state, epsilon, p),
         coercivity_lhs=eq.coercivity_lhs,
         coercivity_ok=eq.coercivity_ok,

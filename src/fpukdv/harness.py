@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .ansatz import _momentum, initial_lattice_data, seeded_perturbation
+from .ansatz import build_p_epsilon, initial_lattice_data, seeded_perturbation
 from .core import (
     DT_LATTICE,
     BlowUpError,
@@ -31,12 +31,11 @@ from .core import (
     FieldProfile,
     InvalidInputError,
     ModelParams,
-    l2_norm,
     sample_to_lattice,
 )
-from .diagnostics import _residual_profiles, error_norms
+from .diagnostics import error_norms, residual_profiles, residual_snapshot
 from .fpu import lattice_samples
-from .kdv import (KdvRunConfig, SolitonSpec, _nonlinear_fields, kdv_samples, soliton_profile,
+from .kdv import (KdvRunConfig, SolitonSpec, kdv_samples, nonlinear_fields, soliton_profile,
                   track_norm_growth)
 
 
@@ -175,15 +174,13 @@ def run_residual_scan(spec: ExperimentSpec) -> dict:
     The nonlinear fields of W0 do not depend on epsilon: formed once.
     """
     W0 = _initial_profile(spec)
-    fields = _nonlinear_fields(W0, spec.p)
+    fields = nonlinear_fields(W0, spec.p)
     rows = []
     for eps in spec.epsilons:
-        N = _lattice_size(spec, eps)
-        res1, res2 = _residual_profiles(W0, fields, _momentum(W0, fields.N, eps), eps, spec.p)
-        rows.append({"epsilon": eps,
-                     "res1_l2": l2_norm(sample_to_lattice(res1, eps, 0.0, N)),
-                     "res2_l2": l2_norm(sample_to_lattice(res2, eps, 0.0, N)),
-                     "truncation_sup": float(np.max(np.abs(res1.values)))})
+        profiles = residual_profiles(W0, fields, build_p_epsilon(W0, fields.N, eps), eps, spec.p)
+        res1_l2, res2_l2 = residual_snapshot(profiles, eps, 0.0, _lattice_size(spec, eps))
+        rows.append({"epsilon": eps, "res1_l2": res1_l2, "res2_l2": res2_l2,
+                     "truncation_sup": float(np.max(np.abs(profiles[0].values)))})
     fits = {
         "res1": fit_scaling_exponent([(r["epsilon"], r["res1_l2"]) for r in rows]),
         "res2": fit_scaling_exponent([(r["epsilon"], r["res2_l2"]) for r in rows]),
@@ -363,14 +360,15 @@ def run_norm_growth(spec: ExperimentSpec) -> dict:
 
 def _run_cells(fn, spec: ExperimentSpec, windows, jobs: int) -> list:
     """The cells of fn(spec, window) for each window, in up to ``jobs``
-    worker processes when there is more than one window; cells keep the
-    order of windows."""
+    worker processes when there is more than one window, and never more
+    than there are windows (the pool starts all its workers at once); cells
+    keep the order of windows."""
     if jobs <= 1 or len(windows) == 1:
         return [cell for window in windows for cell in fn(spec, window)]
     # imported here: a serial run never pays for loading multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=min(jobs, len(windows))) as pool:
         return [cell for cells in pool.map(fn, [spec] * len(windows), windows)
                 for cell in cells]
 

@@ -51,7 +51,7 @@ class KdvRunConfig:
     def __post_init__(self):
         if self.M < 256 or self.M & (self.M - 1) != 0:
             raise InvalidInputError(f"M must be a power of two >= 256, got {self.M}")
-        if self.dtau <= 0.0:
+        if not self.dtau > 0.0:
             raise InvalidInputError("dtau must be positive")
         if self.p < 2:
             raise InvalidInputError(f"p must be >= 2, got {self.p}")
@@ -96,6 +96,13 @@ def steady_residual(W: FieldProfile, p: int, c: float) -> np.ndarray:
     return derivative(W, 2).values / 12.0 + wp - 2.0 * c * W.values
 
 
+def time_derivative(W: FieldProfile, N: np.ndarray) -> FieldProfile:
+    """W_tau = -(1/24) W_xxx - (1/2) (W^p)_x from W and the dealiased
+    spectrum N^ of W^p: G^ = -(1/24) (ik)^3 W^ - (1/2) ik N^."""
+    ik = 1j * W.wavenumbers()
+    return FieldProfile.from_coeffs(-(ik**3 / 24.0) * W.coeffs - 0.5 * ik * N, W.L)
+
+
 class NonlinearFields(NamedTuple):
     """The fields of W, besides W itself, that the ansatz and its residuals
     read: W^(p-1) on the grid, the dealiased spectrum N^ of W^p, and
@@ -106,20 +113,12 @@ class NonlinearFields(NamedTuple):
     G: FieldProfile
 
 
-def _nonlinear_fields(W: FieldProfile, p: int) -> NonlinearFields:
-    """W^(p-1), N^ = (W^p)^ and G^ = -(1/24) (ik)^3 W^ - (1/2) ik N^, each
-    formed once."""
+def nonlinear_fields(W: FieldProfile, p: int) -> NonlinearFields:
+    """W^(p-1), N^ = (W^p)^ and G = W_tau, each formed once."""
     w = W.values
     wpm1 = int_power(w, p - 1, np.empty(W.M))
     N = dealiased_rfft(wpm1 * w)
-    ik = 1j * W.wavenumbers()
-    G = FieldProfile.from_coeffs(-(ik**3 / 24.0) * W.coeffs - 0.5 * ik * N, W.L)
-    return NonlinearFields(wpm1, N, G)
-
-
-def time_derivative(W: FieldProfile, p: int) -> FieldProfile:
-    """W_tau = -(1/24) W_xxx - (1/2) (W^p)_x, evaluated spectrally (W^p dealiased)."""
-    return _nonlinear_fields(W, p).G
+    return NonlinearFields(wpm1, N, time_derivative(W, N))
 
 
 class KdvIntegrator:

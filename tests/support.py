@@ -1,7 +1,7 @@
 """Helpers that only tests call: a grid norm, a two-point exponent, the
-dealiased integer power of a profile, the rfft-pair check of a profile, the
-empirical constant of the paper's energy-derivative estimate, and a counter
-of nonlinear-field builds."""
+dealiased integer power of a profile, the spectral translate of a profile,
+the rfft-pair check of a profile, the empirical constant of the paper's
+energy-derivative estimate, and a counter of nonlinear-field builds."""
 
 import math
 import sys
@@ -14,10 +14,10 @@ from fpukdv.kernels import int_power
 
 
 def count_nonlinear_field_builds(monkeypatch) -> list:
-    """Rebind kdv._nonlinear_fields to a counting wrapper in every fpukdv
+    """Rebind kdv.nonlinear_fields to a counting wrapper in every fpukdv
     module that holds it, so a build anywhere in the package counts; the
     returned list gains one entry per build."""
-    build = kdv._nonlinear_fields
+    build = kdv.nonlinear_fields
     calls = []
 
     def counting(*args, **kwargs):
@@ -26,8 +26,8 @@ def count_nonlinear_field_builds(monkeypatch) -> list:
 
     for key, mod in list(sys.modules.items()):
         if key == "fpukdv" or key.startswith("fpukdv."):
-            if getattr(mod, "_nonlinear_fields", None) is build:
-                monkeypatch.setattr(mod, "_nonlinear_fields", counting)
+            if getattr(mod, "nonlinear_fields", None) is build:
+                monkeypatch.setattr(mod, "nonlinear_fields", counting)
     return calls
 
 
@@ -37,6 +37,12 @@ def validate(W: FieldProfile, rtol=1.0e-12) -> None:
     scale = max(np.max(np.abs(W.values)), 1.0e-300)
     if np.max(np.abs(back - W.values)) > rtol * scale:
         raise InvalidInputError("values and coefficients are inconsistent")
+
+
+def translate(W: FieldProfile, delta: float) -> FieldProfile:
+    """Profile V with V(xi) = W(xi + delta), done by spectral phase shift."""
+    c = W.coeffs * np.exp(1j * W.wavenumbers() * delta)
+    return FieldProfile.from_coeffs(c, W.L)
 
 
 def grid_l2_norm(W: FieldProfile) -> float:

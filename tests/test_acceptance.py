@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from fpukdv.core import translate, FieldProfile
+from fpukdv.core import FieldProfile
 from fpukdv.fpu import FpuRunConfig, fpu_energy, fpu_integrate, traveling_wave_initializer
 from fpukdv.core import ModelParams
 from fpukdv.harness import (
@@ -31,7 +31,7 @@ from fpukdv.kdv import (
     steady_residual,
 )
 
-from support import grid_l2_norm, pairwise_exponent
+from support import grid_l2_norm, pairwise_exponent, translate
 
 
 ACCEPTANCE_LINES: list[str] = []

@@ -17,6 +17,7 @@ from fpukdv.core import (
 )
 from fpukdv.diagnostics import error_norms, residual_profiles
 from fpukdv.harness import fit_scaling_exponent
+from fpukdv.kdv import nonlinear_fields
 
 
 class TestMomentumExpansion:
@@ -26,7 +27,7 @@ class TestMomentumExpansion:
         x = np.arange(M) * (L / M)
         k = 2.0 * np.pi / L
         W = FieldProfile.from_values(np.sin(k * x), L)
-        P = build_p_epsilon(W, eps, p)
+        P = build_p_epsilon(W, nonlinear_fields(W, p).N, eps)
         expected = (
             -np.sin(k * x)
             + 0.5 * eps * k * np.cos(k * x)
@@ -39,14 +40,14 @@ class TestMomentumExpansion:
 
     def test_leading_order_is_minus_w(self, soliton_p2):
         # P + W = O(eps): halving eps halves the difference
-        diffs = [np.max(np.abs(build_p_epsilon(soliton_p2, e, 2).values
-                               + soliton_p2.values))
+        N = nonlinear_fields(soliton_p2, 2).N
+        diffs = [np.max(np.abs(build_p_epsilon(soliton_p2, N, e).values + soliton_p2.values))
                  for e in (0.1, 0.05)]
         assert diffs[0] / diffs[1] == pytest.approx(2.0, rel=0.1)
 
     def test_rejects_bad_epsilon(self, soliton_p2):
         with pytest.raises(InvalidInputError):
-            build_p_epsilon(soliton_p2, 0.0, 2)
+            build_p_epsilon(soliton_p2, nonlinear_fields(soliton_p2, 2).N, 0.0)
 
 
 class TestTruncationDefect:
@@ -58,9 +59,10 @@ class TestTruncationDefect:
         # smaller epsilons to sit inside the asymptotic regime
         W = soliton_profile(SolitonSpec(p=p, c=1.0, center=32.0), 64.0, 2048)
         eps = [0.1, 0.05, 0.025]
-        fit = fit_scaling_exponent(
-            [(e, np.max(np.abs(residual_profiles(W, build_p_epsilon(W, e, p), e, p)[0].values)))
-             for e in eps])
+        fields = nonlinear_fields(W, p)
+        res1s = [residual_profiles(W, fields, build_p_epsilon(W, fields.N, e), e, p)[0]
+                 for e in eps]
+        fit = fit_scaling_exponent([(e, np.max(np.abs(r.values))) for e, r in zip(eps, res1s)])
         assert fit.slope == pytest.approx(5.0, abs=0.3)
 
 
@@ -112,6 +114,7 @@ class TestDecomposition:
     def test_exact_ansatz_state_has_zero_error_parts(self, soliton_p2):
         eps, N = 0.1, 640
         state = initial_lattice_data(soliton_p2, eps, 2, N)
-        U, Q = decompose(state, soliton_p2, build_p_epsilon(soliton_p2, eps, 2), eps, 0.0)
+        P = build_p_epsilon(soliton_p2, nonlinear_fields(soliton_p2, 2).N, eps)
+        U, Q = decompose(state, soliton_p2, P, eps, 0.0)
         assert l2_norm(U) < 1e-12
         assert l2_norm(Q) < 1e-12

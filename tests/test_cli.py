@@ -236,6 +236,20 @@ class TestExitCodes:
         assert "Traceback" not in err
 
 
+    @pytest.mark.parametrize("argv", [
+        ["fpu", "--eps", "0.1", "--t-end", "5", "--dt", "nan"],
+        ["kdv", "--L", "16", "--M", "256", "--tau-end", "0.1", "--dtau", "nan"],
+        ["error-scan", "--eps", "0.2", "--tau0", "0.01", "--dt", "nan"],
+        ["error-scan", "--eps", "0.2", "--tau0", "0.01", "--dtau", "nan"],
+    ], ids=["fpu-dt", "kdv-dtau", "error-scan-dt", "error-scan-dtau"])
+    def test_nan_step_size(self, capsys, tmp_path, argv):
+        # NaN <= 0 is false, so a NaN step used to reach int(nan) in the sampler
+        code, _, err = run_cli(argv + ["--n-samples", "2", "--out-dir", str(tmp_path)], capsys)
+        assert code == 1
+        assert "configuration error" in err
+        assert "Traceback" not in err
+
+
 class TestFit:
     def test_fit_command(self, tmp_path, capsys):
         path = tmp_path / "points.csv"

@@ -20,11 +20,10 @@ from fpukdv.core import (
     sample_to_lattice,
     sobolev_norm,
     spectral_tail_fraction,
-    translate,
     uniform_samples,
 )
 
-from support import grid_l2_norm, pointwise_power, validate
+from support import grid_l2_norm, pointwise_power, translate, validate
 
 
 def _full_spectrum_derivative(W, order):

@@ -9,7 +9,6 @@ from fpukdv.core import (
     dealiased_rfft,
     l2_norm,
     sample_to_lattice,
-    translate,
 )
 from fpukdv.diagnostics import (
     energy_quantity,
@@ -19,10 +18,15 @@ from fpukdv.diagnostics import (
 )
 from fpukdv.fpu import fpu_energy
 from fpukdv.harness import fit_scaling_exponent
-from fpukdv.kdv import SolitonSpec, soliton_profile, time_derivative
+from fpukdv.kdv import SolitonSpec, nonlinear_fields, soliton_profile
 from fpukdv.kernels import forward_diff
 
-from support import check_energy_derivative_bound, count_nonlinear_field_builds, pointwise_power
+from support import (
+    check_energy_derivative_bound,
+    count_nonlinear_field_builds,
+    pointwise_power,
+    translate,
+)
 
 
 class TestResiduals:
@@ -32,22 +36,26 @@ class TestResiduals:
     ])
     def test_order_nine_halves_scaling(self, p, M, eps_list):
         W = soliton_profile(SolitonSpec(p=p, c=1.0, center=32.0), 64.0, M)
+        fields = nonlinear_fields(W, p)
         pts1, pts2 = [], []
         for eps in eps_list:
             N = round(64.0 / eps)
-            snap = residual_snapshot(W, build_p_epsilon(W, eps, p), eps, p, 0.0, N)
-            pts1.append((eps, snap.res1_l2))
-            pts2.append((eps, snap.res2_l2))
+            P = build_p_epsilon(W, fields.N, eps)
+            res1_l2, res2_l2 = residual_snapshot(residual_profiles(W, fields, P, eps, p),
+                                                 eps, 0.0, N)
+            pts1.append((eps, res1_l2))
+            pts2.append((eps, res2_l2))
         assert fit_scaling_exponent(pts1).slope == pytest.approx(4.5, abs=0.3)
         assert fit_scaling_exponent(pts2).slope == pytest.approx(4.5, abs=0.3)
 
     def test_snapshot_consistent_with_parts(self, soliton_p2):
         eps, N = 0.1, 640
-        P = build_p_epsilon(soliton_p2, eps, 2)
-        snap = residual_snapshot(soliton_p2, P, eps, 2, 3.0, N)
-        res1, res2 = residual_profiles(soliton_p2, P, eps, 2)
-        assert snap.res1_l2 == pytest.approx(l2_norm(sample_to_lattice(res1, eps, 3.0, N)))
-        assert snap.res2_l2 == pytest.approx(l2_norm(sample_to_lattice(res2, eps, 3.0, N)))
+        fields = nonlinear_fields(soliton_p2, 2)
+        P = build_p_epsilon(soliton_p2, fields.N, eps)
+        res1, res2 = residual_profiles(soliton_p2, fields, P, eps, 2)
+        res1_l2, res2_l2 = residual_snapshot((res1, res2), eps, 3.0, N)
+        assert res1_l2 == pytest.approx(l2_norm(sample_to_lattice(res1, eps, 3.0, N)))
+        assert res2_l2 == pytest.approx(l2_norm(sample_to_lattice(res2, eps, 3.0, N)))
 
     @pytest.mark.parametrize("eps", [0.2, 0.1, 0.05])
     @pytest.mark.parametrize("p", [2, 3, 4])
@@ -62,15 +70,16 @@ class TestResiduals:
         # hold it); there the p >= 3 cases miss by up to 1.4e-6.
         W = soliton_profile(SolitonSpec(p=p, c=1.0, center=32.0), 64.0, 4096)
         t, N = 3.7, round(64.0 / eps)
-        P = build_p_epsilon(W, eps, p)
+        fields = nonlinear_fields(W, p)
+        P = build_p_epsilon(W, fields.N, eps)
 
         def S(V):
             return sample_to_lattice(V, eps, t, N)
 
         sP = S(P)
-        expected = (eps * S(derivative(W, 1)) - eps**3 * S(time_derivative(W, p))
+        expected = (eps * S(derivative(W, 1)) - eps**3 * S(fields.G)
                     + forward_diff(sP, np.empty(N)))
-        got = S(residual_profiles(W, P, eps, p)[0])
+        got = S(residual_profiles(W, fields, P, eps, p)[0])
         assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(sP))
 
     @pytest.mark.parametrize("eps", [0.2, 0.1, 0.05])
@@ -80,15 +89,17 @@ class TestResiduals:
         # the two-symbol form, in which that term is (W^p)'/p of the
         # dealiased W^p, once the grid resolves W^p (bound fixed beforehand)
         W = soliton_profile(SolitonSpec(p=p, c=1.0, center=32.0), 64.0, 4096)
-        P = build_p_epsilon(W, eps, p)
+        P = build_p_epsilon(W, nonlinear_fields(W, p).N, eps)
         ref = _reference_p_epsilon(W, eps, p)
         assert np.max(np.abs(P.values - ref.values)) <= 1e-9 * np.max(np.abs(P.values))
 
     def test_zero_profile_zero_residual(self):
         W = FieldProfile.from_values(np.zeros(1024), 64.0)
-        snap = residual_snapshot(W, build_p_epsilon(W, 0.1, 2), 0.1, 2, 0.0, 640)
-        assert snap.res1_l2 == 0.0
-        assert snap.res2_l2 == 0.0
+        fields = nonlinear_fields(W, 2)
+        P = build_p_epsilon(W, fields.N, 0.1)
+        res1_l2, res2_l2 = residual_snapshot(residual_profiles(W, fields, P, 0.1, 2), 0.1, 0.0, 640)
+        assert res1_l2 == 0.0
+        assert res2_l2 == 0.0
 
 
 class TestCoercivity:
@@ -170,7 +181,7 @@ class TestErrorNorms:
             assert getattr(got, name) == pytest.approx(getattr(ref, name), rel=rel, abs=0.0), name
 
     def test_forms_the_nonlinear_fields_once(self, soliton_p2, monkeypatch):
-        # build_p_epsilon and time_derivative would count too
+        # one build per record, shared by P, the error parts and both residuals
         calls = count_nonlinear_field_builds(monkeypatch)
         eps, N = 0.1, 640
         state = initial_lattice_data(soliton_p2, eps, 2, N)
@@ -202,7 +213,7 @@ def _reference_p_epsilon(W, eps, p, product_rule=False):
 
 def _reference_p_tau(W, eps, p):
     # the product p W^(p-1) G dealiased, and d/dtau[W^(p-1) W'] = (p W^(p-1) G)'/p
-    G = time_derivative(W, p)
+    G = nonlinear_fields(W, p).G
     dG = derivative(G, 1)
     p_wpm1_G = FieldProfile.from_coeffs(dealiased_rfft(p * W.values ** (p - 1) * G.values), W.L)
     return combine([(-1.0, G), (0.5 * eps, dG), (-0.125 * eps**2, derivative(G, 2)),
@@ -215,7 +226,7 @@ def _reference_record(state, W, eps, p, t):
     (error parts, Res1, Res2) and W_tau twice (Res1, P_tau)."""
     N = state.N
     P1 = _reference_p_epsilon(W, eps, p, product_rule=True)
-    res1 = combine([(eps, derivative(W, 1)), (-(eps**3), time_derivative(W, p)),
+    res1 = combine([(eps, derivative(W, 1)), (-(eps**3), nonlinear_fields(W, p).G),
                     (1.0, translate(P1, eps)), (-1.0, P1)], like=W)
     P2 = _reference_p_epsilon(W, eps, p, product_rule=True)
     wp = pointwise_power(W, p)

@@ -23,6 +23,7 @@ from fpukdv.fpu import (
     traveling_wave_initializer,
 )
 from fpukdv.harness import fit_scaling_exponent
+from fpukdv.kdv import nonlinear_fields
 
 # Blanes & Moan (2002), S6: a1 b1 a2 b2 a3 b3 a4 b3 a3 b2 a2 b1 a1
 _A = (0.0792036964311957, 0.353172906049774, -0.0420650803577195)
@@ -292,7 +293,7 @@ class TestTravelingWaveInitializer:
         eps = 0.05
         N = round(64.0 / eps)
         state, W0 = traveling_wave_initializer(2, 1.0, eps, 64.0, 1024, N)
-        P = build_p_epsilon(W0, eps, 2)
+        P = build_p_epsilon(W0, nonlinear_fields(W0, 2).N, eps)
         dx = 64.0 / 1024
         integral = 0.5 * dx * np.sum(W0.values**2 + P.values**2)
         assert fpu_energy(state, eps, 2) == pytest.approx(integral / eps, rel=0.01)

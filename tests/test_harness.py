@@ -170,7 +170,7 @@ class TestRunners:
         assert out["fits"]["truncation"].slope == pytest.approx(5.0, abs=0.3)
 
     def test_residual_scan_forms_the_nonlinear_fields_once(self, monkeypatch):
-        # a build inside build_p_epsilon or residual_profiles would count too
+        # one build for the scan, shared by every epsilon
         calls = count_nonlinear_field_builds(monkeypatch)
         run_residual_scan(ExperimentSpec(p=2, epsilons=(0.2, 0.1, 0.05)))
         assert len(calls) == 1
@@ -194,6 +194,32 @@ class TestRunners:
             for ca, cb in zip(a["cells"], b["cells"], strict=True):
                 assert len(ca["records"]) == spec.n_samples + 1
                 assert ca == cb  # records, summaries and flags; floats bitwise
+
+    @pytest.mark.parametrize("run", [run_error_scan, run_metastability])
+    def test_jobs_start_no_more_workers_than_windows(self, monkeypatch, run):
+        # the pool forks all its workers up front, so jobs=500 over two
+        # theorem windows must ask for two; this pool maps in this process
+        import concurrent.futures
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        spec = ExperimentSpec(p=2, epsilons=(0.2, 0.1), r=0.01, n_samples=2)
+        out = run(spec, jobs=500)
+        assert sizes == [2]
+        assert [c["epsilon"] for c in out["cells"]] == [0.2, 0.1]
 
     def test_error_scan_no_coercivity_violations(self):
         spec = ExperimentSpec(p=2, epsilons=(0.1,),

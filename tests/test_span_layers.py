@@ -36,11 +36,20 @@ spans = runpy.run_path(sys.argv[1], run_name="perfbench_spans")
 tracer = spans["Tracer"]()
 tracer.install()
 out = sys.argv[2]
-codes = [
-    cli.main(["error-scan", "--eps", "0.2", "--tau0", "0.01", "--n-samples", "2",
-              "--out-dir", out]),
-    cli.main(["fpu", "--eps", "0.1", "--t-end", "5", "--n-samples", "2", "--out-dir", out]),
-]
+codes = [cli.main(["error-scan", "--eps", "0.2", "--tau0", "0.01", "--n-samples", "2",
+                   "--out-dir", out])]
+
+
+def in_record(span):
+    parent = span.parent
+    while parent is not None and tracer.spans[parent].name != "diagnostics.error_norms":
+        parent = tracer.spans[parent].parent
+    return parent is not None
+
+
+in_records = sorted({s.name for s in tracer.spans if in_record(s)})
+codes.append(cli.main(["fpu", "--eps", "0.1", "--t-end", "5", "--n-samples", "2",
+                       "--out-dir", out]))
 before_kdv = len(tracer.spans)
 codes.append(cli.main(["kdv", "--L", "16", "--M", "256", "--dtau", "0.03", "--tau-end", "0.1",
                        "--n-samples", "5", "--s", "2", "--out-dir", out]))
@@ -49,7 +58,7 @@ kdv_work = [s.work for s in tracer.spans[before_kdv:] if s.name == "kdv.KdvInteg
 cache = kdv._integrator.cache_info()
 with open(out + "/traced.json", "w") as fh:
     json.dump({"codes": codes, "work": work, "kdv_work": kdv_work,
-               "cache": [cache.hits, cache.misses]}, fh)
+               "cache": [cache.hits, cache.misses], "in_records": in_records}, fh)
 """
 
 
@@ -69,3 +78,6 @@ def test_traced_cli_runs(tmp_path):
     assert result["kdv_work"] == [{"steps": 1, "mode_steps": 256}] * 5
     hits, misses = result["cache"]
     assert hits >= 4 and misses >= 1  # one lookup per sample interval
+    # the record runs the public formula functions, so their spans nest in it
+    assert {"diagnostics.residual_snapshot", "ansatz.build_p_epsilon",
+            "kdv.time_derivative"} <= set(result["in_records"])
