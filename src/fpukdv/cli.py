@@ -5,7 +5,9 @@ fit.  Each takes only the flags it reads (the _COMMANDS table), so a flag
 or config key that a command would ignore is a usage error.  The entries of
 an optional JSON document (--config) are parsed as flags, spliced in before
 the command line's own, which win; there is no environment-variable
-configuration.  A summary JSON records the command and the settings it read.
+configuration.  A command reads its settings from the ExperimentSpec of its
+flags and returns an Outcome; main alone writes its CSVs and (but for fit)
+a summary JSON of the command, the settings it read, fits and wall time.
 
 Exit codes: 0 success, 1 configuration error, 2 numerical failure.
 """
@@ -17,18 +19,15 @@ import dataclasses
 import json
 import sys
 import time
+from typing import NamedTuple
 
 import numpy as np
 
-from .core import DT_LATTICE, BlowUpError, ConfigurationError, InvalidInputError, ModelParams
+from .core import BlowUpError, ConfigurationError, InvalidInputError, ModelParams, lattice_size
 from .fpu import fpu_energy, lattice_samples, traveling_wave_initializer
 from .harness import (
     ExperimentSpec,
-    error_records_rows,
-    ERROR_CSV_HEADER,
     fit_scaling_exponent,
-    kdv_samples_rows,
-    KDV_CSV_HEADER,
     run_error_scan,
     run_metastability,
     run_norm_growth,
@@ -44,39 +43,36 @@ def _eps_list(text: str) -> tuple:
 
 
 # Every flag of the CLI: its spelling, which is also its config key (with
-# "-" or "_"), and its add_argument keywords.  _COMMANDS picks each
-# command's flags from here.
+# "-" or "_"), and its add_argument keywords; a flag of an ExperimentSpec
+# field has no default (unset, it is None).  _COMMANDS picks from here.
 _FLAGS = {
     "config": dict(help="JSON config file; flags override its entries"),
     "out-dir": dict(default="out", help="directory for CSV/JSON outputs"),
     "jobs": dict(type=int, default=1, help="parallel workers per sweep"),
-    "seed": dict(type=int, default=0, help="perturbation generator seed"),
-    "p": dict(type=int, default=2),
-    "eps": dict(type=_eps_list, default=(0.2, 0.1, 0.05),
-                help="comma-separated decreasing epsilon list"),
-    "c": dict(type=float, default=1.0),
-    "L": dict(type=float, default=64.0),
-    "M": dict(type=int, default=1024),
-    "r": dict(type=float, default=0.25),
-    "K": dict(type=float, default=1.0),
-    "tau0": dict(type=float, default=None,
-                 help="fixed KdV-time window; excludes --theorem"),
-    "theorem": dict(type=int, choices=(1, 2), default=None,
+    "seed": dict(type=int, help="perturbation generator seed"),
+    "p": dict(type=int),
+    "eps": dict(type=_eps_list, help="comma-separated decreasing epsilon list"),
+    "c": dict(type=float),
+    "L": dict(type=float),
+    "M": dict(type=int),
+    "r": dict(type=float),
+    "K": dict(type=float),
+    "tau0": dict(type=float, help="fixed KdV-time window; excludes --theorem"),
+    "theorem": dict(type=int, choices=(1, 2),
                     help="extended window of theorem 1 (the default) or 2"),
-    "n-samples": dict(type=int, default=100),
-    "dt": dict(type=float, default=DT_LATTICE,
-               help="largest lattice time step of the order-4 splitting"),
-    "dtau": dict(type=float, default=1.0e-3),
-    "s": dict(type=int, default=6),
-    "tau-end": dict(type=float, default=5.0),
-    "initial-mode": dict(default="soliton", choices=("soliton", "gaussian")),
-    "amplitude": dict(type=float, default=1.0),
-    "t-end": dict(type=float, default=100.0),
+    "n-samples": dict(type=int),
+    "dt": dict(type=float, help="largest lattice time step of the order-4 splitting"),
+    "dtau": dict(type=float),
+    "s": dict(type=int),
+    "tau-end": dict(type=float),
+    "initial-mode": dict(choices=("soliton", "gaussian")),
+    "amplitude": dict(type=float),
+    "t-end": dict(type=float),
     "integrator": dict(default="splitting", choices=("rk4", "splitting"),
                        help="accepted for compatibility; both values run the one "
                             "order-4 splitting"),
-    "perturbation-mode": dict(default="none", choices=("none", "random")),
-    "perturbation-size": dict(type=float, default=None),
+    "perturbation-mode": dict(choices=("none", "random")),
+    "perturbation-size": dict(type=float),
     "input": dict(help="CSV with two columns: epsilon,value (required)"),
 }
 
@@ -127,97 +123,95 @@ def _spec_from_args(args) -> tuple[ExperimentSpec, dict]:
     return spec, {"command": args.command, **{k: getattr(spec, k) for k in read}}
 
 
-def _cmd_soliton(args) -> int:
-    spec = SolitonSpec(p=args.p, c=args.c, center=args.L / 2.0)
-    W = soliton_profile(spec, args.L, args.M)
-    res = float(np.max(np.abs(steady_residual(W, args.p, args.c))))
-    path = f"{args.out_dir}/soliton_p{args.p}_c{args.c}.csv"
-    write_csv(path, ["x", "W"], zip(W.grid().tolist(), W.values.tolist()))
-    print(f"soliton p={args.p} c={args.c}: peak={spec.amplitude:.6g} "
-          f"steady_residual={res:.3e} -> {path}")
-    return 0
+class Outcome(NamedTuple):
+    """A command's tables (CSV path -> rows of column -> value), the path
+    stem of its summary JSON (None: none), the summary's fits and flags, the
+    report line and the exit code."""
+
+    tables: dict
+    stem: str | None
+    fits: list
+    flags: dict
+    line: str
+    code: int = 0
 
 
-def _cmd_kdv(args) -> int:
-    spec, _ = _spec_from_args(args)
+def _cmd_soliton(spec: ExperimentSpec, args) -> Outcome:
+    sol = SolitonSpec(p=spec.p, c=spec.c, center=spec.L / 2.0)
+    W = soliton_profile(sol, spec.L, spec.M)
+    res = float(np.max(np.abs(steady_residual(W, spec.p, spec.c))))
+    stem = f"{args.out_dir}/soliton_p{spec.p}_c{spec.c}"
+    rows = [{"x": x, "W": w} for x, w in zip(W.grid().tolist(), W.values.tolist())]
+    return Outcome({f"{stem}.csv": rows}, stem, [], {},
+                   f"soliton p={spec.p} c={spec.c}: peak={sol.amplitude:.6g} "
+                   f"steady_residual={res:.3e} -> {stem}.csv")
+
+
+def _cmd_kdv(spec: ExperimentSpec, args) -> Outcome:
     out = run_norm_growth(spec)
-    path = f"{args.out_dir}/kdv_p{args.p}.csv"
-    write_csv(path, KDV_CSV_HEADER, kdv_samples_rows(out["samples"]))
+    stem = f"{args.out_dir}/kdv_p{spec.p}"
     extra = (f" growth_exponent={out['growth_exponent']:.3f}"
              if "growth_exponent" in out else "")
-    print(f"kdv p={args.p}: sup H^{args.s} norm = {out['sup_norm']:.6g}{extra} "
-          f"resolution_flagged={out['resolution_flagged']} -> {path}")
-    return 2 if out["resolution_flagged"] else 0
+    flagged = out["resolution_flagged"]
+    return Outcome({f"{stem}.csv": map(dataclasses.asdict, out["samples"])}, stem,
+                   [out["growth_fit"]] if "growth_fit" in out else [],
+                   {"resolution_flagged": flagged},
+                   f"kdv p={spec.p}: sup H^{spec.s} norm = {out['sup_norm']:.6g}{extra} "
+                   f"resolution_flagged={flagged} -> {stem}.csv", 2 if flagged else 0)
 
 
-def _cmd_fpu(args) -> int:
-    if len(args.eps) != 1:
-        raise ConfigurationError(f"fpu runs one epsilon, got {len(args.eps)}: "
-                                 f"{','.join(map(str, args.eps))}")
-    eps = args.eps[0]
-    N = round(args.L / eps)
-    state, _ = traveling_wave_initializer(args.p, args.c, eps, args.L, args.M, N)
-    params = ModelParams(p=args.p, epsilon=eps, L=args.L, N=N, dt_lattice=args.dt)
-    rows = [(t, fpu_energy(st, eps, args.p), float(np.sum(st.u)), float(np.sum(st.q)))
-            for t, st in lattice_samples(state, params, args.t_end, args.n_samples)]
-    path = f"{args.out_dir}/fpu_p{args.p}_eps{eps}.csv"
-    write_csv(path, ["t", "H", "sum_u", "sum_q"], rows)
-    h0, hT = rows[0][1], rows[-1][1]
-    print(f"fpu p={args.p} eps={eps}: relative H drift = {abs(hT - h0) / abs(h0):.3e} -> {path}")
-    return 0
+def _cmd_fpu(spec: ExperimentSpec, args) -> Outcome:
+    if len(spec.epsilons) != 1:
+        raise ConfigurationError(f"fpu runs one epsilon, got {len(spec.epsilons)}: "
+                                 f"{','.join(map(str, spec.epsilons))}")
+    eps = spec.epsilons[0]
+    N = lattice_size(spec.L, eps)
+    state, _ = traveling_wave_initializer(spec.p, spec.c, eps, spec.L, spec.M, N)
+    params = ModelParams(p=spec.p, epsilon=eps, L=spec.L, N=N, dt_lattice=spec.dt_lattice)
+    rows = [{"t": t, "H": fpu_energy(st, eps, spec.p),
+             "sum_u": float(np.sum(st.u)), "sum_q": float(np.sum(st.q))}
+            for t, st in lattice_samples(state, params, spec.t_end, spec.n_samples)]
+    stem = f"{args.out_dir}/fpu_p{spec.p}_eps{eps}"
+    h0, hT = rows[0]["H"], rows[-1]["H"]
+    return Outcome({f"{stem}.csv": rows}, stem, [], {},
+                   f"fpu p={spec.p} eps={eps}: relative H drift = "
+                   f"{abs(hT - h0) / abs(h0):.3e} -> {stem}.csv")
 
 
-def _cmd_residual_scan(args) -> int:
-    t_start = time.perf_counter()
-    spec, settings = _spec_from_args(args)
+def _cmd_residual_scan(spec: ExperimentSpec, args) -> Outcome:
     out = run_residual_scan(spec)
-    path = f"{args.out_dir}/residual_scan_p{args.p}.csv"
-    write_csv(path, ["epsilon", "res1_l2", "res2_l2", "truncation_sup"],
-              ([r["epsilon"], r["res1_l2"], r["res2_l2"], r["truncation_sup"]]
-               for r in out["rows"]))
+    stem = f"{args.out_dir}/residual_scan_p{spec.p}"
     fits = out["fits"]
-    write_summary_json(f"{args.out_dir}/residual_scan_p{args.p}.json", settings,
-                       [fits["res1"], fits["res2"], fits["truncation"]],
-                       out["flags"], time.perf_counter() - t_start)
-    print(f"residual-scan p={args.p}: slope res1={fits['res1'].slope:.3f} "
-          f"res2={fits['res2'].slope:.3f} truncation_sup={fits['truncation'].slope:.3f} -> {path}")
-    return 0
+    return Outcome({f"{stem}.csv": out["rows"]}, stem,
+                   [fits["res1"], fits["res2"], fits["truncation"]], out["flags"],
+                   f"residual-scan p={spec.p}: slope res1={fits['res1'].slope:.3f} "
+                   f"res2={fits['res2'].slope:.3f} "
+                   f"truncation_sup={fits['truncation'].slope:.3f} -> {stem}.csv")
 
 
-def _cmd_error_scan(args) -> int:
-    t_start = time.perf_counter()
-    spec, settings = _spec_from_args(args)
+def _blow_up_code(flags: dict) -> int:
+    return 2 if any(f.get("blow_up") for f in flags.values()) else 0
+
+
+def _cmd_error_scan(spec: ExperimentSpec, args) -> Outcome:
     out = run_error_scan(spec, jobs=args.jobs)
-    for cell in out["cells"]:
-        write_csv(f"{args.out_dir}/error_scan_p{args.p}_eps{cell['epsilon']}.csv",
-                  ERROR_CSV_HEADER, error_records_rows(cell["records"]))
+    stem = f"{args.out_dir}/error_scan_p{spec.p}"
     fits = list(out["fits"].values())
-    write_summary_json(f"{args.out_dir}/error_scan_p{args.p}.json", settings, fits,
-                       out["flags"], time.perf_counter() - t_start)
     summary = " ".join(f"eps={c['epsilon']}:sup={c['sup_error']:.4e}" for c in out["cells"])
     slope = f" slope={fits[0].slope:.3f}" if fits else ""
-    print(f"error-scan p={args.p}: {summary}{slope}")
-    if any(f.get("blow_up") for f in out["flags"].values()):
-        return 2
-    return 0
+    return Outcome({f"{stem}_eps{c['epsilon']}.csv": map(dataclasses.asdict, c["records"])
+                    for c in out["cells"]}, stem, fits, out["flags"],
+                   f"error-scan p={spec.p}: {summary}{slope}", _blow_up_code(out["flags"]))
 
 
-def _cmd_metastability(args) -> int:
-    t_start = time.perf_counter()
-    spec, settings = _spec_from_args(args)
+def _cmd_metastability(spec: ExperimentSpec, args) -> Outcome:
     out = run_metastability(spec, jobs=args.jobs)
-    for cell in out["cells"]:
-        write_csv(f"{args.out_dir}/metastability_p{args.p}_eps{cell['epsilon']}.csv",
-                  ["t", "orbital_distance"],
-                  ([r["t"], r["orbital_distance"]] for r in cell["records"]))
-    write_summary_json(f"{args.out_dir}/metastability_p{args.p}.json", settings, [],
-                       out["flags"], time.perf_counter() - t_start)
+    stem = f"{args.out_dir}/metastability_p{spec.p}"
     summary = " ".join(
         f"eps={c['epsilon']}:sup/delta={c['sup_over_delta']:.3f}" for c in out["cells"])
-    print(f"metastability p={args.p}: {summary}")
-    if any(f.get("blow_up") for f in out["flags"].values()):
-        return 2
-    return 0
+    return Outcome({f"{stem}_eps{c['epsilon']}.csv": c["records"] for c in out["cells"]},
+                   stem, [], out["flags"], f"metastability p={spec.p}: {summary}",
+                   _blow_up_code(out["flags"]))
 
 
 def _is_number(tok: str) -> bool:
@@ -228,7 +222,7 @@ def _is_number(tok: str) -> bool:
     return True
 
 
-def _cmd_fit(args) -> int:
+def _cmd_fit(spec: ExperimentSpec, args) -> Outcome:
     if args.input is None:
         raise ConfigurationError("fit needs --input, on the command line or in --config")
     try:
@@ -248,14 +242,13 @@ def _cmd_fit(args) -> int:
                 f"{args.input} line {n}: expected two numbers epsilon,value, got {row!r}")
         points.append((float(toks[0]), float(toks[1])))
     fit = fit_scaling_exponent(points)
-    print(f"fit: slope={fit.slope:.6g} intercept={fit.intercept:.6g} "
-          f"rms={fit.residual_rms:.3e}")
-    return 0
+    return Outcome({}, None, [], {}, f"fit: slope={fit.slope:.6g} "
+                   f"intercept={fit.intercept:.6g} rms={fit.residual_rms:.3e}")
 
 
 # command -> (runner, help, the flags it reads, its defaults that differ
-# from _FLAGS).  A flag, or config key, that a command does not list is an
-# error.
+# from ExperimentSpec's).  A flag, or config key, that a command does not
+# list is an error.
 _COMMANDS = {
     "soliton": (_cmd_soliton, "soliton profile and steady-ODE residual",
                 "config out-dir p c L M", {"L": 32.0}),
@@ -284,7 +277,16 @@ def main(argv=None) -> int:
             # after the command name, so the last value, a command-line flag's, wins
             i = argv.index(args.command) + 1
             args = parser.parse_args(argv[:i] + _config_flags(args) + argv[i:])
-        return _COMMANDS[args.command][0](args)
+        t_start = time.perf_counter()
+        spec, settings = _spec_from_args(args)
+        out = _COMMANDS[args.command][0](spec, args)
+        for path, rows in out.tables.items():
+            write_csv(path, rows)
+        if out.stem is not None:
+            write_summary_json(f"{out.stem}.json", settings, out.fits, out.flags,
+                               time.perf_counter() - t_start)
+        print(out.line)
+        return out.code
     except SystemExit as exc:  # argparse has printed the help or a usage error
         return 1 if exc.code not in (0, None) else 0
     except (InvalidInputError, ConfigurationError) as exc:

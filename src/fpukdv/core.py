@@ -18,7 +18,8 @@ Conventions:
     integrators work on it, and the grid values are formed on demand, by
     one irfft the first time ``FieldProfile.values`` is read;
   * the periodic lattice has N sites with N*epsilon = L, so the moving
-    frame xi = epsilon*(n - t) wraps consistently;
+    frame xi = epsilon*(n - t) wraps consistently; ``lattice_size`` is the
+    one statement of that rule;
   * both solvers keep time by one rule, ``uniform_samples``: a run over
     [0, t_end] is sampled at t_i = i * (t_end / n_samples), i = 0..n_samples.
 """
@@ -57,6 +58,15 @@ DT_LATTICE = 0.5
 BLOWUP_GUARD = 1.0e6
 
 
+def lattice_size(L: float, epsilon: float) -> int:
+    """The site count N of the periodic lattice, N*epsilon = L to within
+    1e-9*max(1, L), so that the moving frame xi = epsilon*(n - t) wraps."""
+    ratio = L / epsilon
+    if not (math.isfinite(ratio) and abs(round(ratio) * epsilon - L) <= 1.0e-9 * max(1.0, L)):
+        raise ConfigurationError(f"L/epsilon = {ratio} is not an integer site count")
+    return round(ratio)
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Physical and discretization parameters shared across modules."""
@@ -72,11 +82,9 @@ class ModelParams:
             raise InvalidInputError(f"p must be an integer >= 2, got {self.p}")
         if not 0.0 < self.epsilon < 1.0:
             raise InvalidInputError(f"epsilon must be in (0, 1), got {self.epsilon}")
-        if abs(self.N * self.epsilon - self.L) > 1.0e-9 * max(1.0, self.L):
-            raise ConfigurationError(
-                f"N*epsilon = {self.N * self.epsilon} must equal L = {self.L} "
-                "(moving-frame wrap consistency)"
-            )
+        if self.N != lattice_size(self.L, self.epsilon):
+            raise ConfigurationError(f"N*epsilon = {self.N * self.epsilon} must equal "
+                                     f"L = {self.L} (moving-frame wrap consistency)")
         if not self.dt_lattice > 0.0:
             raise InvalidInputError("the lattice time step must be positive")
 
@@ -163,16 +171,15 @@ class FieldProfile:
 
 @dataclass(frozen=True)
 class ErrorRecord:
-    """Time-stamped approximation-error diagnostics for one sample time."""
+    """Error diagnostics at one sample time; its fields are the error-scan CSV's columns."""
 
     t: float
     err_u: float
     err_du: float
-    energy_quantity: float
-    res1_norm: float
-    res2_norm: float
-    H_lattice: float
-    coercivity_lhs: float
+    E: float
+    res1_l2: float
+    res2_l2: float
+    H: float
     coercivity_ok: bool
 
 
@@ -274,10 +281,9 @@ def sample_to_lattice(W: FieldProfile, epsilon: float, shift: float, N: int) -> 
     by exp(-2 pi i m shift / N), are summed over m mod N and inverted with a
     length-N FFT.  Cost O(M + N log N).
     """
-    if abs(N * epsilon - W.L) > 1.0e-9 * max(1.0, W.L):
-        raise ConfigurationError(
-            f"N*epsilon = {N * epsilon} does not match the profile period L = {W.L}"
-        )
+    if N != lattice_size(W.L, epsilon):
+        raise ConfigurationError(f"N*epsilon = {N * epsilon} does not match "
+                                 f"the profile period L = {W.L}")
     w = W.coeffs.copy()
     w[1:-1] *= 2.0
     w *= np.exp(-2j * np.pi * np.arange(w.shape[0]) * ((shift % N) / N))

@@ -116,10 +116,9 @@ def error_norms(state: LatticeState, W: FieldProfile, epsilon: float, p: int, t:
         t=t,
         err_u=l2_norm(U),
         err_du=err_du,
-        energy_quantity=eq.E,
-        res1_norm=res1_l2,
-        res2_norm=res2_l2,
-        H_lattice=fpu_energy(state, epsilon, p),
-        coercivity_lhs=eq.coercivity_lhs,
+        E=eq.E,
+        res1_l2=res1_l2,
+        res2_l2=res2_l2,
+        H=fpu_energy(state, epsilon, p),
         coercivity_ok=eq.coercivity_ok,
     )

@@ -1,6 +1,9 @@
 """Experiment orchestration: epsilon sweeps, theorem time windows,
 scaling-exponent fits, metastability runs and persistence.
 
+``ExperimentSpec`` holds every setting of a run with its one default and
+rejects bad input; ``write_csv`` writes rows of column -> value dicts.
+
 Both lattice scans run the epsilon cells of one KdV window tau0 in lockstep
 with one reference run: the error scan records errors against a KdV run,
 metastability the orbital distance from W0, which stands still.  The window
@@ -27,10 +30,10 @@ from .core import (
     DT_LATTICE,
     BlowUpError,
     ConfigurationError,
-    ErrorRecord,
     FieldProfile,
     InvalidInputError,
     ModelParams,
+    lattice_size,
     sample_to_lattice,
 )
 from .diagnostics import error_norms, residual_profiles, residual_snapshot
@@ -41,6 +44,8 @@ from .kdv import (KdvRunConfig, SolitonSpec, kdv_samples, nonlinear_fields, soli
 
 @dataclass(frozen=True)
 class ExperimentSpec:
+    """Every setting of a run with its one default; the gate for outside input."""
+
     p: int = 2
     epsilons: tuple = (0.2, 0.1, 0.05)
     r: float = 0.25
@@ -60,6 +65,7 @@ class ExperimentSpec:
     tau_end: float = 5.0
     initial_mode: str = "soliton"  # "soliton" or "gaussian"
     amplitude: float = 1.0
+    t_end: float = 100.0  # lattice time of an fpu run
 
     def __post_init__(self):
         if self.tau0 is not None and self.theorem is not None:
@@ -79,8 +85,14 @@ class ExperimentSpec:
         if self.K <= 0.0:
             raise InvalidInputError("K must be positive")
         eps = tuple(self.epsilons)
+        if not all(0.0 < e < 1.0 for e in eps):
+            raise InvalidInputError(f"epsilons must be in (0, 1), got {eps}")
         if any(e2 >= e1 for e1, e2 in zip(eps, eps[1:])):
             raise InvalidInputError("epsilon list must be strictly decreasing")
+        if not 0.0 < self.L < math.inf:
+            raise InvalidInputError(f"L must be positive and finite, got {self.L}")
+        if not (self.M > 0 and self.M % 2 == 0):
+            raise InvalidInputError(f"M must be even and positive, got {self.M}")
         if self.perturbation_mode not in ("none", "random"):
             raise InvalidInputError(f"unknown perturbation mode {self.perturbation_mode!r}")
         object.__setattr__(self, "epsilons", eps)
@@ -148,13 +160,6 @@ def _initial_profile(spec: ExperimentSpec) -> FieldProfile:
     raise InvalidInputError(f"unknown initial mode {spec.initial_mode!r}")
 
 
-def _lattice_size(spec: ExperimentSpec, epsilon: float) -> int:
-    N = round(spec.L / epsilon)
-    if abs(N * epsilon - spec.L) > 1.0e-9 * spec.L:
-        raise ConfigurationError(f"L/epsilon = {spec.L / epsilon} is not an integer site count")
-    return N
-
-
 def _window_for(spec: ExperimentSpec, epsilon: float) -> tuple[float, float]:
     """(t0, tau0) of the spec's window at epsilon."""
     if spec.tau0 is None:
@@ -178,7 +183,7 @@ def run_residual_scan(spec: ExperimentSpec) -> dict:
     rows = []
     for eps in spec.epsilons:
         profiles = residual_profiles(W0, fields, build_p_epsilon(W0, fields.N, eps), eps, spec.p)
-        res1_l2, res2_l2 = residual_snapshot(profiles, eps, 0.0, _lattice_size(spec, eps))
+        res1_l2, res2_l2 = residual_snapshot(profiles, eps, 0.0, lattice_size(spec.L, eps))
         rows.append({"epsilon": eps, "res1_l2": res1_l2, "res2_l2": res2_l2,
                      "truncation_sup": float(np.max(np.abs(profiles[0].values)))})
     fits = {
@@ -216,7 +221,7 @@ def _run_window(spec: ExperimentSpec, epsilons: tuple, measurement, reference) -
     W0 = _initial_profile(spec)
     cells, running = [], []
     for eps in epsilons:  # every cell of the window has the same tau0
-        N = _lattice_size(spec, eps)
+        N = lattice_size(spec.L, eps)
         params = ModelParams(p=spec.p, epsilon=eps, L=spec.L, N=N, dt_lattice=spec.dt_lattice)
         t0, tau0 = _window_for(spec, eps)
         delta = spec.perturbation_size if spec.perturbation_size is not None else eps**1.5
@@ -339,14 +344,14 @@ def run_norm_growth(spec: ExperimentSpec) -> dict:
     W0 = _initial_profile(spec)
     cfg = KdvRunConfig(p=spec.p, L=spec.L, M=spec.M, dtau=spec.dtau_kdv)
     samples = track_norm_growth(W0, cfg, spec.s, spec.tau_end, spec.n_samples)
-    norms = [smp.hs_norm for smp in samples]
+    norms = [smp.Hs_norm for smp in samples]
     out = {
         "samples": samples,
         "sup_norm": max(norms),
         "resolution_flagged": any(smp.resolution_flag for smp in samples),
     }
     if spec.p >= 4:
-        pts = [(smp.tau, smp.hs_norm) for smp in samples if smp.tau >= 1.0]
+        pts = [(smp.tau, smp.Hs_norm) for smp in samples if smp.tau >= 1.0]
         if len(pts) >= 3:
             fit = fit_scaling_exponent(pts)  # log-norm vs log-tau
             out["growth_exponent"] = fit.slope
@@ -381,31 +386,15 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def write_csv(path: str, header: list[str], rows) -> None:
+def write_csv(path: str, rows) -> None:
+    """Write rows, each a dict from column to value, under a header of the
+    first row's keys; floats at full precision, booleans as 0/1."""
+    rows = list(rows)
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
-
-
-ERROR_CSV_HEADER = ["t", "err_u", "err_du", "E", "res1_l2", "res2_l2", "H", "coercivity_ok"]
-
-
-def error_records_rows(records: list[ErrorRecord]):
-    for rec in records:
-        yield [rec.t, rec.err_u, rec.err_du, rec.energy_quantity,
-               rec.res1_norm, rec.res2_norm, rec.H_lattice, rec.coercivity_ok]
-
-
-KDV_CSV_HEADER = ["tau", "mass", "momentum", "energy", "Hs_norm", "sup_norm", "resolution_flag"]
-
-
-def kdv_samples_rows(samples):
-    for smp in samples:
-        yield [smp.tau, smp.mass, smp.momentum, smp.energy,
-               smp.hs_norm, smp.sup_norm, smp.resolution_flag]
+        writer.writerow(rows[0])
+        writer.writerows([_fmt(v) for v in row.values()] for row in rows)
 
 
 def write_summary_json(path: str, settings: dict, fits, flags, wall_time_s: float) -> None:

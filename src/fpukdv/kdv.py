@@ -258,11 +258,13 @@ def kdv_invariants(W: FieldProfile, p: int) -> tuple[float, float, float]:
 
 @dataclass(frozen=True)
 class KdvSample:
+    """One tracked sample; its fields are the kdv CSV's columns, in order."""
+
     tau: float
     mass: float
     momentum: float
     energy: float
-    hs_norm: float
+    Hs_norm: float
     sup_norm: float
     resolution_flag: bool
 

@@ -6,6 +6,7 @@ tolerance.  Shared sweeps are computed once in module-scoped fixtures.
 """
 
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -14,9 +15,7 @@ from fpukdv.core import FieldProfile
 from fpukdv.fpu import FpuRunConfig, fpu_energy, fpu_integrate, traveling_wave_initializer
 from fpukdv.core import ModelParams
 from fpukdv.harness import (
-    ERROR_CSV_HEADER,
     ExperimentSpec,
-    error_records_rows,
     run_error_scan,
     run_metastability,
     run_norm_growth,
@@ -193,7 +192,7 @@ def test_09_norm_growth():
     spec2 = ExperimentSpec(p=2, c=1.0, L=32.0, M=2048,
                            s=6, dtau_kdv=2e-4, tau_end=5.0, n_samples=25)
     out2 = run_norm_growth(spec2)
-    norms = [s.hs_norm for s in out2["samples"]]
+    norms = [s.Hs_norm for s in out2["samples"]]
     variation = (max(norms) - min(norms)) / norms[0]
 
     # p = 4 small data: fitted H^2 growth exponent <= s - 1 = 1
@@ -219,7 +218,7 @@ def test_10_determinism(theorem1_scan, tmp_path):
     def csv_bytes(records, name):
         from fpukdv.harness import write_csv
         path = tmp_path / name
-        write_csv(str(path), ERROR_CSV_HEADER, error_records_rows(records))
+        write_csv(str(path), map(asdict, records))
         return path.read_bytes()
 
     first = csv_bytes(theorem1_scan["cells"][0]["records"], "a.csv")

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import pathlib
@@ -9,6 +10,7 @@ import sys
 import pytest
 
 from fpukdv.cli import build_parser, main
+from fpukdv.harness import ExperimentSpec
 
 WORKLOADS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
@@ -248,6 +250,64 @@ class TestExitCodes:
         assert code == 1
         assert "configuration error" in err
         assert "Traceback" not in err
+
+
+    @pytest.mark.parametrize("argv,message", [
+        (["fpu", "--eps", "0"], "epsilons must be in (0, 1), got (0.0,)"),
+        (["fpu", "--eps", "-0.1"], "epsilons must be in (0, 1), got (-0.1,)"),
+        (["fpu", "--L", "nan"], "L must be positive and finite, got nan"),
+        (["fpu", "--L", "inf"], "L must be positive and finite, got inf"),
+        (["soliton", "--M", "0"], "M must be even and positive, got 0"),
+        (["soliton", "--M", "-4"], "M must be even and positive, got -4"),
+        (["residual-scan", "--M", "0"], "M must be even and positive, got 0"),
+        (["kdv", "--M", "0"], "M must be even and positive, got 0"),
+        (["error-scan", "--eps", "0.2,0", "--tau0", "1"],
+         "epsilons must be in (0, 1), got (0.2, 0.0)"),
+        (["kdv", "--L", "-32", "--tau-end", "0.01", "--n-samples", "1"],
+         "L must be positive and finite, got -32.0"),
+    ], ids=["fpu-eps-0", "fpu-eps-negative", "fpu-L-nan", "fpu-L-inf", "soliton-M-0",
+            "soliton-M-negative", "residual-scan-M-0", "kdv-M-0", "error-scan-eps-0",
+            "kdv-L-negative"])
+    def test_bad_setting_is_a_configuration_error(self, capsys, tmp_path, argv, message):
+        # each used to end in a traceback, or (kdv --L -32) in NaN norms and exit 2
+        code, _, err = run_cli(argv + ["--out-dir", str(tmp_path)], capsys)
+        assert code == 1
+        assert f"configuration error: {message}" in err
+        assert not list(tmp_path.iterdir())
+
+
+class TestDefaults:
+    """Run with only --out-dir (and a short run where the default one is
+    long), a command's summary records the ExperimentSpec defaults of the
+    fields it reads; only the _COMMANDS overrides differ."""
+
+    @pytest.mark.parametrize("argv,stem,fields,given", [
+        (["soliton"], "soliton_p2_c1.0", "p c L M", {"L": 32.0}),
+        # exits 2: at M = 1024 the default soliton's H^6 tail is flagged at tau = 0
+        (["kdv", "--tau-end", "0.01", "--n-samples", "1"], "kdv_p2",
+         "p c L M n_samples dtau_kdv s tau_end initial_mode amplitude",
+         {"tau_end": 0.01, "n_samples": 1}),
+        (["fpu", "--t-end", "1", "--n-samples", "1"], "fpu_p2_eps0.2",
+         "p epsilons c L M n_samples dt_lattice t_end",
+         {"epsilons": [0.2], "t_end": 1.0, "n_samples": 1}),
+        (["residual-scan"], "residual_scan_p2", "p epsilons c L M", {}),
+        (["error-scan", "--n-samples", "1"], "error_scan_p2",
+         "seed p epsilons c L M r K tau0 theorem n_samples dt_lattice dtau_kdv "
+         "perturbation_mode perturbation_size", {"n_samples": 1}),
+        (["metastability", "--n-samples", "1"], "metastability_p2",
+         "seed p epsilons c L M r K n_samples dt_lattice perturbation_mode perturbation_size",
+         {"perturbation_mode": "random", "n_samples": 1}),
+    ], ids=["soliton", "kdv", "fpu", "residual-scan", "error-scan", "metastability"])
+    def test_summary_records_the_defaults(self, tmp_path, capsys, argv, stem, fields, given):
+        code, _, _ = run_cli(argv + ["--out-dir", str(tmp_path)], capsys)
+        assert code == (2 if argv[0] == "kdv" else 0)
+        spec = json.loads((tmp_path / f"{stem}.json").read_text())["spec"]
+        assert (tmp_path / f"{stem}.csv").exists() or list(tmp_path.glob(f"{stem}_eps*.csv"))
+        assert spec.pop("command") == argv[0]
+        assert sorted(spec) == sorted(fields.split())
+        # through JSON, so the default epsilon tuple compares as a list
+        defaults = json.loads(json.dumps(dataclasses.asdict(ExperimentSpec())))
+        assert spec == {k: given.get(k, defaults[k]) for k in spec}
 
 
 class TestFit:

@@ -17,6 +17,7 @@ from fpukdv.core import (
     dealias_mask,
     derivative,
     l2_norm,
+    lattice_size,
     sample_to_lattice,
     sobolev_norm,
     spectral_tail_fraction,
@@ -304,6 +305,26 @@ class TestModelParams:
     def test_wrap_consistency_enforced(self):
         with pytest.raises(ConfigurationError):
             ModelParams(p=2, epsilon=0.1, L=64.0, N=641)
+
+
+class TestLatticeSize:
+    """N*epsilon = L is one rule with one tolerance wherever a lattice is
+    sized or checked."""
+
+    def test_small_period_within_the_tolerance(self):
+        # N*eps - L = -1e-10: inside 1e-9*max(1, L), outside 1e-9*L
+        L = 0.01
+        eps = L / (100 + 1e-6)
+        assert lattice_size(L, eps) == 100
+        ModelParams(p=2, epsilon=eps, L=L, N=100)
+        W = FieldProfile.from_values(np.ones(8), L)
+        assert sample_to_lattice(W, eps, 0.0, 100) == pytest.approx(np.ones(100))
+
+    @pytest.mark.parametrize("L,eps", [(64.0, 0.3), (math.inf, 0.1), (math.nan, 0.1)],
+                             ids=["non-integer", "inf", "nan"])
+    def test_rejects_a_period_that_does_not_wrap(self, L, eps):
+        with pytest.raises(ConfigurationError, match="not an integer site count"):
+            lattice_size(L, eps)
 
 
 class TestLatticeState:

@@ -1,7 +1,7 @@
 import csv
 import json
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -16,9 +16,7 @@ from fpukdv.core import (
     sample_to_lattice,
 )
 from fpukdv.harness import (
-    ERROR_CSV_HEADER,
     ExperimentSpec,
-    error_records_rows,
     fit_scaling_exponent,
     orbital_distance,
     run_error_scan,
@@ -254,21 +252,21 @@ class TestRunners:
 
 class TestPersistence:
     def test_csv_roundtrip_and_format(self, tmp_path):
-        rec = ErrorRecord(t=1.0, err_u=0.1, err_du=0.2, energy_quantity=0.3,
-                          res1_norm=0.4, res2_norm=0.5, H_lattice=0.6,
-                          coercivity_lhs=0.0, coercivity_ok=True)
+        rec = ErrorRecord(t=1.0, err_u=0.1, err_du=0.2, E=0.3,
+                          res1_l2=0.4, res2_l2=0.5, H=0.6, coercivity_ok=True)
         path = tmp_path / "errors.csv"
-        write_csv(str(path), ERROR_CSV_HEADER, error_records_rows([rec]))
+        write_csv(str(path), [asdict(rec)])
         with open(path) as fh:
             rows = list(csv.reader(fh))
-        assert rows[0] == ERROR_CSV_HEADER
+        assert rows[0] == ["t", "err_u", "err_du", "E", "res1_l2", "res2_l2", "H",
+                           "coercivity_ok"]
         assert rows[1][0] == "1"
         assert rows[1][-1] == "1"  # booleans as 0/1
 
     def test_csv_full_precision(self, tmp_path):
         value = 0.1 + 0.2  # not exactly representable as short decimal
         path = tmp_path / "x.csv"
-        write_csv(str(path), ["v"], [[value]])
+        write_csv(str(path), [{"v": value}])
         with open(path) as fh:
             text = list(csv.reader(fh))[1][0]
         assert float(text) == value
@@ -280,8 +278,7 @@ class TestPersistence:
         for name in ("a.csv", "b.csv"):
             out = run_error_scan(spec)
             path = tmp_path / name
-            write_csv(str(path), ERROR_CSV_HEADER,
-                      error_records_rows(out["cells"][0]["records"]))
+            write_csv(str(path), map(asdict, out["cells"][0]["records"]))
             payloads.append(path.read_bytes())
         assert payloads[0] == payloads[1]
 

@@ -329,7 +329,7 @@ class TestNormTracking:
         W0 = soliton_profile(SolitonSpec(p=2, c=1.0, center=32.0), 64.0, 2048)
         cfg = KdvRunConfig(p=2, L=64.0, M=2048, dtau=1e-3)
         samples = track_norm_growth(W0, cfg, 6, 0.2, 10)
-        norms = np.array([s.hs_norm for s in samples])
+        norms = np.array([s.Hs_norm for s in samples])
         assert np.max(np.abs(norms - norms[0])) / norms[0] < 1e-6
         assert not any(s.resolution_flag for s in samples)
 
