@@ -15,13 +15,14 @@ from .core import (
 )
 from .kdv import (KdvIntegrator, KdvRunConfig, SolitonSpec, kdv_integrate, nonlinear_fields,
                   soliton_profile)
-from .fpu import FpuRunConfig, fpu_energy, fpu_integrate, traveling_wave_initializer
+from .fpu import FpuRunConfig, fpu_energy, fpu_integrate
 from .ansatz import build_p_epsilon, initial_lattice_data
 from .diagnostics import energy_quantity, error_norms, residual_snapshot
 from .harness import (
     ExperimentSpec,
     fit_scaling_exponent,
     run_error_scan,
+    run_fpu,
     run_metastability,
     run_norm_growth,
     run_residual_scan,
@@ -56,6 +57,7 @@ __all__ = [
     "nonlinear_fields",
     "residual_snapshot",
     "run_error_scan",
+    "run_fpu",
     "run_metastability",
     "run_norm_growth",
     "run_residual_scan",
@@ -63,6 +65,5 @@ __all__ = [
     "sobolev_norm",
     "soliton_profile",
     "time_window",
-    "traveling_wave_initializer",
     "__version__",
 ]

@@ -6,7 +6,8 @@ or config key that a command would ignore is a usage error.  The entries of
 an optional JSON document (--config) are parsed as flags, spliced in before
 the command line's own, which win; there is no environment-variable
 configuration.  A command reads its settings from the ExperimentSpec of its
-flags and returns an Outcome; main alone writes its CSVs and (but for fit)
+flags, hands the spec to a harness runner, which alone turns it into solver
+inputs, and returns an Outcome; main alone writes its CSVs and (but for fit)
 a summary JSON of the command, the settings it read, fits and wall time.
 
 Exit codes: 0 success, 1 configuration error, 2 numerical failure.
@@ -23,19 +24,20 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import BlowUpError, ConfigurationError, InvalidInputError, ModelParams, lattice_size
-from .fpu import fpu_energy, lattice_samples, traveling_wave_initializer
+from .core import BlowUpError, ConfigurationError, InvalidInputError
 from .harness import (
     ExperimentSpec,
     fit_scaling_exponent,
+    initial_profile,
     run_error_scan,
+    run_fpu,
     run_metastability,
     run_norm_growth,
     run_residual_scan,
     write_csv,
     write_summary_json,
 )
-from .kdv import SolitonSpec, soliton_profile, steady_residual
+from .kdv import steady_residual
 
 
 def _eps_list(text: str) -> tuple:
@@ -137,13 +139,12 @@ class Outcome(NamedTuple):
 
 
 def _cmd_soliton(spec: ExperimentSpec, args) -> Outcome:
-    sol = SolitonSpec(p=spec.p, c=spec.c, center=spec.L / 2.0)
-    W = soliton_profile(sol, spec.L, spec.M)
+    W = initial_profile(spec)
     res = float(np.max(np.abs(steady_residual(W, spec.p, spec.c))))
     stem = f"{args.out_dir}/soliton_p{spec.p}_c{spec.c}"
     rows = [{"x": x, "W": w} for x, w in zip(W.grid().tolist(), W.values.tolist())]
     return Outcome({f"{stem}.csv": rows}, stem, [], {},
-                   f"soliton p={spec.p} c={spec.c}: peak={sol.amplitude:.6g} "
+                   f"soliton p={spec.p} c={spec.c}: peak={W.values.max():.6g} "
                    f"steady_residual={res:.3e} -> {stem}.csv")
 
 
@@ -161,16 +162,7 @@ def _cmd_kdv(spec: ExperimentSpec, args) -> Outcome:
 
 
 def _cmd_fpu(spec: ExperimentSpec, args) -> Outcome:
-    if len(spec.epsilons) != 1:
-        raise ConfigurationError(f"fpu runs one epsilon, got {len(spec.epsilons)}: "
-                                 f"{','.join(map(str, spec.epsilons))}")
-    eps = spec.epsilons[0]
-    N = lattice_size(spec.L, eps)
-    state, _ = traveling_wave_initializer(spec.p, spec.c, eps, spec.L, spec.M, N)
-    params = ModelParams(p=spec.p, epsilon=eps, L=spec.L, N=N, dt_lattice=spec.dt_lattice)
-    rows = [{"t": t, "H": fpu_energy(st, eps, spec.p),
-             "sum_u": float(np.sum(st.u)), "sum_q": float(np.sum(st.q))}
-            for t, st in lattice_samples(state, params, spec.t_end, spec.n_samples)]
+    rows, eps = run_fpu(spec), spec.epsilons[0]
     stem = f"{args.out_dir}/fpu_p{spec.p}_eps{eps}"
     h0, hT = rows[0]["H"], rows[-1]["H"]
     return Outcome({f"{stem}.csv": rows}, stem, [], {},
@@ -253,7 +245,8 @@ _COMMANDS = {
     "soliton": (_cmd_soliton, "soliton profile and steady-ODE residual",
                 "config out-dir p c L M", {"L": 32.0}),
     "kdv": (_cmd_kdv, "run the KdV solver with invariant and H^s norm tracking",
-            "config out-dir p c L M n-samples dtau s tau-end initial-mode amplitude", {}),
+            "config out-dir p c L M n-samples dtau s tau-end initial-mode amplitude",
+            {"M": 2048}),
     "fpu": (_cmd_fpu, "run the FPU lattice with energy tracking",
             "config out-dir p eps c L M n-samples dt t-end integrator", {"eps": (0.2,)}),
     "residual-scan": (_cmd_residual_scan, "epsilon sweep of the ansatz residuals",

@@ -69,12 +69,11 @@ def lattice_size(L: float, epsilon: float) -> int:
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Physical and discretization parameters shared across modules."""
+    """What the lattice integrator reads besides the state: the power p,
+    epsilon and the largest time step.  The site count is the state's."""
 
     p: int
     epsilon: float
-    L: float
-    N: int
     dt_lattice: float = DT_LATTICE
 
     def __post_init__(self):
@@ -82,9 +81,6 @@ class ModelParams:
             raise InvalidInputError(f"p must be an integer >= 2, got {self.p}")
         if not 0.0 < self.epsilon < 1.0:
             raise InvalidInputError(f"epsilon must be in (0, 1), got {self.epsilon}")
-        if self.N != lattice_size(self.L, self.epsilon):
-            raise ConfigurationError(f"N*epsilon = {self.N * self.epsilon} must equal "
-                                     f"L = {self.L} (moving-frame wrap consistency)")
         if not self.dt_lattice > 0.0:
             raise InvalidInputError("the lattice time step must be positive")
 

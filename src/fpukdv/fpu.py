@@ -7,7 +7,7 @@ One integrator: Blanes & Moan's order-4 symplectic splitting S6, whose linear
 flows are solved exactly in Fourier space and whose nonlinear kicks act on the
 momentum spectrum only.  The RK4 loop in kernels.py is kept as a reference for
 tests; no run uses it.  ``lattice_samples`` samples a run on the clock of
-``core.uniform_samples``.
+``core.uniform_samples``.  Initial states are built in ``harness`` alone.
 """
 
 from __future__ import annotations
@@ -20,8 +20,6 @@ from . import kernels
 from .core import (
     BLOWUP_GUARD,
     BlowUpError,
-    ConfigurationError,
-    FieldProfile,
     InvalidInputError,
     LatticeState,
     ModelParams,
@@ -100,13 +98,13 @@ class _S6Stepper:
         np.add(qh, sq, out=qh)
 
     def steps(self, u, q, nsteps):
-        """Advance grid arrays (u, q) by nsteps; returns (u, q, status).
+        """Advance grid arrays (u, q) by nsteps; returns (u, q).
 
-        status is 1 if the NaN-safe sup-norm guard tripped, 0 otherwise.  It
-        is checked on the grid u of each step's first kick and on the result.
+        Raises BlowUpError when the NaN-safe sup-norm guard trips; it is
+        checked on the grid u of each step's first kick and on the result.
         """
         if nsteps == 0:
-            return u, q, 0
+            return u, q
         N, p = self.N, self.p
         uh, qh = np.fft.rfft(u), np.fft.rfft(q)
         fh, sq = np.empty_like(uh), np.empty_like(uh)
@@ -117,29 +115,28 @@ class _S6Stepper:
             for j, (kick, flow) in enumerate(zip(self.kicks, (*self.inner, closing))):
                 np.fft.irfft(uh, n=N, out=w)
                 if j == 0 and not (np.abs(w, out=f).max() <= BLOWUP_GUARD):
-                    return w, np.fft.irfft(qh, n=N), 1
+                    raise BlowUpError("FPU solution exceeded the sup-norm guard")
                 np.fft.rfft(kernels.int_power(w, p, f), out=fh)
                 np.multiply(kick, fh, out=fh)
                 np.add(qh, fh, out=qh)
                 self._linear(uh, qh, flow, fh, sq)
-        u, q = np.fft.irfft(uh, n=N), np.fft.irfft(qh, n=N)
-        return u, q, 0 if np.abs(u).max() <= BLOWUP_GUARD else 1
+        u = np.fft.irfft(uh, n=N)
+        if not np.abs(u).max() <= BLOWUP_GUARD:
+            raise BlowUpError("FPU solution exceeded the sup-norm guard")
+        return u, np.fft.irfft(qh, n=N)
 
 
 def fpu_integrate(state: LatticeState, cfg: FpuRunConfig) -> LatticeState:
-    """Advance the state by the duration cfg.t_end in one chunk of steps of
-    size cfg.params.dt_lattice.  Deterministic for a fixed config."""
+    """Advance the state, on its own N sites, by the duration cfg.t_end in
+    one chunk of steps of size cfg.params.dt_lattice.  Deterministic for a
+    fixed config; a blow-up raises BlowUpError."""
     params = cfg.params
-    if state.N != params.N:
-        raise ConfigurationError(f"state has {state.N} sites, the run expects N = {params.N}")
     dt = params.dt_lattice
     n_total = int(round(cfg.t_end / dt))
     if abs(n_total * dt - cfg.t_end) > 1.0e-9 * max(1.0, cfg.t_end):
         raise InvalidInputError("t_end must be an integer multiple of dt_lattice")
     stepper = _S6Stepper(state.N, dt, params.epsilon**2, params.p)
-    u, q, status = stepper.steps(state.u.copy(), state.q.copy(), n_total)
-    if status != 0:
-        raise BlowUpError(f"FPU solution exceeded the sup-norm guard in a run of {cfg.t_end}")
+    u, q = stepper.steps(state.u.copy(), state.q.copy(), n_total)
     return LatticeState(u=u, q=q)
 
 
@@ -154,25 +151,3 @@ def lattice_samples(state: LatticeState, params: ModelParams, t_end: float, n_sa
         return fpu_integrate(state, FpuRunConfig(replace(params, dt_lattice=dt), t_end=n * dt))
 
     return uniform_samples(advance, state, t_end, n_samples, params.dt_lattice)
-
-
-def traveling_wave_initializer(
-    p: int,
-    c: float,
-    epsilon: float,
-    L: float,
-    M: int,
-    N: int,
-) -> tuple[LatticeState, FieldProfile]:
-    """KdV-soliton surrogate of the lattice traveling wave (O(eps^(3/2)) accurate).
-
-    Returns the sampled ansatz state and the underlying soliton profile.
-    This is the leading-order approximation of the exact lattice wave, not
-    the wave itself.
-    """
-    from .ansatz import initial_lattice_data
-    from .kdv import SolitonSpec, soliton_profile
-
-    W0 = soliton_profile(SolitonSpec(p=p, c=c, center=L / 2.0), L, M)
-    state = initial_lattice_data(W0, epsilon, p, N)
-    return state, W0

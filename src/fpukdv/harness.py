@@ -2,7 +2,8 @@
 scaling-exponent fits, metastability runs and persistence.
 
 ``ExperimentSpec`` holds every setting of a run with its one default and
-rejects bad input; ``write_csv`` writes rows of column -> value dicts.
+rejects bad input; only this module turns it into solver inputs (W0, lattice
+starts, KdV configs); ``write_csv`` writes rows of column -> value dicts.
 
 Both lattice scans run the epsilon cells of one KdV window tau0 in lockstep
 with one reference run: the error scan records errors against a KdV run,
@@ -32,12 +33,13 @@ from .core import (
     ConfigurationError,
     FieldProfile,
     InvalidInputError,
+    LatticeState,
     ModelParams,
     lattice_size,
     sample_to_lattice,
 )
 from .diagnostics import error_norms, residual_profiles, residual_snapshot
-from .fpu import lattice_samples
+from .fpu import fpu_energy, lattice_samples
 from .kdv import (KdvRunConfig, SolitonSpec, kdv_samples, nonlinear_fields, soliton_profile,
                   track_norm_growth)
 
@@ -78,6 +80,12 @@ class ExperimentSpec:
             raise InvalidInputError(f"tau0 must be positive, got {self.tau0}")
         if self.n_samples < 1:
             raise InvalidInputError(f"sampling needs n_samples >= 1, got {self.n_samples}")
+        if self.seed < 0:
+            raise InvalidInputError(f"seed must be >= 0, got {self.seed}")
+        for name in ("t_end", "tau_end"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise InvalidInputError(f"{name} must be positive and finite, "
+                                        f"got {getattr(self, name)}")
         if not (self.perturbation_size is None or self.perturbation_size >= 0.0):
             raise InvalidInputError(f"perturbation size {self.perturbation_size} is not >= 0")
         if not 0.0 < self.r < 0.5:
@@ -150,7 +158,9 @@ def time_window(epsilon: float, r: float, K: float, p: int, theorem: int) -> tup
     return t0, epsilon**3 * t0
 
 
-def _initial_profile(spec: ExperimentSpec) -> FieldProfile:
+def initial_profile(spec: ExperimentSpec) -> FieldProfile:
+    """W0 of the spec: the soliton of speed c, or a Gaussian of the given
+    amplitude, centred at L/2 on the M-point grid."""
     if spec.initial_mode == "soliton":
         return soliton_profile(SolitonSpec(p=spec.p, c=spec.c, center=spec.L / 2.0), spec.L, spec.M)
     if spec.initial_mode == "gaussian":
@@ -167,6 +177,36 @@ def _window_for(spec: ExperimentSpec, epsilon: float) -> tuple[float, float]:
     return spec.tau0 * epsilon**-3, spec.tau0
 
 
+def _kdv_config(spec: ExperimentSpec) -> KdvRunConfig:
+    return KdvRunConfig(p=spec.p, L=spec.L, M=spec.M, dtau=spec.dtau_kdv)
+
+
+def _lattice_start(spec: ExperimentSpec, W0: FieldProfile,
+                   epsilon: float) -> tuple[LatticeState, ModelParams, float]:
+    """(state, params, delta) of a lattice run at epsilon: the sampled ansatz
+    of W0 on the N = L/epsilon sites, plus, in random mode, a seeded
+    perturbation of l2 size delta (perturbation_size, by default eps^(3/2))."""
+    N = lattice_size(spec.L, epsilon)
+    params = ModelParams(p=spec.p, epsilon=epsilon, dt_lattice=spec.dt_lattice)
+    delta = spec.perturbation_size if spec.perturbation_size is not None else epsilon**1.5
+    perturbation = (seeded_perturbation(N, delta, spec.seed)
+                    if spec.perturbation_mode == "random" else None)
+    return initial_lattice_data(W0, epsilon, spec.p, N, perturbation), params, delta
+
+
+def run_fpu(spec: ExperimentSpec) -> list[dict]:
+    """Rows (t, H, sum_u, sum_q) at the n_samples + 1 sample times of one
+    lattice run over [0, t_end], at the spec's one epsilon."""
+    if len(spec.epsilons) != 1:
+        raise ConfigurationError(f"fpu runs one epsilon, got {len(spec.epsilons)}: "
+                                 f"{','.join(map(str, spec.epsilons))}")
+    eps = spec.epsilons[0]
+    state, params, _ = _lattice_start(spec, initial_profile(spec), eps)
+    return [{"t": t, "H": fpu_energy(st, eps, spec.p),
+             "sum_u": float(np.sum(st.u)), "sum_q": float(np.sum(st.q))}
+            for t, st in lattice_samples(state, params, spec.t_end, spec.n_samples)]
+
+
 # ---------------------------------------------------------------------------
 # residual scan
 # ---------------------------------------------------------------------------
@@ -178,7 +218,7 @@ def run_residual_scan(spec: ExperimentSpec) -> dict:
     profile gives both its lattice l2 norm and its grid sup (truncation_sup).
     The nonlinear fields of W0 do not depend on epsilon: formed once.
     """
-    W0 = _initial_profile(spec)
+    W0 = initial_profile(spec)
     fields = nonlinear_fields(W0, spec.p)
     rows = []
     for eps in spec.epsilons:
@@ -209,8 +249,7 @@ def _kdv_windows(spec: ExperimentSpec) -> list[tuple]:
 
 def _run_window(spec: ExperimentSpec, epsilons: tuple, measurement, reference) -> list[dict]:
     """The cells of epsilons that share one window tau0: each a lattice run
-    from the sampled ansatz of W0 (plus, in random mode, a seeded
-    perturbation of l2 size delta), all advanced in lockstep with one
+    from ``_lattice_start``, all advanced in lockstep with one
     reference run of (tau, W) = reference(spec, W0, tau0), of which only the
     current sample is held.  At every sample each running cell appends
     record(t, state, W) to its records, record = measurement(spec, W0, eps, N).
@@ -218,20 +257,15 @@ def _run_window(spec: ExperimentSpec, epsilons: tuple, measurement, reference) -
     A lattice blow-up ends its own cell; a reference blow-up ends every cell
     still running.  Either way a flagged cell keeps the records before it.
     """
-    W0 = _initial_profile(spec)
+    W0 = initial_profile(spec)
     cells, running = [], []
     for eps in epsilons:  # every cell of the window has the same tau0
-        N = lattice_size(spec.L, eps)
-        params = ModelParams(p=spec.p, epsilon=eps, L=spec.L, N=N, dt_lattice=spec.dt_lattice)
+        state, params, delta = _lattice_start(spec, W0, eps)
         t0, tau0 = _window_for(spec, eps)
-        delta = spec.perturbation_size if spec.perturbation_size is not None else eps**1.5
-        perturbation = (seeded_perturbation(N, delta, spec.seed)
-                        if spec.perturbation_mode == "random" else None)
-        state = initial_lattice_data(W0, eps, spec.p, N, perturbation)
         cell = {"epsilon": eps, "t0": t0, "tau0": tau0, "delta": delta, "records": [],
                 "flags": {"blow_up": False}}
         cells.append(cell)
-        running.append((cell, measurement(spec, W0, eps, N),
+        running.append((cell, measurement(spec, W0, eps, state.N),
                         lattice_samples(state, params, t0, spec.n_samples)))
     reference_run = reference(spec, W0, tau0)
 
@@ -261,8 +295,7 @@ def _run_window(spec: ExperimentSpec, epsilons: tuple, measurement, reference) -
 # ---------------------------------------------------------------------------
 
 def _kdv_reference(spec: ExperimentSpec, W0: FieldProfile, tau0: float):
-    kcfg = KdvRunConfig(p=spec.p, L=spec.L, M=spec.M, dtau=spec.dtau_kdv)
-    return kdv_samples(W0, kcfg, tau0, spec.n_samples)
+    return kdv_samples(W0, _kdv_config(spec), tau0, spec.n_samples)
 
 
 def _error_measurement(spec: ExperimentSpec, W0: FieldProfile, epsilon: float, N: int):
@@ -341,9 +374,8 @@ def run_metastability(spec: ExperimentSpec, jobs: int = 1) -> dict:
 
 def run_norm_growth(spec: ExperimentSpec) -> dict:
     """Track the H^s norm along one KdV run; fit the growth exponent for p >= 4."""
-    W0 = _initial_profile(spec)
-    cfg = KdvRunConfig(p=spec.p, L=spec.L, M=spec.M, dtau=spec.dtau_kdv)
-    samples = track_norm_growth(W0, cfg, spec.s, spec.tau_end, spec.n_samples)
+    cfg = _kdv_config(spec)
+    samples = track_norm_growth(initial_profile(spec), cfg, spec.s, spec.tau_end, spec.n_samples)
     norms = [smp.Hs_norm for smp in samples]
     out = {
         "samples": samples,

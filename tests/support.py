@@ -1,7 +1,8 @@
 """Helpers that only tests call: a grid norm, a two-point exponent, the
 dealiased integer power of a profile, the spectral translate of a profile,
 the rfft-pair check of a profile, the empirical constant of the paper's
-energy-derivative estimate, and a counter of nonlinear-field builds."""
+energy-derivative estimate, a counter of nonlinear-field builds, and the
+sampled soliton ansatz on a lattice."""
 
 import math
 import sys
@@ -9,8 +10,17 @@ import sys
 import numpy as np
 
 from fpukdv import kdv
-from fpukdv.core import FieldProfile, InvalidInputError, dealias_mask
+from fpukdv.ansatz import initial_lattice_data
+from fpukdv.core import FieldProfile, InvalidInputError, LatticeState, dealias_mask, lattice_size
 from fpukdv.kernels import int_power
+
+
+def soliton_lattice_data(p: int, c: float, epsilon: float, L: float = 64.0,
+                         M: int = 1024) -> tuple[LatticeState, FieldProfile]:
+    """(state, W0): the sampled ansatz at t = 0 of the soliton W0 of speed c
+    centred at L/2, on the N = L/epsilon lattice sites."""
+    W0 = kdv.soliton_profile(kdv.SolitonSpec(p=p, c=c, center=L / 2.0), L, M)
+    return initial_lattice_data(W0, epsilon, p, lattice_size(L, epsilon)), W0
 
 
 def count_nonlinear_field_builds(monkeypatch) -> list:

@@ -11,9 +11,8 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from fpukdv.core import FieldProfile
-from fpukdv.fpu import FpuRunConfig, fpu_energy, fpu_integrate, traveling_wave_initializer
-from fpukdv.core import ModelParams
+from fpukdv.core import FieldProfile, ModelParams
+from fpukdv.fpu import FpuRunConfig, fpu_energy, fpu_integrate
 from fpukdv.harness import (
     ExperimentSpec,
     run_error_scan,
@@ -30,7 +29,7 @@ from fpukdv.kdv import (
     steady_residual,
 )
 
-from support import grid_l2_norm, pairwise_exponent, translate
+from support import grid_l2_norm, pairwise_exponent, soliton_lattice_data, translate
 
 
 ACCEPTANCE_LINES: list[str] = []
@@ -121,9 +120,9 @@ def test_05_coercivity(kdv_time_scan, theorem1_scan, p3_scan):
 def test_06_conservation():
     # FPU: 1e5 steps of the order-4 symplectic splitting at dt = 0.05 (the
     # splitting keeps the drift orders of magnitude under RK4's truncation drift)
-    eps, N = 0.1, 640
-    state, _ = traveling_wave_initializer(2, 1.0, eps, 64.0, 1024, N)
-    params = ModelParams(p=2, epsilon=eps, L=64.0, N=N, dt_lattice=0.05)
+    eps = 0.1
+    state, _ = soliton_lattice_data(2, 1.0, eps)
+    params = ModelParams(p=2, epsilon=eps, dt_lattice=0.05)
     H0 = fpu_energy(state, eps, 2)
     out = fpu_integrate(state, FpuRunConfig(params=params, t_end=5000.0))
     fpu_drift = abs(fpu_energy(out, eps, 2) - H0) / abs(H0)

@@ -100,6 +100,19 @@ class TestFpu:
             times = [float(row["t"]) for row in csv.DictReader(fh)]
         assert times == [0.0, 10 / 3, 20 / 3, 10.0]
 
+    def test_starts_where_the_error_scan_starts(self, tmp_path, capsys):
+        # one start for every lattice run: the t = 0 energy of an fpu run and
+        # of an error-scan cell at the same epsilon are the same bytes
+        first_H = []
+        for argv, name in ((["fpu", "--t-end", "1"], "fpu_p2_eps0.1.csv"),
+                           (["error-scan", "--tau0", "0.001"], "error_scan_p2_eps0.1.csv")):
+            code, _, _ = run_cli(argv + ["--eps", "0.1", "--n-samples", "1",
+                                         "--out-dir", str(tmp_path)], capsys)
+            assert code == 0
+            with open(tmp_path / name) as fh:
+                first_H.append(next(csv.DictReader(fh))["H"])
+        assert first_H[0] == first_H[1]
+
     def test_runs_one_epsilon(self, tmp_path, capsys):
         code, _, err = run_cli(["fpu", "--eps", "0.2,0.1", "--t-end", "5",
                                 "--out-dir", str(tmp_path)], capsys)
@@ -265,11 +278,16 @@ class TestExitCodes:
          "epsilons must be in (0, 1), got (0.2, 0.0)"),
         (["kdv", "--L", "-32", "--tau-end", "0.01", "--n-samples", "1"],
          "L must be positive and finite, got -32.0"),
+        (["metastability", "--seed", "-1"], "seed must be >= 0, got -1"),
+        (["fpu", "--t-end", "inf"], "t_end must be positive and finite, got inf"),
+        (["kdv", "--tau-end", "inf"], "tau_end must be positive and finite, got inf"),
     ], ids=["fpu-eps-0", "fpu-eps-negative", "fpu-L-nan", "fpu-L-inf", "soliton-M-0",
             "soliton-M-negative", "residual-scan-M-0", "kdv-M-0", "error-scan-eps-0",
-            "kdv-L-negative"])
+            "kdv-L-negative", "metastability-seed-negative", "fpu-t-end-inf",
+            "kdv-tau-end-inf"])
     def test_bad_setting_is_a_configuration_error(self, capsys, tmp_path, argv, message):
-        # each used to end in a traceback, or (kdv --L -32) in NaN norms and exit 2
+        # each used to end in a traceback, or (kdv --L -32) in NaN norms and exit 2;
+        # a negative seed in default_rng, an infinite window in the sampler
         code, _, err = run_cli(argv + ["--out-dir", str(tmp_path)], capsys)
         assert code == 1
         assert f"configuration error: {message}" in err
@@ -283,10 +301,11 @@ class TestDefaults:
 
     @pytest.mark.parametrize("argv,stem,fields,given", [
         (["soliton"], "soliton_p2_c1.0", "p c L M", {"L": 32.0}),
-        # exits 2: at M = 1024 the default soliton's H^6 tail is flagged at tau = 0
+        # kdv's M = 2048 resolves the default soliton's H^6 tail (at 1024 it is
+        # flagged at tau = 0 and the run exits 2)
         (["kdv", "--tau-end", "0.01", "--n-samples", "1"], "kdv_p2",
          "p c L M n_samples dtau_kdv s tau_end initial_mode amplitude",
-         {"tau_end": 0.01, "n_samples": 1}),
+         {"M": 2048, "tau_end": 0.01, "n_samples": 1}),
         (["fpu", "--t-end", "1", "--n-samples", "1"], "fpu_p2_eps0.2",
          "p epsilons c L M n_samples dt_lattice t_end",
          {"epsilons": [0.2], "t_end": 1.0, "n_samples": 1}),
@@ -300,7 +319,7 @@ class TestDefaults:
     ], ids=["soliton", "kdv", "fpu", "residual-scan", "error-scan", "metastability"])
     def test_summary_records_the_defaults(self, tmp_path, capsys, argv, stem, fields, given):
         code, _, _ = run_cli(argv + ["--out-dir", str(tmp_path)], capsys)
-        assert code == (2 if argv[0] == "kdv" else 0)
+        assert code == 0
         spec = json.loads((tmp_path / f"{stem}.json").read_text())["spec"]
         assert (tmp_path / f"{stem}.csv").exists() or list(tmp_path.glob(f"{stem}_eps*.csv"))
         assert spec.pop("command") == argv[0]

@@ -289,22 +289,21 @@ class TestProfileOps:
 
 
 class TestModelParams:
+    """(p, epsilon, dt_lattice) and no site count: the state holds N, and
+    the N*epsilon = L rule is pinned by TestLatticeSize and the sampler."""
+
     def test_valid(self):
-        ModelParams(p=2, epsilon=0.1, L=64.0, N=640)
+        ModelParams(p=2, epsilon=0.1)
 
     @pytest.mark.parametrize("kwargs", [
-        dict(p=1, epsilon=0.1, L=64.0, N=640),
-        dict(p=2, epsilon=1.5, L=64.0, N=640),
-        dict(p=2.5, epsilon=0.1, L=64.0, N=640),
-        dict(p=2, epsilon=0.1, L=64.0, N=640, dt_lattice=-0.1),
+        dict(p=1, epsilon=0.1),
+        dict(p=2, epsilon=1.5),
+        dict(p=2.5, epsilon=0.1),
+        dict(p=2, epsilon=0.1, dt_lattice=-0.1),
     ])
     def test_invalid_inputs(self, kwargs):
         with pytest.raises(InvalidInputError):
             ModelParams(**kwargs)
-
-    def test_wrap_consistency_enforced(self):
-        with pytest.raises(ConfigurationError):
-            ModelParams(p=2, epsilon=0.1, L=64.0, N=641)
 
 
 class TestLatticeSize:
@@ -316,7 +315,6 @@ class TestLatticeSize:
         L = 0.01
         eps = L / (100 + 1e-6)
         assert lattice_size(L, eps) == 100
-        ModelParams(p=2, epsilon=eps, L=L, N=100)
         W = FieldProfile.from_values(np.ones(8), L)
         assert sample_to_lattice(W, eps, 0.0, 100) == pytest.approx(np.ones(100))
 

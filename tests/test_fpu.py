@@ -9,7 +9,6 @@ from fpukdv.ansatz import build_p_epsilon
 from fpukdv.core import (
     DT_LATTICE,
     BlowUpError,
-    ConfigurationError,
     InvalidInputError,
     LatticeState,
     ModelParams,
@@ -20,10 +19,11 @@ from fpukdv.fpu import (
     fpu_energy,
     fpu_integrate,
     lattice_samples,
-    traveling_wave_initializer,
 )
 from fpukdv.harness import fit_scaling_exponent
 from fpukdv.kdv import nonlinear_fields
+
+from support import soliton_lattice_data
 
 # Blanes & Moan (2002), S6: a1 b1 a2 b2 a3 b3 a4 b3 a3 b2 a2 b1 a1
 _A = (0.0792036964311957, 0.353172906049774, -0.0420650803577195)
@@ -67,8 +67,8 @@ def _rhs(u, q, eps, p):
     return dy[:N], dy[N:]
 
 
-def _params(eps=0.1, N=640, dt=DT_LATTICE, p=2):
-    return ModelParams(p=p, epsilon=eps, L=N * eps, N=N, dt_lattice=dt)
+def _params(eps=0.1, dt=DT_LATTICE, p=2):
+    return ModelParams(p=p, epsilon=eps, dt_lattice=dt)
 
 
 class TestRhsAndEnergy:
@@ -131,8 +131,8 @@ class TestIntegrators:
         q0 = 0.3 * rng.standard_normal(64)
         sols = []
         for dt in (0.2, 0.1, 0.05):
-            params = ModelParams(p=2, epsilon=0.1, L=6.4, N=64, dt_lattice=dt)
-            out = fpu_integrate(LatticeState(u=u0, q=q0), FpuRunConfig(params=params, t_end=4.0))
+            out = fpu_integrate(LatticeState(u=u0, q=q0),
+                                FpuRunConfig(params=_params(dt=dt), t_end=4.0))
             sols.append(np.concatenate([out.u, out.q]))
         e1 = np.max(np.abs(sols[0] - sols[1]))
         e2 = np.max(np.abs(sols[1] - sols[2]))
@@ -143,7 +143,7 @@ class TestIntegrators:
         # oracle: RK4 at dt = 0.0125 on the travelling-wave data (eps = 0.1,
         # N = 640, T = 200); the splitting at the default step must be no
         # further from it than RK4 at the old default 0.05 (bound fixed beforehand)
-        state, _ = traveling_wave_initializer(p, 1.0, 0.1, 64.0, 1024, 640)
+        state, _ = soliton_lattice_data(p, 1.0, 0.1)
         T = 200.0
 
         def rk4(dt):
@@ -165,22 +165,21 @@ class TestIntegrators:
         u0 = 0.3 * rng.standard_normal(N)
         q0 = 0.3 * rng.standard_normal(N)
         stepper = fpu_module._S6Stepper(N, DT_LATTICE, 0.01, p)
-        u, q, status = stepper.steps(u0.copy(), q0.copy(), nsteps)
+        u, q = stepper.steps(u0.copy(), q0.copy(), nsteps)
         u_ref, q_ref = _s6_reference(u0, q0, 0.01, p, DT_LATTICE, nsteps)
-        assert status == 0
         scale = max(np.max(np.abs(u_ref)), np.max(np.abs(q_ref)))
         assert np.max(np.abs(u - u_ref)) <= 1e-12 * scale
         assert np.max(np.abs(q - q_ref)) <= 1e-12 * scale
 
     def test_splitting_matches_rk4(self):
-        state, _ = traveling_wave_initializer(2, 1.0, 0.1, 64.0, 1024, 640)
+        state, _ = soliton_lattice_data(2, 1.0, 0.1)
         u, q = state.u.copy(), state.q.copy()
         kernels.fpu_rk4(u, q, 0.01, 2, 0.05, 200)
         out = fpu_integrate(state, FpuRunConfig(params=_params(), t_end=10.0))
         assert l2_norm(out.u - u) / l2_norm(u) < 1e-5
 
     def test_splitting_energy_drift_tiny(self):
-        state, _ = traveling_wave_initializer(2, 1.0, 0.1, 64.0, 1024, 640)
+        state, _ = soliton_lattice_data(2, 1.0, 0.1)
         H0 = fpu_energy(state, 0.1, 2)
         out = fpu_integrate(state, FpuRunConfig(params=_params(), t_end=100.0))
         assert abs(fpu_energy(out, 0.1, 2) - H0) / abs(H0) < 1e-9
@@ -189,9 +188,8 @@ class TestIntegrators:
         monkeypatch.setattr(fpu_module, "BLOWUP_GUARD", 1.0e-3)
         rng = np.random.default_rng(8)
         state = LatticeState(u=rng.standard_normal(32), q=rng.standard_normal(32))
-        params = ModelParams(p=2, epsilon=0.1, L=3.2, N=32, dt_lattice=0.05)
         with pytest.raises(BlowUpError):
-            fpu_integrate(state, FpuRunConfig(params=params, t_end=5.0))
+            fpu_integrate(state, FpuRunConfig(params=_params(dt=0.05), t_end=5.0))
 
     def test_splitting_guard_trips_on_nan(self, monkeypatch):
         # max|u| > guard is False for NaN; the guard must still stop the run,
@@ -199,33 +197,29 @@ class TestIntegrators:
         powers = []
         monkeypatch.setattr(kernels, "int_power", lambda *args: powers.append(args))
         stepper = fpu_module._S6Stepper(32, DT_LATTICE, 0.01, 2)
-        _, _, status = stepper.steps(np.full(32, np.nan), np.zeros(32), 3)
-        assert status == 1
+        with pytest.raises(BlowUpError):
+            stepper.steps(np.full(32, np.nan), np.zeros(32), 3)
         assert powers == []
 
     def test_splitting_guard_checks_the_result(self, monkeypatch):
         # u starts at 0 and a unit momentum spike lifts max|u| to ~0.4 within
         # one step of 0.5, but only to ~0.04 before its first kick: the check
-        # on the result is what trips
+        # on the result is what trips, after all six kicks of the step
         monkeypatch.setattr(fpu_module, "BLOWUP_GUARD", 0.2)
+        powers = []
+        int_power = kernels.int_power
+        monkeypatch.setattr(kernels, "int_power",
+                            lambda *args: powers.append(None) or int_power(*args))
         q0 = np.zeros(32)
         q0[0] = 1.0
         stepper = fpu_module._S6Stepper(32, DT_LATTICE, 0.01, 2)
-        u, _, status = stepper.steps(np.zeros(32), q0, 1)
-        assert status == 1
-        assert np.max(np.abs(u)) > 0.2
-
-    def test_state_must_match_params(self):
-        # a 64-site state under N = 640: the N eps = L wrap check in
-        # ModelParams is only worth something if the run enforces it
-        rng = np.random.default_rng(3)
-        state = LatticeState(u=rng.standard_normal(64), q=rng.standard_normal(64))
-        with pytest.raises(ConfigurationError, match="64 sites"):
-            fpu_integrate(state, FpuRunConfig(params=_params(N=640), t_end=1.0))
+        with pytest.raises(BlowUpError):
+            stepper.steps(np.zeros(32), q0, 1)
+        assert len(powers) == 6
 
     def test_t_end_must_be_step_multiple(self):
         params = _params()
-        state, _ = traveling_wave_initializer(2, 1.0, 0.1, 64.0, 1024, 640)
+        state, _ = soliton_lattice_data(2, 1.0, 0.1)
         with pytest.raises(InvalidInputError):
             fpu_integrate(state, FpuRunConfig(params=params, t_end=0.07))
 
@@ -240,14 +234,14 @@ class TestIntegrators:
         q0 = 1e-6 * np.sin(kappa * n - kappa / 2.0)
         T = 2.0 * np.pi / omega
         dt = T / 2000
-        params = ModelParams(p=2, epsilon=1e-8, L=N * 1e-8, N=N, dt_lattice=dt)
+        params = ModelParams(p=2, epsilon=1e-8, dt_lattice=dt)
         out = fpu_integrate(LatticeState(u=u0, q=q0),
                             FpuRunConfig(params=params, t_end=T))
         assert np.max(np.abs(out.u - u0)) < 1e-13
 
 
 class TestLatticeSamples:
-    PARAMS = ModelParams(p=2, epsilon=0.1, L=6.4, N=64)
+    PARAMS = ModelParams(p=2, epsilon=0.1)
 
     @staticmethod
     def _state():
@@ -263,9 +257,7 @@ class TestLatticeSamples:
         # the last sample is the state one fpu_integrate call over the whole
         # window reaches at the same step, up to round-off
         *_, (_, last) = lattice_samples(self._state(), self.PARAMS, 10.0, 3)
-        cfg = FpuRunConfig(params=ModelParams(p=2, epsilon=0.1, L=6.4, N=64,
-                                              dt_lattice=10.0 / 21),
-                           t_end=10.0)
+        cfg = FpuRunConfig(params=_params(dt=10.0 / 21), t_end=10.0)
         whole = fpu_integrate(self._state(), cfg)
         scale = max(np.max(np.abs(whole.u)), np.max(np.abs(whole.q)))
         assert np.max(np.abs(last.u - whole.u)) <= 1e-12 * scale
@@ -278,21 +270,22 @@ class TestLatticeSamples:
 
 
 class TestTravelingWaveInitializer:
+    """The sampled soliton ansatz, the lattice's leading-order travelling
+    wave (O(eps^(3/2)) accurate)."""
+
     def test_energy_scales_like_inverse_epsilon(self):
         # u_n ~ W(eps n) is O(1), so H ~ (1/2) eps^-1 int (W^2 + P^2)
         pts = []
         # the eps^2 correction terms in P bias the fit at coarse eps
         for eps in (0.1, 0.05, 0.025):
-            N = round(64.0 / eps)
-            state, W0 = traveling_wave_initializer(2, 1.0, eps, 64.0, 1024, N)
+            state, W0 = soliton_lattice_data(2, 1.0, eps)
             pts.append((eps, fpu_energy(state, eps, 2)))
         fit = fit_scaling_exponent(pts)
         assert fit.slope == pytest.approx(-1.0, abs=0.05)
 
     def test_energy_matches_quadrature_oracle(self):
         eps = 0.05
-        N = round(64.0 / eps)
-        state, W0 = traveling_wave_initializer(2, 1.0, eps, 64.0, 1024, N)
+        state, W0 = soliton_lattice_data(2, 1.0, eps)
         P = build_p_epsilon(W0, nonlinear_fields(W0, 2).N, eps)
         dx = 64.0 / 1024
         integral = 0.5 * dx * np.sum(W0.values**2 + P.values**2)
@@ -303,8 +296,8 @@ class TestTravelingWaveInitializer:
         # track the peak of u over a run and fit the drift speed
         eps, c = 0.1, 1.0
         N = 640
-        state, W0 = traveling_wave_initializer(2, c, eps, 64.0, 1024, N)
-        params = _params(eps=eps, N=N)
+        state, W0 = soliton_lattice_data(2, c, eps)
+        params = _params(eps=eps)
         t_end = 100.0
         out = fpu_integrate(state, FpuRunConfig(params=params, t_end=t_end))
         # locate the peak with sub-site resolution via quadratic interpolation
