@@ -1,5 +1,7 @@
 """Multi-scale approximation: momentum expansion, lattice initial data,
-and the approximation/error decomposition of an FPU state.
+and the approximation/error decomposition of an FPU state.  The ansatz is
+sampled by ``core.sample_to_lattice``: (W0, P0) in one call for the initial
+data, and ``decompose`` takes the sampled (W, P_eps) of one error record.
 
 The momentum correction is the resummed six-term expansion
 
@@ -62,8 +64,8 @@ def initial_lattice_data(
     perturbation: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> LatticeState:
     """Sample the ansatz at t = 0, optionally adding an l2-bounded perturbation."""
-    u = sample_to_lattice(W0, epsilon, 0.0, N)
-    q = sample_to_lattice(build_p_epsilon(W0, nonlinear_fields(W0, p).N, epsilon), epsilon, 0.0, N)
+    P0 = build_p_epsilon(W0, nonlinear_fields(W0, p).N, epsilon)
+    u, q = sample_to_lattice((W0, P0), epsilon, 0.0, N)
     if perturbation is not None:
         du, dq = perturbation
         size = float(np.sqrt(np.dot(du, du) + np.dot(dq, dq)))
@@ -77,15 +79,7 @@ def initial_lattice_data(
     return LatticeState(u=u, q=q)
 
 
-def decompose(
-    state: LatticeState,
-    W_at_t: FieldProfile,
-    P_at_t: FieldProfile,
-    epsilon: float,
-    t: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Error parts (U, Q) of the state relative to the moving-frame ansatz (W, P)."""
-    N = state.N
-    U = state.u - sample_to_lattice(W_at_t, epsilon, t, N)
-    Q = state.q - sample_to_lattice(P_at_t, epsilon, t, N)
-    return U, Q
+def decompose(state: LatticeState, w: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Error parts (U, Q) = (state.u - w, state.q - q) of the state, given
+    the sampled ansatz: w = W and q = P_eps at its lattice points."""
+    return state.u - w, state.q - q

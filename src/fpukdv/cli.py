@@ -16,8 +16,10 @@ Exit codes: 0 success, 1 configuration error, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
+import os
 import sys
 import time
 from typing import NamedTuple
@@ -261,6 +263,16 @@ _COMMANDS = {
 }
 
 
+@contextlib.contextmanager
+def _output_errors():
+    """An OSError while making the out dir or writing into it is a
+    configuration error (a bad --out-dir), not a traceback."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write output: {exc}") from exc
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
@@ -272,12 +284,16 @@ def main(argv=None) -> int:
             args = parser.parse_args(argv[:i] + _config_flags(args) + argv[i:])
         t_start = time.perf_counter()
         spec, settings = _spec_from_args(args)
+        if "out_dir" in args:  # fit writes nothing
+            with _output_errors():
+                os.makedirs(args.out_dir, exist_ok=True)
         out = _COMMANDS[args.command][0](spec, args)
-        for path, rows in out.tables.items():
-            write_csv(path, rows)
-        if out.stem is not None:
-            write_summary_json(f"{out.stem}.json", settings, out.fits, out.flags,
-                               time.perf_counter() - t_start)
+        with _output_errors():
+            for path, rows in out.tables.items():
+                write_csv(path, rows)
+            if out.stem is not None:
+                write_summary_json(f"{out.stem}.json", settings, out.fits, out.flags,
+                                   time.perf_counter() - t_start)
         print(out.line)
         return out.code
     except SystemExit as exc:  # argparse has printed the help or a usage error

@@ -19,7 +19,8 @@ Conventions:
     one irfft the first time ``FieldProfile.values`` is read;
   * the periodic lattice has N sites with N*epsilon = L, so the moving
     frame xi = epsilon*(n - t) wraps consistently; ``lattice_size`` is the
-    one statement of that rule;
+    one statement of that rule, and ``sample_to_lattice`` the one sampler:
+    one call takes the profiles of one grid together, one row per profile;
   * both solvers keep time by one rule, ``uniform_samples``: a run over
     [0, t_end] is sampled at t_i = i * (t_end / n_samples), i = 0..n_samples.
 """
@@ -268,20 +269,26 @@ def spectral_tail_fraction(W: FieldProfile, s: float) -> float:
 # continuum-to-lattice sampling
 # ---------------------------------------------------------------------------
 
-def sample_to_lattice(W: FieldProfile, epsilon: float, shift: float, N: int) -> np.ndarray:
-    """Moving-frame sampling x_n = W(epsilon*(n - shift) mod L).
+def sample_to_lattice(profiles, epsilon: float, shift: float, N: int) -> np.ndarray:
+    """Moving-frame sampling x_n = W(epsilon*(n - shift) mod L), one row per
+    profile W of ``profiles``, which share one grid (L, M).
 
     Since N*epsilon = L, the points are a uniform N-point grid rotated by
     ``shift`` sites, so the Fourier series of W is evaluated there exactly
     (up to round-off) by one fold: the half-spectrum weights, phase-shifted
     by exp(-2 pi i m shift / N), are summed over m mod N and inverted with a
-    length-N FFT.  Cost O(M + N log N).
+    length-N FFT, batched over the rows.  Cost O(M + N log N) per row.
     """
-    if N != lattice_size(W.L, epsilon):
+    L, M = profiles[0].L, profiles[0].M
+    if any((W.L, W.M) != (L, M) for W in profiles):
+        raise ConfigurationError("profiles sampled together must share one grid (L, M)")
+    if N != lattice_size(L, epsilon):
         raise ConfigurationError(f"N*epsilon = {N * epsilon} does not match "
-                                 f"the profile period L = {W.L}")
-    w = W.coeffs.copy()
-    w[1:-1] *= 2.0
-    w *= np.exp(-2j * np.pi * np.arange(w.shape[0]) * ((shift % N) / N))
-    folded = np.pad(w, (0, -w.shape[0] % N)).reshape(-1, N).sum(axis=0)
-    return np.fft.ifft(folded).real * (N / W.M)
+                                 f"the profile period L = {L}")
+    K = M // 2 + 1  # modes per row, zero-padded to whole fold bins of N
+    w = np.zeros((len(profiles), -(-K // N) * N), dtype=complex)
+    for row, W in zip(w, profiles):
+        row[:K] = W.coeffs
+    w[:, 1:K - 1] *= 2.0
+    w[:, :K] *= np.exp(-2j * np.pi * np.arange(K) * ((shift % N) / N))
+    return np.fft.ifft(w.reshape(len(w), -1, N).sum(axis=1)).real * (N / M)

@@ -8,8 +8,11 @@ multipliers, and then sampled at the moving-frame lattice points, which
 keeps the measurable e^(9/2) scaling clean.  Each formula is one function
 that takes the fields it reads: ``residual_profiles`` takes W's nonlinear
 fields (``kdv.nonlinear_fields``) and P (``ansatz.build_p_epsilon``, which
-also gives P_tau), and ``residual_snapshot`` samples both profiles; one
-``error_norms`` record forms the fields and P once.
+also gives P_tau).  One ``error_norms`` record forms the fields and P once
+and makes the record's one ``core.sample_to_lattice`` call, on
+(W, P, W', Res1, Res2) at the frame (eps, t, N); the parts it hands them
+to (``ansatz.decompose``, ``energy_quantity``, ``residual_snapshot``) take
+those lattice values.
 """
 
 from __future__ import annotations
@@ -68,29 +71,22 @@ def residual_profiles(
     return FieldProfile.from_coeffs(res1, W.L), FieldProfile.from_coeffs(res2, W.L)
 
 
-def residual_snapshot(profiles, epsilon: float, t: float, N: int) -> tuple[float, float]:
-    """l2 norms of the profiles (Res1, Res2) at the lattice points eps*(n - t)."""
-    return tuple(l2_norm(sample_to_lattice(res, epsilon, t, N)) for res in profiles)
+def residual_snapshot(sampled) -> tuple[float, float]:
+    """l2 norms of the sampled residuals (Res1, Res2)."""
+    return tuple(l2_norm(res) for res in sampled)
 
 
-def energy_quantity(
-    U: np.ndarray,
-    Q: np.ndarray,
-    W: FieldProfile,
-    epsilon: float,
-    p: int,
-    t: float,
-) -> EnergyQuantity:
-    """E = (1/2) sum[Q^2 + U^2 + e^2 p W^(p-1) U^2] with the coercivity check,
-    W taken at the lattice points eps*(n - t).
+def energy_quantity(U: np.ndarray, Q: np.ndarray, w: np.ndarray, epsilon: float,
+                    p: int) -> EnergyQuantity:
+    """E = (1/2) sum[Q^2 + U^2 + e^2 p w^(p-1) U^2] with the coercivity check,
+    w = W at the lattice points of (U, Q).
 
     Coercivity |Q|^2 + |U|^2 <= 4E is guaranteed for
     eps < eps0 = min{1, (2p)^(-1/2) (sup|W|)^(-(p-1)/2)}; odd p admits the
     sharper factor 2, which is what gets checked then (with a 1e-12 absolute
     slack for round-off).
     """
-    N = U.shape[0]
-    wpm1 = int_power(sample_to_lattice(W, epsilon, t, N), p - 1, np.empty(N))
+    wpm1 = int_power(w, p - 1, np.empty_like(w))
     E = 0.5 * float(np.sum(Q * Q + U * U + epsilon**2 * p * wpm1 * U * U))
     lhs = float(np.sum(Q * Q + U * U))
     factor = 2.0 if p % 2 == 1 else 4.0
@@ -101,21 +97,22 @@ def energy_quantity(
 def error_norms(state: LatticeState, W: FieldProfile, epsilon: float, p: int, t: float):
     """ErrorRecord for one sample time; udot is taken from the q-differences.
 
-    The nonlinear fields of W are formed once, and P from them once; both
-    are shared by the error parts and the residuals.
+    The nonlinear fields of W are formed once, and P from them once; the
+    record's profiles (W, P, W', Res1, Res2) are sampled in one call at
+    the lattice points eps*(n - t), and the parts take those values.
     """
-    N = state.N
     fields = nonlinear_fields(W, p)
     P = build_p_epsilon(W, fields.N, epsilon)
-    U, Q = decompose(state, W, P, epsilon, t)
-    err_du = l2_norm(state.udot() + epsilon * sample_to_lattice(derivative(W, 1), epsilon, t, N))
-    eq = energy_quantity(U, Q, W, epsilon, p, t)
-    res1_l2, res2_l2 = residual_snapshot(residual_profiles(W, fields, P, epsilon, p),
-                                         epsilon, t, N)
+    w, q, dw, *res = sample_to_lattice(
+        (W, P, derivative(W, 1), *residual_profiles(W, fields, P, epsilon, p)),
+        epsilon, t, state.N)
+    U, Q = decompose(state, w, q)
+    eq = energy_quantity(U, Q, w, epsilon, p)
+    res1_l2, res2_l2 = residual_snapshot(res)
     return ErrorRecord(
         t=t,
         err_u=l2_norm(U),
-        err_du=err_du,
+        err_du=l2_norm(state.udot() + epsilon * dw),
         E=eq.E,
         res1_l2=res1_l2,
         res2_l2=res2_l2,

@@ -21,7 +21,6 @@ import csv
 import itertools
 import json
 import math
-import os
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -76,8 +75,8 @@ class ExperimentSpec:
             object.__setattr__(self, "theorem", 1)
         if self.theorem not in (None, 1, 2):
             raise InvalidInputError(f"theorem must be 1 or 2, got {self.theorem}")
-        if not (self.tau0 is None or self.tau0 > 0.0):
-            raise InvalidInputError(f"tau0 must be positive, got {self.tau0}")
+        if not (self.tau0 is None or 0.0 < self.tau0 < math.inf):
+            raise InvalidInputError(f"tau0 must be positive and finite, got {self.tau0}")
         if self.n_samples < 1:
             raise InvalidInputError(f"sampling needs n_samples >= 1, got {self.n_samples}")
         if self.seed < 0:
@@ -90,8 +89,8 @@ class ExperimentSpec:
             raise InvalidInputError(f"perturbation size {self.perturbation_size} is not >= 0")
         if not 0.0 < self.r < 0.5:
             raise InvalidInputError(f"r must be in (0, 1/2), got {self.r}")
-        if self.K <= 0.0:
-            raise InvalidInputError("K must be positive")
+        if not 0.0 < self.K < math.inf:
+            raise InvalidInputError(f"K must be positive and finite, got {self.K}")
         eps = tuple(self.epsilons)
         if not all(0.0 < e < 1.0 for e in eps):
             raise InvalidInputError(f"epsilons must be in (0, 1), got {eps}")
@@ -223,7 +222,8 @@ def run_residual_scan(spec: ExperimentSpec) -> dict:
     rows = []
     for eps in spec.epsilons:
         profiles = residual_profiles(W0, fields, build_p_epsilon(W0, fields.N, eps), eps, spec.p)
-        res1_l2, res2_l2 = residual_snapshot(profiles, eps, 0.0, lattice_size(spec.L, eps))
+        res1_l2, res2_l2 = residual_snapshot(
+            sample_to_lattice(profiles, eps, 0.0, lattice_size(spec.L, eps)))
         rows.append({"epsilon": eps, "res1_l2": res1_l2, "res2_l2": res2_l2,
                      "truncation_sup": float(np.max(np.abs(profiles[0].values)))})
     fits = {
@@ -348,7 +348,7 @@ def _still_reference(spec: ExperimentSpec, W0: FieldProfile, tau0: float):
 
 
 def _orbital_measurement(spec: ExperimentSpec, W0: FieldProfile, epsilon: float, N: int):
-    u_ref = sample_to_lattice(W0, epsilon, 0.0, N)
+    (u_ref,) = sample_to_lattice((W0,), epsilon, 0.0, N)
     return lambda t, state, W: {"t": t, "orbital_distance": orbital_distance(state.u, u_ref)}
 
 
@@ -420,9 +420,9 @@ def _fmt(x) -> str:
 
 def write_csv(path: str, rows) -> None:
     """Write rows, each a dict from column to value, under a header of the
-    first row's keys; floats at full precision, booleans as 0/1."""
+    first row's keys; floats at full precision, booleans as 0/1.  The
+    directory must exist (``cli.main`` makes a command's out dir)."""
     rows = list(rows)
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(rows[0])
@@ -431,7 +431,6 @@ def write_csv(path: str, rows) -> None:
 
 def write_summary_json(path: str, settings: dict, fits, flags, wall_time_s: float) -> None:
     """The run's summary; its spec is ``settings``, what the run read."""
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     payload = {
         "spec": settings,
         "fits": [asdict(f) for f in fits],

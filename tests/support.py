@@ -1,7 +1,7 @@
 """Helpers that only tests call: a grid norm, a two-point exponent, the
 dealiased integer power of a profile, the spectral translate of a profile,
 the rfft-pair check of a profile, the empirical constant of the paper's
-energy-derivative estimate, a counter of nonlinear-field builds, and the
+energy-derivative estimate, a call counter for package functions, and the
 sampled soliton ansatz on a lattice."""
 
 import math
@@ -23,21 +23,20 @@ def soliton_lattice_data(p: int, c: float, epsilon: float, L: float = 64.0,
     return initial_lattice_data(W0, epsilon, p, lattice_size(L, epsilon)), W0
 
 
-def count_nonlinear_field_builds(monkeypatch) -> list:
-    """Rebind kdv.nonlinear_fields to a counting wrapper in every fpukdv
-    module that holds it, so a build anywhere in the package counts; the
-    returned list gains one entry per build."""
-    build = kdv.nonlinear_fields
+def count_calls(monkeypatch, fn) -> list:
+    """Rebind fn to a counting wrapper in every fpukdv module that holds it
+    under its name, so a call anywhere in the package counts; the returned
+    list gains the first argument of each call."""
     calls = []
 
     def counting(*args, **kwargs):
-        calls.append(None)
-        return build(*args, **kwargs)
+        calls.append(args[0])
+        return fn(*args, **kwargs)
 
     for key, mod in list(sys.modules.items()):
         if key == "fpukdv" or key.startswith("fpukdv."):
-            if getattr(mod, "nonlinear_fields", None) is build:
-                monkeypatch.setattr(mod, "nonlinear_fields", counting)
+            if getattr(mod, fn.__name__, None) is fn:
+                monkeypatch.setattr(mod, fn.__name__, counting)
     return calls
 
 

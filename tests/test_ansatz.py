@@ -14,6 +14,7 @@ from fpukdv.core import (
     FieldProfile,
     InvalidInputError,
     l2_norm,
+    sample_to_lattice,
 )
 from fpukdv.diagnostics import error_norms, residual_profiles
 from fpukdv.harness import fit_scaling_exponent
@@ -115,6 +116,6 @@ class TestDecomposition:
         eps, N = 0.1, 640
         state = initial_lattice_data(soliton_p2, eps, 2, N)
         P = build_p_epsilon(soliton_p2, nonlinear_fields(soliton_p2, 2).N, eps)
-        U, Q = decompose(state, soliton_p2, P, eps, 0.0)
+        U, Q = decompose(state, *sample_to_lattice((soliton_p2, P), eps, 0.0, N))
         assert l2_norm(U) < 1e-12
         assert l2_norm(Q) < 1e-12

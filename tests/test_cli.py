@@ -9,6 +9,7 @@ import sys
 
 import pytest
 
+from fpukdv import cli
 from fpukdv.cli import build_parser, main
 from fpukdv.harness import ExperimentSpec
 
@@ -281,17 +282,43 @@ class TestExitCodes:
         (["metastability", "--seed", "-1"], "seed must be >= 0, got -1"),
         (["fpu", "--t-end", "inf"], "t_end must be positive and finite, got inf"),
         (["kdv", "--tau-end", "inf"], "tau_end must be positive and finite, got inf"),
+        (["error-scan", "--tau0", "inf", "--eps", "0.1", "--n-samples", "2"],
+         "tau0 must be positive and finite, got inf"),
+        (["error-scan", "--K", "nan", "--eps", "0.1", "--n-samples", "2"],
+         "K must be positive and finite, got nan"),
     ], ids=["fpu-eps-0", "fpu-eps-negative", "fpu-L-nan", "fpu-L-inf", "soliton-M-0",
             "soliton-M-negative", "residual-scan-M-0", "kdv-M-0", "error-scan-eps-0",
             "kdv-L-negative", "metastability-seed-negative", "fpu-t-end-inf",
-            "kdv-tau-end-inf"])
+            "kdv-tau-end-inf", "error-scan-tau0-inf", "error-scan-K-nan"])
     def test_bad_setting_is_a_configuration_error(self, capsys, tmp_path, argv, message):
         # each used to end in a traceback, or (kdv --L -32) in NaN norms and exit 2;
-        # a negative seed in default_rng, an infinite window in the sampler
+        # a negative seed in default_rng, an infinite window in the sampler;
+        # tau0 = inf in math.ceil of the sampler, K = nan in a misleading t_end = nan
         code, _, err = run_cli(argv + ["--out-dir", str(tmp_path)], capsys)
         assert code == 1
         assert f"configuration error: {message}" in err
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command", ["soliton", "error-scan"])
+    def test_unwritable_out_dir_is_a_configuration_error(self, capsys, tmp_path, monkeypatch,
+                                                         command):
+        # an out dir under a regular file used to end in a NotADirectoryError
+        # traceback after the command had run (for error-scan, the whole scan)
+        runs = []
+        runner, *rest = cli._COMMANDS[command]
+
+        def recording(*args):
+            runs.append(args)
+            return runner(*args)
+
+        monkeypatch.setitem(cli._COMMANDS, command, (recording, *rest))
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code, _, err = run_cli([command, "--out-dir", str(blocker / "out")], capsys)
+        assert code == 1
+        assert "configuration error: cannot write" in err
+        assert "Traceback" not in err
+        assert runs == []
 
 
 class TestDefaults:

@@ -133,32 +133,38 @@ class TestParseval:
 class TestSampleToLattice:
     def test_zero_profile(self):
         W = FieldProfile.from_values(np.zeros(512), 32.0)
-        assert np.all(sample_to_lattice(W, 32.0 / 640, 17.3, 640) == 0.0)
+        assert np.all(sample_to_lattice((W,), 32.0 / 640, 17.3, 640) == 0.0)
 
     def test_identity_sampling(self, soliton_p2):
         W = soliton_p2
-        out = sample_to_lattice(W, W.L / W.M, 0.0, W.M)
+        (out,) = sample_to_lattice((W,), W.L / W.M, 0.0, W.M)
         assert np.max(np.abs(out - W.values)) < 1e-11
 
     def test_wrap_mismatch_rejected(self, soliton_p2):
         with pytest.raises(ConfigurationError):
-            sample_to_lattice(soliton_p2, 0.1, 0.0, 137)
+            sample_to_lattice((soliton_p2,), 0.1, 0.0, 137)
+        # a stack shares one grid: another period L or another M is an
+        # error, not a sampling on the first profile's period
+        other_L = FieldProfile.from_coeffs(soliton_p2.coeffs, 32.0)
+        other_M = FieldProfile.from_values(soliton_p2.values[::2], soliton_p2.L)
+        for other in (other_L, other_M):
+            with pytest.raises(ConfigurationError, match="share one grid"):
+                sample_to_lattice((soliton_p2, other), 0.1, 0.0, 640)
 
     def test_linearity(self, soliton_p2, gaussian_profile):
         eps, N = 0.1, 640
         combo = FieldProfile.from_coeffs(
             2.0 * soliton_p2.coeffs - 0.5 * gaussian_profile.coeffs, 64.0)
-        lhs = sample_to_lattice(combo, eps, 3.7, N)
-        rhs = (2.0 * sample_to_lattice(soliton_p2, eps, 3.7, N)
-               - 0.5 * sample_to_lattice(gaussian_profile, eps, 3.7, N))
+        lhs, sol, gauss = sample_to_lattice((combo, soliton_p2, gaussian_profile), eps, 3.7, N)
+        rhs = 2.0 * sol - 0.5 * gauss
         assert np.max(np.abs(lhs - rhs)) < 1e-11
 
     def test_unit_shift_permutes_cyclically(self, soliton_p2):
         # M = N grid-aligned: shifting by one site rotates the samples
         W = soliton_p2
         eps = W.L / W.M
-        base = sample_to_lattice(W, eps, 0.0, W.M)
-        shifted = sample_to_lattice(W, eps, 1.0, W.M)
+        (base,) = sample_to_lattice((W,), eps, 0.0, W.M)
+        (shifted,) = sample_to_lattice((W,), eps, 1.0, W.M)
         assert np.max(np.abs(shifted - np.roll(base, 1))) < 1e-11
 
     @given(M=st.sampled_from([256, 512, 1024, 2048]),
@@ -181,8 +187,14 @@ class TestSampleToLattice:
         whole = math.floor(shift)
         sites = ((np.arange(N) - whole) % N - (shift - whole)) % N
         ref = kernels.fourier_eval(np.fft.fft(W.values), L, eps * sites)
-        out = sample_to_lattice(W, eps, shift, N)
+        (out,) = sample_to_lattice((W,), eps, shift, N)
         assert np.max(np.abs(out - ref)) <= 1.0e-11 * np.max(np.abs(ref))
+        # a stack samples each row as its own one-profile call, bit for bit
+        stack = (W, FieldProfile.from_coeffs(-W.coeffs, L), derivative(W, 1))
+        rows = sample_to_lattice(stack, eps, shift, N)
+        assert rows.shape == (3, N)
+        for row, V in zip(rows, stack):
+            assert np.array_equal(row, sample_to_lattice((V,), eps, shift, N)[0])
 
     def test_sampling_inequality_constant(self, gaussian_profile):
         # |x|_l2 <= C eps^(-1/2) |X|_H1 with a stable constant <= 2
@@ -190,7 +202,7 @@ class TestSampleToLattice:
         ratios = []
         for eps in (0.2, 0.1, 0.05):
             N = round(64.0 / eps)
-            x = sample_to_lattice(gaussian_profile, eps, 0.0, N)
+            (x,) = sample_to_lattice((gaussian_profile,), eps, 0.0, N)
             ratios.append(l2_norm(x) / (eps**-0.5 * h1))
         assert max(ratios) <= 2.0
         assert max(ratios) / min(ratios) < 1.1
@@ -264,8 +276,8 @@ class TestProfileOps:
         delta = 0.37
         shifted = translate(soliton_p2, delta)
         x = soliton_p2.grid()
-        direct = sample_to_lattice(soliton_p2, soliton_p2.L / soliton_p2.M,
-                                   -delta / (soliton_p2.L / soliton_p2.M), soliton_p2.M)
+        (direct,) = sample_to_lattice((soliton_p2,), soliton_p2.L / soliton_p2.M,
+                                      -delta / (soliton_p2.L / soliton_p2.M), soliton_p2.M)
         assert np.max(np.abs(shifted.values - direct)) < 1e-10
 
     @pytest.mark.parametrize("p", [2, 3, 4, 5])
@@ -316,7 +328,7 @@ class TestLatticeSize:
         eps = L / (100 + 1e-6)
         assert lattice_size(L, eps) == 100
         W = FieldProfile.from_values(np.ones(8), L)
-        assert sample_to_lattice(W, eps, 0.0, 100) == pytest.approx(np.ones(100))
+        assert sample_to_lattice((W,), eps, 0.0, 100)[0] == pytest.approx(np.ones(100))
 
     @pytest.mark.parametrize("L,eps", [(64.0, 0.3), (math.inf, 0.1), (math.nan, 0.1)],
                              ids=["non-integer", "inf", "nan"])

@@ -23,7 +23,7 @@ from fpukdv.kernels import forward_diff
 
 from support import (
     check_energy_derivative_bound,
-    count_nonlinear_field_builds,
+    count_calls,
     pointwise_power,
     translate,
 )
@@ -41,8 +41,8 @@ class TestResiduals:
         for eps in eps_list:
             N = round(64.0 / eps)
             P = build_p_epsilon(W, fields.N, eps)
-            res1_l2, res2_l2 = residual_snapshot(residual_profiles(W, fields, P, eps, p),
-                                                 eps, 0.0, N)
+            res1_l2, res2_l2 = residual_snapshot(
+                sample_to_lattice(residual_profiles(W, fields, P, eps, p), eps, 0.0, N))
             pts1.append((eps, res1_l2))
             pts2.append((eps, res2_l2))
         assert fit_scaling_exponent(pts1).slope == pytest.approx(4.5, abs=0.3)
@@ -53,9 +53,9 @@ class TestResiduals:
         fields = nonlinear_fields(soliton_p2, 2)
         P = build_p_epsilon(soliton_p2, fields.N, eps)
         res1, res2 = residual_profiles(soliton_p2, fields, P, eps, 2)
-        res1_l2, res2_l2 = residual_snapshot((res1, res2), eps, 3.0, N)
-        assert res1_l2 == pytest.approx(l2_norm(sample_to_lattice(res1, eps, 3.0, N)))
-        assert res2_l2 == pytest.approx(l2_norm(sample_to_lattice(res2, eps, 3.0, N)))
+        res1_l2, res2_l2 = residual_snapshot(sample_to_lattice((res1, res2), eps, 3.0, N))
+        assert res1_l2 == pytest.approx(l2_norm(sample_to_lattice((res1,), eps, 3.0, N)[0]))
+        assert res2_l2 == pytest.approx(l2_norm(sample_to_lattice((res2,), eps, 3.0, N)[0]))
 
     @pytest.mark.parametrize("eps", [0.2, 0.1, 0.05])
     @pytest.mark.parametrize("p", [2, 3, 4])
@@ -74,7 +74,7 @@ class TestResiduals:
         P = build_p_epsilon(W, fields.N, eps)
 
         def S(V):
-            return sample_to_lattice(V, eps, t, N)
+            return sample_to_lattice((V,), eps, t, N)[0]
 
         sP = S(P)
         expected = (eps * S(derivative(W, 1)) - eps**3 * S(fields.G)
@@ -97,7 +97,8 @@ class TestResiduals:
         W = FieldProfile.from_values(np.zeros(1024), 64.0)
         fields = nonlinear_fields(W, 2)
         P = build_p_epsilon(W, fields.N, 0.1)
-        res1_l2, res2_l2 = residual_snapshot(residual_profiles(W, fields, P, 0.1, 2), 0.1, 0.0, 640)
+        res1_l2, res2_l2 = residual_snapshot(
+            sample_to_lattice(residual_profiles(W, fields, P, 0.1, 2), 0.1, 0.0, 640))
         assert res1_l2 == 0.0
         assert res2_l2 == 0.0
 
@@ -109,17 +110,17 @@ class TestCoercivity:
         rng = np.random.default_rng(8)
         U = rng.standard_normal(N)
         Q = rng.standard_normal(N)
-        w = sample_to_lattice(soliton_p2, eps, 5.0, N)
+        (w,) = sample_to_lattice((soliton_p2,), eps, 5.0, N)
         direct = 0.5 * sum(Q[n] ** 2 + U[n] ** 2 + eps**2 * p * w[n] ** (p - 1) * U[n] ** 2
                            for n in range(N))
-        eq = energy_quantity(U, Q, soliton_p2, eps, p, 5.0)
+        eq = energy_quantity(U, Q, w, eps, p)
         assert eq.E == pytest.approx(direct, rel=1e-12)
 
     def test_coercivity_holds_below_threshold(self, soliton_p2):
         eps, N = 0.1, 640  # below eps0 = 0.2887
         rng = np.random.default_rng(9)
         U, Q = rng.standard_normal(N), rng.standard_normal(N)
-        eq = energy_quantity(U, Q, soliton_p2, eps, 2, 0.0)
+        eq = energy_quantity(U, Q, sample_to_lattice((soliton_p2,), eps, 0.0, N)[0], eps, 2)
         assert eq.coercivity_ok
         assert eq.coercivity_lhs <= 4.0 * eq.E + 1e-9
 
@@ -130,7 +131,7 @@ class TestCoercivity:
         N = 80
         U = np.ones(N)
         Q = np.zeros(N)
-        eq = energy_quantity(U, Q, W, 0.8, 2, 0.0)
+        eq = energy_quantity(U, Q, sample_to_lattice((W,), 0.8, 0.0, N)[0], 0.8, 2)
         assert not eq.coercivity_ok
 
     def test_odd_p_sharper_factor(self, soliton_p2):
@@ -139,7 +140,7 @@ class TestCoercivity:
         rng = np.random.default_rng(10)
         N = 640
         U, Q = rng.standard_normal(N), rng.standard_normal(N)
-        eq = energy_quantity(U, Q, W, 0.1, 3, 0.0)
+        eq = energy_quantity(U, Q, sample_to_lattice((W,), 0.1, 0.0, N)[0], 0.1, 3)
         assert eq.coercivity_ok
         assert eq.coercivity_lhs <= 2.0 * eq.E + 1e-9
 
@@ -179,9 +180,18 @@ class TestErrorNorms:
         for name, rel in (("E", 1e-14), ("res1_l2", 1e-11), ("res2_l2", 1e-11)):
             assert getattr(got, name) == pytest.approx(getattr(ref, name), rel=rel, abs=0.0), name
 
+    def test_samples_the_record_in_one_call(self, soliton_p2, monkeypatch):
+        # W, P, W', Res1 and Res2 go to the lattice together: W is sampled
+        # once, and the frame (eps, t, N) enters the record in one place
+        eps, N = 0.1, 640
+        state = initial_lattice_data(soliton_p2, eps, 2, N)
+        calls = count_calls(monkeypatch, sample_to_lattice)
+        error_norms(state, soliton_p2, eps, 2, 5.0)
+        assert [len(profiles) for profiles in calls] == [5]
+
     def test_forms_the_nonlinear_fields_once(self, soliton_p2, monkeypatch):
         # one build per record, shared by P, the error parts and both residuals
-        calls = count_nonlinear_field_builds(monkeypatch)
+        calls = count_calls(monkeypatch, nonlinear_fields)
         eps, N = 0.1, 640
         state = initial_lattice_data(soliton_p2, eps, 2, N)
         calls.clear()
@@ -221,8 +231,9 @@ def _reference_p_tau(W, eps, p):
 
 
 def _reference_record(state, W, eps, p, t):
-    """The record composed term by term: W sampled twice, P built three times
-    (error parts, Res1, Res2) and W_tau twice (Res1, P_tau)."""
+    """The record composed term by term: each lattice value sampled by its
+    own one-profile call, P built three times (error parts, Res1, Res2) and
+    W_tau twice (Res1, P_tau)."""
     N = state.N
     P1 = _reference_p_epsilon(W, eps, p, product_rule=True)
     res1 = combine([(eps, derivative(W, 1)), (-(eps**3), nonlinear_fields(W, p).G),
@@ -232,17 +243,20 @@ def _reference_record(state, W, eps, p, t):
     res2 = combine([(eps, derivative(P2, 1)), (-(eps**3), _reference_p_tau(W, eps, p)),
                     (1.0, W), (-1.0, translate(W, -eps)),
                     (eps**2, wp), (-(eps**2), translate(wp, -eps))], like=W)
-    U = state.u - sample_to_lattice(W, eps, t, N)
-    Q = state.q - sample_to_lattice(_reference_p_epsilon(W, eps, p, product_rule=True),
-                                    eps, t, N)
-    eq = energy_quantity(U, Q, W, eps, p, t)
+
+    def S(V):
+        return sample_to_lattice((V,), eps, t, N)[0]
+
+    U = state.u - S(W)
+    Q = state.q - S(_reference_p_epsilon(W, eps, p, product_rule=True))
+    eq = energy_quantity(U, Q, S(W), eps, p)
     return ErrorRecord(
         t=t,
-        err_u=l2_norm(state.u - sample_to_lattice(W, eps, t, N)),
-        err_du=l2_norm(state.udot() + eps * sample_to_lattice(derivative(W, 1), eps, t, N)),
+        err_u=l2_norm(state.u - S(W)),
+        err_du=l2_norm(state.udot() + eps * S(derivative(W, 1))),
         E=eq.E,
-        res1_l2=l2_norm(sample_to_lattice(res1, eps, t, N)),
-        res2_l2=l2_norm(sample_to_lattice(res2, eps, t, N)),
+        res1_l2=l2_norm(S(res1)),
+        res2_l2=l2_norm(S(res2)),
         H=fpu_energy(state, eps, p),
         coercivity_ok=eq.coercivity_ok,
     )

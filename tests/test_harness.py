@@ -29,7 +29,7 @@ from fpukdv.harness import (
     write_summary_json,
 )
 
-from support import count_nonlinear_field_builds, pairwise_exponent
+from support import count_calls, pairwise_exponent
 
 
 class TestTimeWindow:
@@ -120,7 +120,7 @@ class TestOrbitalDistance:
         # distance ~ 1e-3, forming d^2 as |u|^2 + |u_ref|^2 - 2 corr would
         # lose ~8 of its digits
         N = 1280
-        u_ref = sample_to_lattice(soliton_p2, 0.05, 0.0, N)
+        (u_ref,) = sample_to_lattice((soliton_p2,), 0.05, 0.0, N)
         noise = np.random.default_rng(11).standard_normal(N)
         u = np.roll(u_ref, 7) + 1.0e-3 * noise / np.linalg.norm(noise)
         d2 = np.array([np.sum((u - np.roll(u_ref, j)) ** 2) for j in range(N)])
@@ -169,7 +169,7 @@ class TestRunners:
 
     def test_residual_scan_forms_the_nonlinear_fields_once(self, monkeypatch):
         # one build for the scan, shared by every epsilon
-        calls = count_nonlinear_field_builds(monkeypatch)
+        calls = count_calls(monkeypatch, kdv.nonlinear_fields)
         run_residual_scan(ExperimentSpec(p=2, epsilons=(0.2, 0.1, 0.05)))
         assert len(calls) == 1
 
