@@ -19,6 +19,7 @@ import argparse
 import contextlib
 import dataclasses
 import json
+import math
 import os
 import sys
 import time
@@ -52,7 +53,6 @@ def _eps_list(text: str) -> tuple:
 _FLAGS = {
     "config": dict(help="JSON config file; flags override its entries"),
     "out-dir": dict(default="out", help="directory for CSV/JSON outputs"),
-    "jobs": dict(type=int, default=1, help="parallel workers per sweep"),
     "seed": dict(type=int, help="perturbation generator seed"),
     "p": dict(type=int),
     "eps": dict(type=_eps_list, help="comma-separated decreasing epsilon list"),
@@ -167,9 +167,9 @@ def _cmd_fpu(spec: ExperimentSpec, args) -> Outcome:
     rows, eps = run_fpu(spec), spec.epsilons[0]
     stem = f"{args.out_dir}/fpu_p{spec.p}_eps{eps}"
     h0, hT = rows[0]["H"], rows[-1]["H"]
+    drift = abs(hT - h0) / abs(h0) if h0 != 0.0 else math.nan  # an underflowed wave
     return Outcome({f"{stem}.csv": rows}, stem, [], {},
-                   f"fpu p={spec.p} eps={eps}: relative H drift = "
-                   f"{abs(hT - h0) / abs(h0):.3e} -> {stem}.csv")
+                   f"fpu p={spec.p} eps={eps}: relative H drift = {drift:.3e} -> {stem}.csv")
 
 
 def _cmd_residual_scan(spec: ExperimentSpec, args) -> Outcome:
@@ -188,7 +188,7 @@ def _blow_up_code(flags: dict) -> int:
 
 
 def _cmd_error_scan(spec: ExperimentSpec, args) -> Outcome:
-    out = run_error_scan(spec, jobs=args.jobs)
+    out = run_error_scan(spec)
     stem = f"{args.out_dir}/error_scan_p{spec.p}"
     fits = list(out["fits"].values())
     summary = " ".join(f"eps={c['epsilon']}:sup={c['sup_error']:.4e}" for c in out["cells"])
@@ -199,7 +199,7 @@ def _cmd_error_scan(spec: ExperimentSpec, args) -> Outcome:
 
 
 def _cmd_metastability(spec: ExperimentSpec, args) -> Outcome:
-    out = run_metastability(spec, jobs=args.jobs)
+    out = run_metastability(spec)
     stem = f"{args.out_dir}/metastability_p{spec.p}"
     summary = " ".join(
         f"eps={c['epsilon']}:sup/delta={c['sup_over_delta']:.3f}" for c in out["cells"])
@@ -254,10 +254,10 @@ _COMMANDS = {
     "residual-scan": (_cmd_residual_scan, "epsilon sweep of the ansatz residuals",
                       "config out-dir p eps c L M", {}),
     "error-scan": (_cmd_error_scan, "approximation-error sweep over a time window",
-                   "config out-dir jobs seed p eps c L M r K tau0 theorem n-samples dt dtau "
+                   "config out-dir seed p eps c L M r K tau0 theorem n-samples dt dtau "
                    "perturbation-mode perturbation-size", {}),
     "metastability": (_cmd_metastability, "orbital-distance tracking over the window",
-                      "config out-dir jobs seed p eps c L M r K n-samples dt "
+                      "config out-dir seed p eps c L M r K n-samples dt "
                       "perturbation-mode perturbation-size", {"perturbation-mode": "random"}),
     "fit": (_cmd_fit, "log-log scaling fit of (epsilon, value) CSV data", "config input", {}),
 }

@@ -82,8 +82,8 @@ class ModelParams:
             raise InvalidInputError(f"p must be an integer >= 2, got {self.p}")
         if not 0.0 < self.epsilon < 1.0:
             raise InvalidInputError(f"epsilon must be in (0, 1), got {self.epsilon}")
-        if not self.dt_lattice > 0.0:
-            raise InvalidInputError("the lattice time step must be positive")
+        if not 0.0 < self.dt_lattice < math.inf:
+            raise InvalidInputError(f"dt_lattice must be in (0, inf), got {self.dt_lattice}")
 
 
 @dataclass(frozen=True)

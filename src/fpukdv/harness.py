@@ -9,10 +9,9 @@ Both lattice scans run the epsilon cells of one KdV window tau0 in lockstep
 with one reference run: the error scan records errors against a KdV run,
 metastability the orbital distance from W0, which stands still.  The window
 is ExperimentSpec data: a fixed tau0 is one window for all cells, the
-extended window of theorem 1 or 2 is one per epsilon.  With --jobs, whole
-windows go to worker processes, shared nothing; results are aggregated
-ordered by epsilon, so serial and concurrent execution produce identical
-output.
+extended window of theorem 1 or 2 is one per epsilon.  A sweep runs its
+windows one after another in one process, in epsilon order: a cell costs
+about eps^-4 |log eps|, so the smallest epsilon dominates any sweep.
 """
 
 from __future__ import annotations
@@ -235,58 +234,54 @@ def run_residual_scan(spec: ExperimentSpec) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# lattice cells: one window's epsilons, sampled in lockstep with a reference
+# lattice cells: each window's epsilons, sampled in lockstep with a reference
 # ---------------------------------------------------------------------------
 
-def _kdv_windows(spec: ExperimentSpec) -> list[tuple]:
-    """The epsilons grouped by their KdV window tau0, in epsilon order: one
-    group for a fixed tau0, one group per epsilon for a theorem window."""
-    groups: dict[float, list] = {}
-    for eps in spec.epsilons:
-        groups.setdefault(_window_for(spec, eps)[1], []).append(eps)
-    return [tuple(group) for group in groups.values()]
-
-
-def _run_window(spec: ExperimentSpec, epsilons: tuple, measurement, reference) -> list[dict]:
-    """The cells of epsilons that share one window tau0: each a lattice run
-    from ``_lattice_start``, all advanced in lockstep with one
-    reference run of (tau, W) = reference(spec, W0, tau0), of which only the
-    current sample is held.  At every sample each running cell appends
-    record(t, state, W) to its records, record = measurement(spec, W0, eps, N).
+def _run_cells(spec: ExperimentSpec, measurement, reference) -> list[dict]:
+    """The cells of the spec's epsilons, in epsilon order, each a lattice run
+    from ``_lattice_start``.  Every window is resolved first, so a bad one
+    fails before any lattice step.  The cells of one KdV window tau0 advance
+    in lockstep with one reference run (tau, W) = reference(spec, W0, tau0),
+    holding only its current sample; at every sample each running cell
+    appends record(t, state, W), record = measurement(spec, W0, eps, N).
 
     A lattice blow-up ends its own cell; a reference blow-up ends every cell
-    still running.  Either way a flagged cell keeps the records before it.
+    of its window still running.  Either way a flagged cell keeps the
+    records before it.
     """
     W0 = initial_profile(spec)
-    cells, running = [], []
-    for eps in epsilons:  # every cell of the window has the same tau0
-        state, params, delta = _lattice_start(spec, W0, eps)
-        t0, tau0 = _window_for(spec, eps)
-        cell = {"epsilon": eps, "t0": t0, "tau0": tau0, "delta": delta, "records": [],
-                "flags": {"blow_up": False}}
-        cells.append(cell)
-        running.append((cell, measurement(spec, W0, eps, state.N),
-                        lattice_samples(state, params, t0, spec.n_samples)))
-    reference_run = reference(spec, W0, tau0)
+    windows = [(eps, *_window_for(spec, eps)) for eps in spec.epsilons]
+    cells = []
+    # a theorem tau0 is strictly monotone in epsilon, so equal tau0 are adjacent
+    for tau0, window in itertools.groupby(windows, key=lambda w: w[2]):
+        running = []
+        for eps, t0, _ in window:
+            state, params, delta = _lattice_start(spec, W0, eps)
+            cell = {"epsilon": eps, "t0": t0, "tau0": tau0, "delta": delta, "records": [],
+                    "flags": {"blow_up": False}}
+            cells.append(cell)
+            running.append((cell, measurement(spec, W0, eps, state.N),
+                            lattice_samples(state, params, t0, spec.n_samples)))
+        reference_run = reference(spec, W0, tau0)
 
-    for _ in range(spec.n_samples + 1):
-        sampled, ended = [], []
-        for cell, record, lattice in running:
-            try:
-                sampled.append((cell, record, lattice, next(lattice)))
-            except BlowUpError as exc:  # a blow-up goes into the table; bugs propagate
-                ended.append((cell, exc))
-        if sampled:
-            try:
-                _, W = next(reference_run)
-            except BlowUpError as exc:
-                ended += [(cell, exc) for cell, *_ in sampled]
-                sampled = []
-        for cell, exc in ended:
-            cell["flags"].update(blow_up=True, error=f"{type(exc).__name__}: {exc}")
-        for cell, record, _, (t, state) in sampled:
-            cell["records"].append(record(t, state, W))
-        running = [(cell, record, lattice) for cell, record, lattice, _ in sampled]
+        for _ in range(spec.n_samples + 1):
+            sampled, ended = [], []
+            for cell, record, lattice in running:
+                try:
+                    sampled.append((cell, record, lattice, next(lattice)))
+                except BlowUpError as exc:  # a blow-up goes into the table; bugs propagate
+                    ended.append((cell, exc))
+            if sampled:
+                try:
+                    _, W = next(reference_run)
+                except BlowUpError as exc:
+                    ended += [(cell, exc) for cell, *_ in sampled]
+                    sampled = []
+            for cell, exc in ended:
+                cell["flags"].update(blow_up=True, error=f"{type(exc).__name__}: {exc}")
+            for cell, record, _, (t, state) in sampled:
+                cell["records"].append(record(t, state, W))
+            running = [(cell, record, lattice) for cell, record, lattice, _ in sampled]
     return cells
 
 
@@ -302,18 +297,13 @@ def _error_measurement(spec: ExperimentSpec, W0: FieldProfile, epsilon: float, N
     return lambda t, state, W: error_norms(state, W, epsilon, spec.p, t)
 
 
-def _error_scan_window(spec: ExperimentSpec, epsilons: tuple) -> list[dict]:
-    cells = _run_window(spec, epsilons, _error_measurement, _kdv_reference)
+def run_error_scan(spec: ExperimentSpec) -> dict:
+    """Sweep epsilons, tracking sup_{|t| <= t0} of the error norms."""
+    cells = _run_cells(spec, _error_measurement, _kdv_reference)
     for cell in cells:
         records = cell["records"]
         cell["sup_error"] = max(rec.err_u + rec.err_du for rec in records)
         cell["coercivity_violations"] = sum(0 if rec.coercivity_ok else 1 for rec in records)
-    return cells
-
-
-def run_error_scan(spec: ExperimentSpec, jobs: int = 1) -> dict:
-    """Sweep epsilons, tracking sup_{|t| <= t0} of the error norms."""
-    cells = _run_cells(_error_scan_window, spec, _kdv_windows(spec), jobs)
     points = [(c["epsilon"], c["sup_error"]) for c in cells]
     fits = {}
     if len(points) >= 3 and all(v > 0.0 for _, v in points):
@@ -352,19 +342,14 @@ def _orbital_measurement(spec: ExperimentSpec, W0: FieldProfile, epsilon: float,
     return lambda t, state, W: {"t": t, "orbital_distance": orbital_distance(state.u, u_ref)}
 
 
-def _metastability_window(spec: ExperimentSpec, epsilons: tuple) -> list[dict]:
-    cells = _run_window(spec, epsilons, _orbital_measurement, _still_reference)
+def run_metastability(spec: ExperimentSpec) -> dict:
+    cells = _run_cells(spec, _orbital_measurement, _still_reference)
     for cell in cells:
         dists = [rec["orbital_distance"] for rec in cell["records"]]
         delta = cell["delta"]
         cell["sup_orbital_distance"] = max(dists)
         cell["sup_over_delta"] = max(dists) / delta if delta > 0.0 else float("inf")
         cell["flags"]["growth"] = dists[-1] > 10.0 * max(dists[0], delta)
-    return cells
-
-
-def run_metastability(spec: ExperimentSpec, jobs: int = 1) -> dict:
-    cells = _run_cells(_metastability_window, spec, _kdv_windows(spec), jobs)
     return {"cells": cells, "flags": {c["epsilon"]: c["flags"] for c in cells}}
 
 
@@ -392,23 +377,8 @@ def run_norm_growth(spec: ExperimentSpec) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# sweep execution and persistence
+# persistence
 # ---------------------------------------------------------------------------
-
-def _run_cells(fn, spec: ExperimentSpec, windows, jobs: int) -> list:
-    """The cells of fn(spec, window) for each window, in up to ``jobs``
-    worker processes when there is more than one window, and never more
-    than there are windows (the pool starts all its workers at once); cells
-    keep the order of windows."""
-    if jobs <= 1 or len(windows) == 1:
-        return [cell for window in windows for cell in fn(spec, window)]
-    # imported here: a serial run never pays for loading multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=min(jobs, len(windows))) as pool:
-        return [cell for cells in pool.map(fn, [spec] * len(windows), windows)
-                for cell in cells]
-
 
 def _fmt(x) -> str:
     if isinstance(x, bool):

@@ -51,8 +51,8 @@ class KdvRunConfig:
     def __post_init__(self):
         if self.M < 256 or self.M & (self.M - 1) != 0:
             raise InvalidInputError(f"M must be a power of two >= 256, got {self.M}")
-        if not self.dtau > 0.0:
-            raise InvalidInputError("dtau must be positive")
+        if not 0.0 < self.dtau < math.inf:
+            raise InvalidInputError(f"dtau must be in (0, inf), got {self.dtau}")
         if self.p < 2:
             raise InvalidInputError(f"p must be >= 2, got {self.p}")
 

@@ -114,6 +114,17 @@ class TestFpu:
                 first_H.append(next(csv.DictReader(fh))["H"])
         assert first_H[0] == first_H[1]
 
+    def test_zero_initial_energy_reports_nan_drift(self, tmp_path, capsys):
+        # c = 1e-300 underflows the sampled wave, so H(0) = 0: the relative
+        # drift has no value, and the run still writes its CSV and summary
+        code, out, err = run_cli(["fpu", "--eps", "0.1", "--t-end", "1", "--c", "1e-300",
+                                  "--out-dir", str(tmp_path)], capsys)
+        assert code == 0, err
+        assert "relative H drift = nan" in out
+        with open(tmp_path / "fpu_p2_eps0.1.csv") as fh:
+            assert float(next(csv.DictReader(fh))["H"]) == 0.0
+        assert json.loads((tmp_path / "fpu_p2_eps0.1.json").read_text())["spec"]["c"] == 1e-300
+
     def test_runs_one_epsilon(self, tmp_path, capsys):
         code, _, err = run_cli(["fpu", "--eps", "0.2,0.1", "--t-end", "5",
                                 "--out-dir", str(tmp_path)], capsys)
@@ -286,14 +297,19 @@ class TestExitCodes:
          "tau0 must be positive and finite, got inf"),
         (["error-scan", "--K", "nan", "--eps", "0.1", "--n-samples", "2"],
          "K must be positive and finite, got nan"),
+        (["fpu", "--dt", "inf"], "dt_lattice must be in (0, inf), got inf"),
+        (["error-scan", "--dtau", "inf", "--eps", "0.1", "--n-samples", "2"],
+         "dtau must be in (0, inf), got inf"),
     ], ids=["fpu-eps-0", "fpu-eps-negative", "fpu-L-nan", "fpu-L-inf", "soliton-M-0",
             "soliton-M-negative", "residual-scan-M-0", "kdv-M-0", "error-scan-eps-0",
             "kdv-L-negative", "metastability-seed-negative", "fpu-t-end-inf",
-            "kdv-tau-end-inf", "error-scan-tau0-inf", "error-scan-K-nan"])
+            "kdv-tau-end-inf", "error-scan-tau0-inf", "error-scan-K-nan", "fpu-dt-inf",
+            "error-scan-dtau-inf"])
     def test_bad_setting_is_a_configuration_error(self, capsys, tmp_path, argv, message):
         # each used to end in a traceback, or (kdv --L -32) in NaN norms and exit 2;
         # a negative seed in default_rng, an infinite window in the sampler;
-        # tau0 = inf in math.ceil of the sampler, K = nan in a misleading t_end = nan
+        # tau0 = inf in math.ceil of the sampler, K = nan in a misleading t_end = nan;
+        # an infinite step ran one step per sample and wrote Infinity into the JSON
         code, _, err = run_cli(argv + ["--out-dir", str(tmp_path)], capsys)
         assert code == 1
         assert f"configuration error: {message}" in err
@@ -480,12 +496,14 @@ class TestFlagTable:
         ["residual-scan", "--n-samples", "3"],
         ["fit", "--input", "points.csv", "--seed", "1"],
         ["error-scan", "--s", "4"],
-        ["soliton", "--jobs", "2"],
+        ["error-scan", "--jobs", "2"],
+        ["metastability", "--jobs", "2"],
         ["fpu", "--dtau", "1e-3"],
         ["kdv", "--dt", "0.5"],
         ["kdv", "--tau", "1"],
     ], ids=["metastability-theorem", "kdv-eps", "residual-scan-n-samples", "fit-seed",
-            "error-scan-s", "soliton-jobs", "fpu-dtau", "kdv-dt", "kdv-abbreviation"])
+            "error-scan-s", "error-scan-jobs", "metastability-jobs", "fpu-dtau", "kdv-dt",
+            "kdv-abbreviation"])
     def test_flag_a_command_ignores_is_rejected(self, tmp_path, capsys, argv):
         # no prefix match either: error-scan --s is not --seed, kdv --dt not --dtau
         code, _, err = run_cli(argv + ["--config", str(tmp_path / "unread.json")], capsys)
@@ -493,13 +511,16 @@ class TestFlagTable:
         assert f"unrecognized arguments: {argv[-2]}" in err
 
     def test_config_key_a_command_ignores_is_rejected(self, tmp_path, capsys):
+        # no command takes "jobs": every sweep runs in one process
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"eps": [0.1], "dtau": 1e-3}))
-        code, _, err = run_cli(["metastability", "--config", str(cfg),
-                                "--out-dir", str(tmp_path)], capsys)
-        assert code == 1
-        assert "'dtau'" in err
-        assert not list(tmp_path.glob("*.csv"))
+        for command, key, value in (("metastability", "dtau", 1e-3),
+                                    ("error-scan", "jobs", 2), ("metastability", "jobs", 2)):
+            cfg.write_text(json.dumps({"eps": [0.1], key: value}))
+            code, _, err = run_cli([command, "--config", str(cfg),
+                                    "--out-dir", str(tmp_path)], capsys)
+            assert code == 1
+            assert repr(key) in err
+            assert not list(tmp_path.glob("*.csv"))
 
     @pytest.mark.parametrize("flags,config", [
         (["--tau0", "1", "--theorem", "1"], {}),
@@ -518,8 +539,8 @@ class TestFlagTable:
 
 
 def test_import_does_not_load_multiprocessing():
-    # only a sweep with --jobs > 1 and more than one work unit starts
-    # workers; every other run must not pay for importing multiprocessing
+    # every sweep runs in one process, so no run pays for importing
+    # multiprocessing (nor should one come back through a dependency)
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
     code = "import sys, fpukdv.cli; print('multiprocessing' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},

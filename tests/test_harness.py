@@ -24,7 +24,6 @@ from fpukdv.harness import (
     run_norm_growth,
     run_residual_scan,
     time_window,
-    _kdv_windows,
     write_csv,
     write_summary_json,
 )
@@ -173,51 +172,36 @@ class TestRunners:
         run_residual_scan(ExperimentSpec(p=2, epsilons=(0.2, 0.1, 0.05)))
         assert len(calls) == 1
 
-    def test_error_scan_serial_parallel_identical(self):
-        # a fixed tau0 is one KdV window, so jobs=2 runs it in this process;
-        # a theorem window is one per epsilon, so jobs=2 starts two workers
+    def test_one_reference_run_per_window(self, monkeypatch):
+        # a fixed tau0 is one KdV window for every cell, a theorem window is
+        # one per epsilon, and metastability's reference (W0 standing still)
+        # runs no KdV; the windows run one after another, in epsilon order
         fixed = ExperimentSpec(p=2, epsilons=(0.2, 0.1), tau0=0.05, n_samples=4)
         theorem = ExperimentSpec(p=2, epsilons=(0.2, 0.1), r=0.01, n_samples=4)
         perturbed = dict(perturbation_mode="random", seed=42)
-        for run, spec, windows in (
+        calls = count_calls(monkeypatch, kdv.kdv_samples)
+        for run, spec, kdv_runs in (
             (run_error_scan, fixed, 1),
             (run_error_scan, theorem, 2),
-            (run_metastability, replace(fixed, **perturbed), 1),
-            (run_metastability, replace(theorem, **perturbed), 2),
+            (run_metastability, replace(fixed, **perturbed), 0),
+            (run_metastability, replace(theorem, **perturbed), 0),
         ):
-            assert len(_kdv_windows(spec)) == windows
-            a = run(spec, jobs=1)
-            b = run(spec, jobs=2)
-            assert [c["epsilon"] for c in a["cells"]] == list(spec.epsilons)
-            for ca, cb in zip(a["cells"], b["cells"], strict=True):
-                assert len(ca["records"]) == spec.n_samples + 1
-                assert ca == cb  # records, summaries and flags; floats bitwise
+            calls.clear()
+            out = run(spec)
+            assert len(calls) == kdv_runs
+            assert [c["epsilon"] for c in out["cells"]] == list(spec.epsilons)
+            for cell in out["cells"]:
+                assert len(cell["records"]) == spec.n_samples + 1
 
-    @pytest.mark.parametrize("run", [run_error_scan, run_metastability])
-    def test_jobs_start_no_more_workers_than_windows(self, monkeypatch, run):
-        # the pool forks all its workers up front, so jobs=500 over two
-        # theorem windows must ask for two; this pool maps in this process
-        import concurrent.futures
-        sizes = []
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-        spec = ExperimentSpec(p=2, epsilons=(0.2, 0.1), r=0.01, n_samples=2)
-        out = run(spec, jobs=500)
-        assert sizes == [2]
-        assert [c["epsilon"] for c in out["cells"]] == [0.2, 0.1]
+    def test_empty_theorem_window_fails_before_any_lattice_step(self, monkeypatch):
+        # r|log eps| = 0.4 * log 5 <= 1 at eps = 0.2 leaves no theorem 2
+        # window: both scans stop before the lattice takes a step
+        steps = count_calls(monkeypatch, fpu.fpu_integrate)
+        spec = ExperimentSpec(p=2, epsilons=(0.2, 0.05), theorem=2, r=0.4, n_samples=2)
+        for run in (run_error_scan, run_metastability):
+            with pytest.raises(ConfigurationError, match="theorem 2 window"):
+                run(spec)
+        assert steps == []
 
     def test_error_scan_no_coercivity_violations(self):
         spec = ExperimentSpec(p=2, epsilons=(0.1,),
