@@ -105,7 +105,7 @@ def _config_flags(args: argparse.Namespace) -> list[str]:
         raise ConfigurationError(f"cannot read config file {args.config}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigurationError(f"config file {args.config} is not a JSON object")
-    dests = vars(args).keys() - {"command"}
+    dests = vars(args).keys() - {"command", "config"}
     for key in doc:
         if key.replace("-", "_") not in dests:
             raise ConfigurationError(f"{args.command} takes no config key {key!r}")
@@ -176,11 +176,10 @@ def _cmd_residual_scan(spec: ExperimentSpec, args) -> Outcome:
     out = run_residual_scan(spec)
     stem = f"{args.out_dir}/residual_scan_p{spec.p}"
     fits = out["fits"]
-    return Outcome({f"{stem}.csv": out["rows"]}, stem,
-                   [fits["res1"], fits["res2"], fits["truncation"]], out["flags"],
-                   f"residual-scan p={spec.p}: slope res1={fits['res1'].slope:.3f} "
-                   f"res2={fits['res2'].slope:.3f} "
-                   f"truncation_sup={fits['truncation'].slope:.3f} -> {stem}.csv")
+    slopes = (f"slope res1={fits['res1'].slope:.3f} res2={fits['res2'].slope:.3f} "
+              f"truncation_sup={fits['truncation'].slope:.3f}" if fits else "no fit")
+    return Outcome({f"{stem}.csv": out["rows"]}, stem, list(fits.values()), out["flags"],
+                   f"residual-scan p={spec.p}: {slopes} -> {stem}.csv")
 
 
 def _blow_up_code(flags: dict) -> int:

@@ -28,12 +28,12 @@ from .core import (
     LatticeState,
     dealiased_rfft,
     derivative,
+    int_power,
     l2_norm,
     sample_to_lattice,
 )
 from .fpu import fpu_energy
 from .kdv import NonlinearFields, nonlinear_fields
-from .kernels import int_power
 
 
 @dataclass(frozen=True)

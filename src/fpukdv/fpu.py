@@ -5,9 +5,10 @@
 
 One integrator: Blanes & Moan's order-4 symplectic splitting S6, whose linear
 flows are solved exactly in Fourier space and whose nonlinear kicks act on the
-momentum spectrum only.  The RK4 loop in kernels.py is kept as a reference for
-tests; no run uses it.  ``lattice_samples`` samples a run on the clock of
-``core.uniform_samples``.  Initial states are built in ``harness`` alone.
+momentum spectrum only.  Tests check it against the textbook RK4 loop in
+kernels.py, which no run imports.  ``lattice_samples`` samples a run on the
+clock of ``core.uniform_samples``.  Initial states are built in ``harness``
+alone.
 """
 
 from __future__ import annotations
@@ -16,13 +17,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import kernels
 from .core import (
     BLOWUP_GUARD,
     BlowUpError,
     InvalidInputError,
     LatticeState,
     ModelParams,
+    int_power,
     uniform_samples,
 )
 
@@ -40,7 +41,7 @@ class FpuRunConfig:
 def fpu_energy(state: LatticeState, epsilon: float, p: int) -> float:
     """H = (1/2) sum(q^2 + u^2 + 2 eps^2/(p+1) u^(p+1))."""
     u, q = state.u, state.q
-    up1 = kernels.int_power(u, p + 1, np.empty_like(u))
+    up1 = int_power(u, p + 1, np.empty_like(u))
     return float(0.5 * np.sum(q * q + u * u + (2.0 * epsilon**2 / (p + 1)) * up1))
 
 
@@ -116,7 +117,7 @@ class _S6Stepper:
                 np.fft.irfft(uh, n=N, out=w)
                 if j == 0 and not (np.abs(w, out=f).max() <= BLOWUP_GUARD):
                     raise BlowUpError("FPU solution exceeded the sup-norm guard")
-                np.fft.rfft(kernels.int_power(w, p, f), out=fh)
+                np.fft.rfft(int_power(w, p, f), out=fh)
                 np.multiply(kick, fh, out=fh)
                 np.add(qh, fh, out=qh)
                 self._linear(uh, qh, flow, fh, sq)

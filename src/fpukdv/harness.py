@@ -210,7 +210,8 @@ def run_fpu(spec: ExperimentSpec) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 def run_residual_scan(spec: ExperimentSpec) -> dict:
-    """Residual l2 norms at t = 0 for each epsilon, plus slope fits.
+    """Residual l2 norms at t = 0 for each epsilon, plus slope fits when
+    there are three epsilons or more (as in run_error_scan).
 
     Res1 is the defect of the truncated first lattice equation, so one
     profile gives both its lattice l2 norm and its grid sup (truncation_sup).
@@ -225,11 +226,13 @@ def run_residual_scan(spec: ExperimentSpec) -> dict:
             sample_to_lattice(profiles, eps, 0.0, lattice_size(spec.L, eps)))
         rows.append({"epsilon": eps, "res1_l2": res1_l2, "res2_l2": res2_l2,
                      "truncation_sup": float(np.max(np.abs(profiles[0].values)))})
-    fits = {
-        "res1": fit_scaling_exponent([(r["epsilon"], r["res1_l2"]) for r in rows]),
-        "res2": fit_scaling_exponent([(r["epsilon"], r["res2_l2"]) for r in rows]),
-        "truncation": fit_scaling_exponent([(r["epsilon"], r["truncation_sup"]) for r in rows]),
-    }
+    fits = {}
+    if len(rows) >= 3:
+        fits = {
+            "res1": fit_scaling_exponent([(r["epsilon"], r["res1_l2"]) for r in rows]),
+            "res2": fit_scaling_exponent([(r["epsilon"], r["res2_l2"]) for r in rows]),
+            "truncation": fit_scaling_exponent([(r["epsilon"], r["truncation_sup"]) for r in rows]),
+        }
     return {"rows": rows, "fits": fits, "flags": {}}
 
 
@@ -408,5 +411,5 @@ def write_summary_json(path: str, settings: dict, fits, flags, wall_time_s: floa
         "wall_time_s": wall_time_s,
     }
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=str)
+        json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -30,11 +30,11 @@ from .core import (
     dealias_mask,
     dealiased_rfft,
     derivative,
+    int_power,
     sobolev_norm,
     spectral_tail_fraction,
     uniform_samples,
 )
-from .kernels import int_power
 
 # A tracked sample is flagged under-resolved when the top third of the
 # spectrum holds more than this fraction of its H^s energy.

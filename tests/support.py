@@ -11,8 +11,14 @@ import numpy as np
 
 from fpukdv import kdv
 from fpukdv.ansatz import initial_lattice_data
-from fpukdv.core import FieldProfile, InvalidInputError, LatticeState, dealias_mask, lattice_size
-from fpukdv.kernels import int_power
+from fpukdv.core import (
+    FieldProfile,
+    InvalidInputError,
+    LatticeState,
+    dealias_mask,
+    int_power,
+    lattice_size,
+)
 
 
 def soliton_lattice_data(p: int, c: float, epsilon: float, L: float = 64.0,

@@ -50,6 +50,19 @@ class TestResidualScan:
         assert rows[0] == ["epsilon", "res1_l2", "res2_l2", "truncation_sup"]
         assert len(rows) == 4
 
+    def test_two_epsilons_write_their_rows_without_a_fit(self, tmp_path, capsys):
+        # a slope needs three points, as in error-scan
+        code, out, _ = run_cli(["residual-scan", "--eps", "0.2,0.1",
+                                "--out-dir", str(tmp_path)], capsys)
+        assert code == 0
+        assert "residual-scan p=2: no fit ->" in out
+        payload = json.loads((tmp_path / "residual_scan_p2.json").read_text())
+        assert payload["fits"] == []
+        with open(tmp_path / "residual_scan_p2.csv") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0][0] == "epsilon"
+        assert [float(row[0]) for row in rows[1:]] == [0.2, 0.1]
+
 
 class TestErrorScan:
     def test_fixed_window(self, tmp_path, capsys):
@@ -511,10 +524,12 @@ class TestFlagTable:
         assert f"unrecognized arguments: {argv[-2]}" in err
 
     def test_config_key_a_command_ignores_is_rejected(self, tmp_path, capsys):
-        # no command takes "jobs": every sweep runs in one process
+        # no command takes "jobs": every sweep runs in one process; and a
+        # config file names no second config file, which would go unread
         cfg = tmp_path / "cfg.json"
         for command, key, value in (("metastability", "dtau", 1e-3),
-                                    ("error-scan", "jobs", 2), ("metastability", "jobs", 2)):
+                                    ("error-scan", "jobs", 2), ("metastability", "jobs", 2),
+                                    ("residual-scan", "config", str(tmp_path / "unread.json"))):
             cfg.write_text(json.dumps({"eps": [0.1], key: value}))
             code, _, err = run_cli([command, "--config", str(cfg),
                                     "--out-dir", str(tmp_path)], capsys)
@@ -538,11 +553,13 @@ class TestFlagTable:
         assert not list(tmp_path.glob("*.csv"))
 
 
-def test_import_does_not_load_multiprocessing():
+@pytest.mark.parametrize("module", ["multiprocessing", "fpukdv.kernels"])
+def test_import_does_not_load(module):
     # every sweep runs in one process, so no run pays for importing
-    # multiprocessing (nor should one come back through a dependency)
+    # multiprocessing (nor should one come back through a dependency); and
+    # no run imports the test oracles
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
-    code = "import sys, fpukdv.cli; print('multiprocessing' in sys.modules)"
+    code = f"import sys, fpukdv.cli; print({module!r} in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
                          capture_output=True, text=True, check=True).stdout
     assert out.strip() == "False"

@@ -278,6 +278,13 @@ class TestPersistence:
         assert len(payload["fits"]) == 3
         assert payload["wall_time_s"] == 0.1
 
+    def test_summary_json_rejects_a_value_json_cannot_encode(self, tmp_path):
+        # no summary holds one, so such a value is a bug: it raises, and is
+        # not written as its string
+        with pytest.raises(TypeError):
+            write_summary_json(str(tmp_path / "summary.json"), {"p": object()}, [], {},
+                               wall_time_s=0.1)
+
 
 def _raising(exc):
     def fn(*args, **kwargs):
