@@ -113,7 +113,11 @@ class FitResult:
 
 
 def fit_scaling_exponent(points) -> FitResult:
-    """OLS of log(value) against log(epsilon)."""
+    """OLS of log y against log x for points (x, y): the scaling exponent of
+    a value in epsilon, or of a norm in tau.
+
+    The line is the centred closed form, so no LAPACK routine is loaded.
+    """
     pts = [(float(e), float(v)) for e, v in points]
     if len(pts) < 3:
         raise InvalidInputError("need at least 3 points for a reported slope")
@@ -122,7 +126,13 @@ def fit_scaling_exponent(points) -> FitResult:
         raise InvalidInputError("scaling fit requires finite positive epsilons and values")
     x = np.log([e for e, _ in pts])
     y = np.log([v for _, v in pts])
-    slope, intercept = np.polyfit(x, y, 1)
+    # on equal x the mean can round off x, so test x itself, not x - mean
+    if np.all(x == x[0]):
+        raise InvalidInputError("scaling fit needs two distinct epsilons")
+    xm, ym = x.mean(), y.mean()
+    dx = x - xm
+    slope = np.sum(dx * (y - ym)) / np.sum(dx * dx)
+    intercept = ym - slope * xm
     resid = y - (slope * x + intercept)
     return FitResult(
         slope=float(slope),

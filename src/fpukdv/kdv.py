@@ -142,17 +142,22 @@ class KdvIntegrator:
         k[-1] = 0.0  # odd symbols vanish at Nyquist, as in core.derivative
         ik = 1j * k
         lin = 1j * k**3 / 24.0
-        self.exp_full = np.exp(h * lin)
+        hlin = h * lin
+        self.exp_full = np.exp(hlin)
         self.exp_half = np.exp(0.5 * h * lin)
         # contour quadrature for the phi-functions on 32 points of the full
-        # unit circle (complex coefficients: the linear operator is dispersive)
-        r = np.exp(2j * np.pi * (np.arange(32) + 0.5) / 32)
-        lr = h * lin[:, None] + r[None, :]
-        elr = np.exp(lr)
-        f0 = h * np.mean((np.exp(lr / 2.0) - 1.0) / lr, axis=1)
-        f1 = h * np.mean((-4.0 - lr + elr * (4.0 - 3.0 * lr + lr**2)) / lr**3, axis=1)
-        f2 = h * np.mean((2.0 + lr + elr * (lr - 2.0)) / lr**3, axis=1)
-        f3 = h * np.mean((-4.0 - 3.0 * lr - lr**2 + elr * (4.0 - lr)) / lr**3, axis=1)
+        # unit circle (complex coefficients: the linear operator is dispersive),
+        # summed one point at a time so that no (M/2+1) x 32 table is formed
+        f = np.zeros((4, M // 2 + 1), dtype=complex)
+        for r in np.exp(2j * np.pi * (np.arange(32) + 0.5) / 32):
+            z = hlin + r
+            ez, z2, z3 = np.exp(z), z**2, z**3
+            f[0] += (np.exp(z / 2.0) - 1.0) / z
+            f[1] += (-4.0 - z + ez * (4.0 - 3.0 * z + z2)) / z3
+            f[2] += (2.0 + z + ez * (z - 2.0)) / z3
+            f[3] += (-4.0 - 3.0 * z - z2 + ez * (4.0 - z)) / z3
+        f *= h / 32  # the mean over the points; h / 32 is exact
+        f0, f1, f2, f3 = f
         # -(1/2) d/dx with the 2/3-rule dealiasing, folded into the phi-coefficients
         nl_mult = -0.5 * ik * dealias_mask(M)
         self.g0 = f0 * nl_mult

@@ -420,6 +420,14 @@ class TestFit:
         assert "finite" in err
         assert "slope" not in out
 
+    def test_fit_rejects_one_epsilon(self, tmp_path, capsys):
+        path = tmp_path / "points.csv"
+        path.write_text("0.1,1\n0.1,2\n0.1,3\n")
+        code, out, err = run_cli(["fit", "--input", str(path)], capsys)
+        assert code == 1
+        assert "two distinct epsilons" in err
+        assert "slope" not in out
+
     def test_fit_input_from_config(self, tmp_path, capsys):
         path = tmp_path / "points.csv"
         path.write_text("".join(f"{e},{2.0 * e**4.5}\n" for e in (0.2, 0.1, 0.05)))

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import statistics
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -81,6 +82,35 @@ class TestFits:
         pts[1][column] = bad
         with pytest.raises(InvalidInputError):
             fit_scaling_exponent(pts)
+
+    @pytest.mark.parametrize("eps,n", [(0.1, 3), (0.2, 7)])
+    def test_needs_two_distinct_epsilons(self, eps, n):
+        # seven copies of log 0.2 have a mean that is not log 0.2, so the
+        # centred x is not all zero there; the fit must still refuse
+        pts = [(eps, float(v)) for v in range(1, n + 1)]
+        with pytest.raises(InvalidInputError, match="two distinct epsilons"):
+            fit_scaling_exponent(pts)
+
+    # the (eps, sup_error) points of acceptance 03, and seeded noisy sets
+    ACCEPTANCE_03 = [(0.2, 1.446917257339375), (0.1, 0.44777663729706096),
+                     (0.05, 0.13932230414753222)]
+
+    @pytest.mark.parametrize("seed", [None, 0, 1, 2, 3])
+    def test_matches_statistics_oracle(self, seed):
+        if seed is None:
+            pts = self.ACCEPTANCE_03
+        else:
+            rng = np.random.default_rng(seed)
+            eps = np.sort(rng.uniform(0.01, 0.5, 3 + seed))
+            pts = list(zip(eps, eps ** rng.uniform(1.0, 5.0) * np.exp(rng.normal(0.0, 0.3, eps.size))))
+        x = [math.log(e) for e, _ in pts]
+        y = [math.log(v) for _, v in pts]
+        slope, intercept = statistics.linear_regression(x, y)
+        rms = math.sqrt(math.fsum((b - slope * a - intercept) ** 2 for a, b in zip(x, y)) / len(x))
+        fit = fit_scaling_exponent(pts)
+        assert fit.slope == pytest.approx(slope, rel=1e-12)
+        assert fit.intercept == pytest.approx(intercept, rel=1e-12)
+        assert fit.residual_rms == pytest.approx(rms, rel=1e-12)
 
     def test_pairwise_exponent(self):
         assert pairwise_exponent((0.1, 1.0), (0.05, 2.0 ** -1.5)) == pytest.approx(1.5)

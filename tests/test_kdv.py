@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -274,6 +275,65 @@ class TestIntegrator:
         # soliton_p2 has L = 64, M = 1024
         with pytest.raises(ConfigurationError, match="does not match"):
             KdvIntegrator(KdvRunConfig(p=2, L=L, M=M, dtau=1e-3)).run(soliton_p2, 1)
+
+
+# (M, L, dtau) of a small run, of coupled_scan's KdV run and of the p = 5
+# soliton of kdv_evolution; each has modes with |z| >= 1 and modes with |z| <= 1e-3
+PHI_CASES = [(256, 16.0, 1e-3), (1024, 64.0, 1e-3), (2048, 24.0, 1.4513788098693759e-4)]
+
+
+def _phi_closed_forms(z, h):
+    """f0, f1, 2 f2 and f3 in closed form (f0 is h (e^(z/2) - 1)/z)."""
+    ez = np.exp(z)
+    return [h * (np.exp(z / 2.0) - 1.0) / z,
+            h * (-4.0 - z + ez * (4.0 - 3.0 * z + z * z)) / z**3,
+            2.0 * h * (2.0 + z + ez * (z - 2.0)) / z**3,
+            h * (-4.0 - 3.0 * z - z * z + ez * (4.0 - z)) / z**3]
+
+
+def _phi_taylor(z, h):
+    """The same four functions to O(z^4)."""
+    return [h * (1 / 2 + z / 8 + z**2 / 48 + z**3 / 384),
+            h * (1 / 6 + z / 6 + 3 * z**2 / 40 + z**3 / 45),
+            h * (1 / 3 + z / 6 + z**2 / 20 + z**3 / 90),
+            h * (1 / 6 - z**2 / 120 - z**3 / 360)]
+
+
+class TestPhiCoefficients:
+    """g0..g3 hold the phi-coefficients times -(1/2) ik mask; divided by that
+    multiplier they must match the phi-functions of z = h i k^3 / 24, which
+    the contour quadrature approximates (bounds fixed beforehand: closed
+    forms lose no more than ~1e-13 for |z| >= 1, and the series' own error is
+    ~z^4 for |z| <= 1e-3)."""
+
+    @pytest.mark.parametrize("M, L, h", PHI_CASES)
+    def test_against_closed_forms_and_series(self, M, L, h):
+        integ = KdvIntegrator(KdvRunConfig(p=2, L=L, M=M, dtau=h))
+        k = 2.0 * np.pi * np.fft.rfftfreq(M, d=L / M)
+        mult = -0.5j * k * (np.arange(M // 2 + 1) <= M / 3.0)
+        live = mult != 0.0
+        z = h * 1j * k**3 / 24.0
+        got = [g[live] / mult[live] for g in (integ.g0, integ.g1, integ.g2, integ.g3)]
+        for sel, forms, rel in [(np.abs(z[live]) >= 1.0, _phi_closed_forms, 1e-12),
+                                (np.abs(z[live]) <= 1e-3, _phi_taylor, 1e-10)]:
+            assert sel.any()
+            zs = z[live][sel]
+            for f, ref in zip(got, forms(zs, h)):
+                assert np.max(np.abs(f[sel] - ref) / np.abs(ref)) <= rel
+
+    def test_construction_keeps_no_contour_table(self):
+        # the coefficients are summed one contour point at a time, so building
+        # an integrator allocates a few length-(M/2+1) vectors, not a
+        # (M/2+1) x 32 table and its temporaries (2.65 MB at M = 2048)
+        KdvIntegrator(KdvRunConfig(2, 24.0, 256, 1e-4))  # first-call set-up
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            KdvIntegrator(KdvRunConfig(2, 24.0, 2048, 1e-4))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestScratchOwnership:
