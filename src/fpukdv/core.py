@@ -23,7 +23,11 @@ Conventions:
     one statement of that rule, and ``sample_to_lattice`` the one sampler:
     one call takes the profiles of one grid together, one row per profile;
   * both solvers keep time by one rule, ``uniform_samples``: a run over
-    [0, t_end] is sampled at t_i = i * (t_end / n_samples), i = 0..n_samples.
+    [0, t_end] is sampled at t_i = i * (t_end / n_samples), i = 0..n_samples;
+  * both step loops transform through ``rfft_into`` and ``irfft_into``, which
+    call the pocketfft ufuncs of numpy >= 2.0 that ``np.fft.rfft`` and
+    ``np.fft.irfft`` end in, with the same factors, so they give the same
+    numbers bit for bit without np.fft's per-call argument handling.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.fft import _pocketfft_umath
 
 
 class InvalidInputError(ValueError):
@@ -225,6 +230,19 @@ def int_power(u, p, out):
     return out
 
 
+def rfft_into(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = np.fft.rfft(x) bit for bit, for real x of length n and complex
+    out of length n // 2 + 1 (the ufunc does not check out's length)."""
+    ufunc = _pocketfft_umath.rfft_n_even if x.shape[-1] % 2 == 0 else _pocketfft_umath.rfft_n_odd
+    return ufunc(x, 1.0, out=out)
+
+
+def irfft_into(X: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = np.fft.irfft(X, n=len(out)) bit for bit: 1/n is the factor
+    np.fft.irfft passes."""
+    return _pocketfft_umath.irfft(X, 1.0 / out.shape[-1], out=out)
+
+
 def dealias_mask(M: int) -> np.ndarray:
     """2/3-rule mask over the half-spectrum modes 0..M/2."""
     return np.arange(M // 2 + 1) <= M / 3.0
@@ -287,8 +305,9 @@ def sample_to_lattice(profiles, epsilon: float, shift: float, N: int) -> np.ndar
     Since N*epsilon = L, the points are a uniform N-point grid rotated by
     ``shift`` sites, so the Fourier series of W is evaluated there exactly
     (up to round-off) by one fold: the half-spectrum weights, phase-shifted
-    by exp(-2 pi i m shift / N), are summed over m mod N and inverted with a
-    length-N FFT, batched over the rows.  Cost O(M + N log N) per row.
+    by exp(-2 pi i m shift / N), are summed over m mod N in one batched fold,
+    and each folded row is inverted with its own length-N FFT into the
+    output.  Cost O(M + N log N) per row.
     """
     L, M = profiles[0].L, profiles[0].M
     if any((W.L, W.M) != (L, M) for W in profiles):
@@ -302,4 +321,7 @@ def sample_to_lattice(profiles, epsilon: float, shift: float, N: int) -> np.ndar
         row[:K] = W.coeffs
     w[:, 1:K - 1] *= 2.0
     w[:, :K] *= np.exp(-2j * np.pi * np.arange(K) * ((shift % N) / N))
-    return np.fft.ifft(w.reshape(len(w), -1, N).sum(axis=1)).real * (N / M)
+    x = np.empty((len(w), N))
+    for row, folded in zip(x, w.reshape(len(w), -1, N).sum(axis=1)):
+        np.multiply(np.fft.ifft(folded).real, N / M, out=row)
+    return x

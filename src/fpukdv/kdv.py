@@ -7,9 +7,12 @@ coefficients (Kassam & Trefethen, SISC 2005; Cox & Matthews, JCP 2002).
 The integrator steps the rfft half-spectrum (modes 0..M/2) that a
 ``FieldProfile`` stores, so a run starts from a copy of ``W.coeffs`` and ends
 in one ``FieldProfile.from_coeffs``.  Each stage runs in scratch arrays the
-integrator allocates once; integrators are ``lru_cache``d per process
-(``_integrator``), so one integrator must not be stepped from two threads at
-once.  ``kdv_samples`` samples a run on the clock of ``core.uniform_samples``.
+integrator allocates once, and transforms through ``core.irfft_into`` and
+``core.rfft_into`` (numpy's pocketfft ufuncs called directly: np.fft's
+numbers bit for bit, without its per-call overhead).  Integrators are
+``lru_cache``d per process (``_integrator``), so one integrator must not be
+stepped from two threads at once.  ``kdv_samples`` samples a run on the
+clock of ``core.uniform_samples``.
 """
 
 from __future__ import annotations
@@ -31,6 +34,8 @@ from .core import (
     dealiased_rfft,
     derivative,
     int_power,
+    irfft_into,
+    rfft_into,
     sobolev_norm,
     spectral_tail_fraction,
     uniform_samples,
@@ -176,7 +181,7 @@ class KdvIntegrator:
         """out = rfft(w^p) for w = irfft(v); raises BlowUpError when
         sup|w| > BLOWUP_GUARD (NaN included)."""
         w, wp = self._w, self._wp
-        np.fft.irfft(v, n=self.cfg.M, out=w)
+        irfft_into(v, w)
         np.multiply(w, w, out=wp)
         # sup|w| <= guard tested on w*w, the first product of W^p = ((w*w)*w)*...;
         # the max is NaN if any w is, and NaN fails the comparison
@@ -184,7 +189,7 @@ class KdvIntegrator:
             raise BlowUpError("KdV solution exceeded the sup-norm guard")
         for _ in range(self.cfg.p - 2):
             np.multiply(wp, w, out=wp)
-        return np.fft.rfft(wp, out=out)
+        return rfft_into(wp, out)
 
     def _step(self, v: np.ndarray, out: np.ndarray) -> None:
         """out = one ETDRK4 step from v; out must not overlap v."""

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from fpukdv import kernels
+from fpukdv import fpu, kdv, kernels
 from fpukdv.core import (
     ConfigurationError,
     FieldProfile,
@@ -16,8 +16,10 @@ from fpukdv.core import (
     ModelParams,
     dealias_mask,
     derivative,
+    irfft_into,
     l2_norm,
     lattice_size,
+    rfft_into,
     sample_to_lattice,
     sobolev_norm,
     spectral_tail_fraction,
@@ -176,19 +178,24 @@ class TestSampleToLattice:
     @example(M=80, N=81, shift=0.0, seed=2)  # even M, not a power of two
     @example(M=1000, N=1280, shift=-2.5, seed=3)
     @example(M=1024, N=1010, shift=-64716.052228441804, seed=0)  # n - shift would round
+    @example(M=512, N=2, shift=1.2115222435095347, seed=37794)  # max|ref| << sum|c_m| / M
     @settings(max_examples=60, deadline=None)
     def test_fold_matches_direct_sum(self, M, N, shift, seed):
         # oracle: the direct Fourier sum at the moving-frame points, on a
         # random real full-band profile (Nyquist mode included); the whole
-        # part of the shift is wrapped exactly before its fraction is taken
+        # part of the shift is wrapped exactly before its fraction is taken.
+        # Round-off scales with the terms summed, sum |c_m| / M, which bounds
+        # every sample; max|ref| alone can be made small by cancellation.
         L = 64.0
         eps = L / N
         W = FieldProfile.from_values(np.random.default_rng(seed).standard_normal(M), L)
         whole = math.floor(shift)
         sites = ((np.arange(N) - whole) % N - (shift - whole)) % N
-        ref = kernels.fourier_eval(np.fft.fft(W.values), L, eps * sites)
+        spectrum = np.fft.fft(W.values)
+        ref = kernels.fourier_eval(spectrum, L, eps * sites)
         (out,) = sample_to_lattice((W,), eps, shift, N)
-        assert np.max(np.abs(out - ref)) <= 1.0e-11 * np.max(np.abs(ref))
+        scale = max(np.max(np.abs(ref)), np.sum(np.abs(spectrum)) / M)
+        assert np.max(np.abs(out - ref)) <= 1.0e-11 * scale
         # a stack samples each row as its own one-profile call, bit for bit
         stack = (W, FieldProfile.from_coeffs(-W.coeffs, L), derivative(W, 1))
         rows = sample_to_lattice(stack, eps, shift, N)
@@ -206,6 +213,46 @@ class TestSampleToLattice:
             ratios.append(l2_norm(x) / (eps**-0.5 * h1))
         assert max(ratios) <= 2.0
         assert max(ratios) / min(ratios) < 1.1
+
+
+class TestFftInto:
+    # oracle: np.fft itself, which ends in the same pocketfft ufuncs
+    @pytest.mark.parametrize("N", [1, 2, 3, 64, 315, 320, 640, 641, 1280, 2048])
+    def test_helpers_match_np_fft_bit_for_bit(self, N):
+        rng = np.random.default_rng(N)
+        x = rng.standard_normal(N)
+        X = rng.standard_normal(N // 2 + 1) + 1j * rng.standard_normal(N // 2 + 1)
+        out = np.empty(N // 2 + 1, dtype=complex)
+        assert rfft_into(x, out) is out
+        assert np.array_equal(out, np.fft.rfft(x))
+        back = np.empty(N)
+        assert irfft_into(X, back) is back
+        assert np.array_equal(back, np.fft.irfft(X, n=N))
+
+    def test_step_loops_make_no_np_fft_call(self, monkeypatch):
+        # the S6 stepper transforms (u, q) once on entry and once on exit;
+        # a KdV run starts from W.coeffs and ends in from_coeffs
+        N, M = 640, 512
+        rng = np.random.default_rng(0)
+        u, q = 0.1 * rng.standard_normal(N), 0.1 * rng.standard_normal(N)
+        stepper = fpu._S6Stepper(N, 0.5, 0.01, 2)
+        W = FieldProfile.from_values(np.exp(-np.linspace(-8.0, 8.0, M, endpoint=False) ** 2), 32.0)
+        integrator = kdv.KdvIntegrator(kdv.KdvRunConfig(p=3, L=32.0, M=M, dtau=1e-3))
+        calls = {"rfft": 0, "irfft": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(np.fft, name, counted(name, getattr(np.fft, name)))
+        stepper.steps(u, q, 100)
+        assert calls == {"rfft": 2, "irfft": 2}
+        calls.update(rfft=0, irfft=0)
+        integrator.run(W, 100)
+        assert calls == {"rfft": 0, "irfft": 0}
 
 
 class TestProfileOps:
