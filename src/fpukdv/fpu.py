@@ -3,9 +3,10 @@
     du_n/dt = q_{n+1} - q_n
     dq_n/dt = u_n - u_{n-1} + eps^2 (u_n^p - u_{n-1}^p)
 
-One integrator: Blanes & Moan's order-4 symplectic splitting S6, whose linear
-flows are solved exactly in Fourier space and whose nonlinear kicks act on the
-momentum spectrum only.  The two transforms of each kick go through
+One integrator: Blanes & Moan's order-4 symplectic splitting S6, stepped on
+the normal modes of the linear chain, which its exact linear flow turns by a
+phase per mode; each nonlinear kick and the flow after it are one update of
+those modes.  The two transforms of each kick go through
 ``core.irfft_into`` and ``core.rfft_into``: numpy's pocketfft ufuncs called
 directly, np.fft's numbers bit for bit without its per-call overhead.  Tests
 check the splitting against the textbook RK4 loop in kernels.py, which no run
@@ -59,48 +60,27 @@ _B3 = 0.5 - _B1 - _B2
 
 
 class _S6Stepper:
-    """The S6 splitting on the rfft half-spectra (u^, q^).
+    """The S6 splitting on the normal modes of the linear chain.
 
-    With kappa = 2 pi m / N the linear part is u^' = alpha q^, q^' = beta u^
-    (alpha = e^{i kappa} - 1, beta = e^{-i kappa} alpha, alpha beta = -omega^2),
-    solved exactly; a kick is q^ += b dt eps^2 beta rfft(u^p), u = irfft(u^).
-    Inside one chunk the closing a1 flow of a step and the opening a1 flow of
-    the next run as one 2 a1 flow.
+    With kappa = 2 pi m / N, g = e^{i kappa/2} and omega = 2 sin(kappa/2),
+    the modes z+- = (u^ +- g q^)/2 of the rfft half-spectra turn by
+    e^{+-i omega h} under the linear flow, u^ = z+ + z-, q^ = (z+ - z-)/g,
+    and a kick adds +-i omega b dt eps^2 rfft(u^p)/2 to z+-.  Each kick is
+    taken with the flow after it as one pair (D, E): z <- E z + D rfft(u^p).
+    A run turns z by a1 on entry and back by a1 before exit, so that every
+    step's sixth kick is followed by the 2 a1 flow that joins it to the next.
     """
 
     def __init__(self, N: int, dt: float, eps2: float, p: int):
         kappa = 2.0 * np.pi * np.fft.rfftfreq(N)
-        omega = 2.0 * np.sin(kappa / 2.0)
-        alpha = np.exp(1j * kappa) - 1.0
-        beta = np.exp(-1j * kappa) * alpha
-        flow = {a: self._flow(omega, alpha, beta, a * dt) for a in (_A1, _A2, _A3, _A4, 2.0 * _A1)}
-        kick = {b: b * dt * eps2 * beta for b in (_B1, _B2, _B3)}
-        self.kicks = tuple(kick[b] for b in (_B1, _B2, _B3, _B3, _B2, _B1))
-        # the flows after kicks 1-5; the one after kick 6 closes the step
-        self.inner = tuple(flow[a] for a in (_A2, _A3, _A4, _A3, _A2))
-        self.first, self.joint = flow[_A1], flow[2.0 * _A1]
-        self.N = N
-        self.p = p
-
-    @staticmethod
-    def _flow(omega, alpha, beta, h):
-        """(cos(w h), sinc alpha, sinc beta) with sinc = sin(w h)/w, limit h at w = 0.
-
-        cos is stored complex: numpy multiplies complex by complex faster
-        than it casts a real factor."""
-        sinc = np.where(omega == 0.0, h, np.sin(omega * h) / np.where(omega == 0.0, 1.0, omega))
-        return np.cos(omega * h).astype(complex), sinc * alpha, sinc * beta
-
-    @staticmethod
-    def _linear(uh, qh, flow, su, sq):
-        """(u^, q^) <- exact linear flow, in place; su and sq are scratch."""
-        cos, sa, sb = flow
-        np.multiply(sa, qh, out=su)
-        np.multiply(sb, uh, out=sq)
-        np.multiply(cos, uh, out=uh)
-        np.add(uh, su, out=uh)
-        np.multiply(cos, qh, out=qh)
-        np.add(qh, sq, out=qh)
+        iw = np.array([[1j], [-1j]]) * (2.0 * np.sin(kappa / 2.0))  # +-i omega, (2, N//2+1)
+        self.g = np.exp(0.5j * kappa)
+        self.entry = np.exp(_A1 * dt * iw)
+        self.pairs = []
+        for b, a in zip((_B1, _B2, _B3, _B3, _B2, _B1), (_A2, _A3, _A4, _A3, _A2, 2.0 * _A1)):
+            E = np.exp(a * dt * iw)
+            self.pairs.append((E * iw * (0.5 * b * dt * eps2), E))
+        self.N, self.p = N, p
 
     def steps(self, u, q, nsteps):
         """Advance grid arrays (u, q) by nsteps; returns (u, q).
@@ -110,25 +90,25 @@ class _S6Stepper:
         """
         if nsteps == 0:
             return u, q
-        N, p = self.N, self.p
-        uh, qh = np.fft.rfft(u), np.fft.rfft(q)
-        fh, sq = np.empty_like(uh), np.empty_like(uh)
+        N, p, g = self.N, self.p, self.g
+        uh, gq = np.fft.rfft(u), g * np.fft.rfft(q)
+        z = self.entry * np.stack(((uh + gq) / 2.0, (uh - gq) / 2.0))
         w, f = np.empty(N), np.empty(N)
-        self._linear(uh, qh, self.first, fh, sq)
-        for i in range(nsteps):
-            closing = self.first if i == nsteps - 1 else self.joint
-            for j, (kick, flow) in enumerate(zip(self.kicks, (*self.inner, closing))):
-                irfft_into(uh, w)
+        fh, dz = np.empty_like(uh), np.empty_like(z)
+        for _ in range(nsteps):
+            for j, (D, E) in enumerate(self.pairs):
+                irfft_into(np.add(z[0], z[1], out=uh), w)
                 if j == 0 and not (np.abs(w, out=f).max() <= BLOWUP_GUARD):
                     raise BlowUpError("FPU solution exceeded the sup-norm guard")
                 rfft_into(int_power(w, p, f), fh)
-                np.multiply(kick, fh, out=fh)
-                np.add(qh, fh, out=qh)
-                self._linear(uh, qh, flow, fh, sq)
-        u = np.fft.irfft(uh, n=N)
+                np.multiply(E, z, out=z)
+                np.multiply(D, fh, out=dz)
+                np.add(z, dz, out=z)
+        z *= self.entry.conj()
+        u = np.fft.irfft(z[0] + z[1], n=N)
         if not np.abs(u).max() <= BLOWUP_GUARD:
             raise BlowUpError("FPU solution exceeded the sup-norm guard")
-        return u, np.fft.irfft(qh, n=N)
+        return u, np.fft.irfft((z[0] - z[1]) / g, n=N)
 
 
 def fpu_integrate(state: LatticeState, cfg: FpuRunConfig) -> LatticeState:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from fpukdv import fpu as fpu_module
 from fpukdv import kernels
@@ -154,7 +155,7 @@ class TestIntegrators:
 
     @pytest.mark.parametrize("p", [2, 3])
     @pytest.mark.parametrize("nsteps", [0, 1, 2, 7, 1000])
-    @pytest.mark.parametrize("N", [3, 64, 640])
+    @pytest.mark.parametrize("N", [1, 2, 3, 64, 640])
     def test_splitting_matches_unfused_reference(self, N, nsteps, p):
         # the Fourier-space stepper with fused a1 flows against the grid-space
         # S6 loop: same scheme, so they differ by round-off (bound fixed beforehand)
@@ -167,6 +168,23 @@ class TestIntegrators:
         scale = max(np.max(np.abs(u_ref)), np.max(np.abs(q_ref)))
         assert np.max(np.abs(u - u_ref)) <= 1e-12 * scale
         assert np.max(np.abs(q - q_ref)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("nsteps", [1, 7])
+    @pytest.mark.parametrize("N", [1, 2, 3, 64, 320])
+    def test_linear_flow_matches_matrix_exponential(self, N, nsteps):
+        # with eps^2 = 0 the kicks vanish and nsteps steps are the exact flow of
+        # u' = q(. + 1) - q, q' = u - u(. - 1): expm of the grid operator, no
+        # Fourier transform involved; pins every mode's turn, the zero mode,
+        # Nyquist and odd N included (bound fixed beforehand)
+        eye = np.eye(N)
+        zero = np.zeros((N, N))
+        A = np.block([[zero, np.roll(eye, 1, axis=1) - eye],
+                      [eye - np.roll(eye, -1, axis=1), zero]])
+        rng = np.random.default_rng(N + 10 * nsteps)
+        u0, q0 = rng.standard_normal(N), rng.standard_normal(N)
+        exact = expm(DT_LATTICE * nsteps * A) @ np.concatenate([u0, q0])
+        u, q = fpu_module._S6Stepper(N, DT_LATTICE, 0.0, 2).steps(u0.copy(), q0.copy(), nsteps)
+        assert np.max(np.abs(np.concatenate([u, q]) - exact)) <= 1e-12 * np.max(np.abs(exact))
 
     def test_splitting_matches_rk4(self):
         state, _ = soliton_lattice_data(2, 1.0, 0.1)
