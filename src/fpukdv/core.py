@@ -17,7 +17,7 @@ Conventions:
   * the half-spectrum is the profile: derivatives, the ansatz and its
     residuals (Fourier multipliers on it, lattice shifts included) and the
     integrators work on it, and the grid values are formed on demand, by
-    one irfft the first time ``FieldProfile.values`` is read;
+    one irfft the first time ``FieldProfile.values`` is read, and cached;
   * the periodic lattice has N sites with N*epsilon = L, so the moving
     frame xi = epsilon*(n - t) wraps consistently; ``lattice_size`` is the
     one statement of that rule, and ``sample_to_lattice`` the one sampler:
@@ -33,7 +33,9 @@ Conventions:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.fft import _pocketfft_umath
@@ -82,7 +84,7 @@ class ModelParams:
     dt_lattice: float = DT_LATTICE
 
     def __post_init__(self):
-        if int(self.p) != self.p or self.p < 2:
+        if not isinstance(self.p, numbers.Integral) or self.p < 2:
             raise InvalidInputError(f"p must be an integer >= 2, got {self.p}")
         if not 0.0 < self.epsilon < 1.0:
             raise InvalidInputError(f"epsilon must be in (0, 1), got {self.epsilon}")
@@ -117,24 +119,14 @@ class LatticeState:
         return np.roll(self.q, -1) - self.q
 
 
+@dataclass(frozen=True, eq=False)
 class FieldProfile:
-    """Periodic continuum profile: its rfft half-spectrum ``coeffs`` and
-    period ``L``.  The grid ``values`` are formed on demand, by one irfft the
-    first time they are read (``from_values`` and a direct ``values=`` seed
-    them).  Immutable."""
+    """Periodic continuum profile: rfft half-spectrum ``coeffs``, period ``L``.
+    Immutable; the grid ``values`` are one irfft, formed when first read and
+    cached (``from_values`` seeds the cache), and pickle and copy carry them."""
 
-    __slots__ = ("coeffs", "L", "_values")
-
-    def __init__(self, coeffs: np.ndarray, L: float, values: np.ndarray | None = None):
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "L", L)
-        object.__setattr__(self, "_values", values)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"FieldProfile is immutable; cannot set {name!r}")
-
-    def __reduce__(self):  # pickle and copy through __init__, not __setattr__
-        return type(self), (self.coeffs, self.L, self._values)
+    coeffs: np.ndarray
+    L: float
 
     @classmethod
     def from_values(cls, values, L) -> "FieldProfile":
@@ -143,7 +135,9 @@ class FieldProfile:
             raise InvalidInputError(f"M must be even, got {values.shape[0]} grid points")
         if not np.all(np.isfinite(values)):
             raise InvalidInputError("profile values contain non-finite entries")
-        return cls(np.fft.rfft(values), float(L), values)
+        W = cls(np.fft.rfft(values), float(L))
+        vars(W)["values"] = values  # the grid given, not its irfft round trip
+        return W
 
     @classmethod
     def from_coeffs(cls, coeffs, L) -> "FieldProfile":
@@ -153,11 +147,9 @@ class FieldProfile:
         coeffs[[0, -1]] = coeffs[[0, -1]].real  # irfft ignores their imaginary parts
         return cls(coeffs, float(L))
 
-    @property
+    @cached_property
     def values(self) -> np.ndarray:
-        if self._values is None:
-            object.__setattr__(self, "_values", np.fft.irfft(self.coeffs, n=self.M))
-        return self._values
+        return np.fft.irfft(self.coeffs, n=self.M)
 
     @property
     def M(self) -> int:
@@ -196,8 +188,8 @@ def uniform_samples(advance, x, t_end: float, n_samples: int, dt_max: float):
     of size <= dt_max, and x_i = advance(x_{i-1}, n, dt) with dt = interval / n,
     so every sample lands on its t_i whatever dt_max is.
     """
-    if n_samples < 1 or not t_end > 0.0:
-        raise InvalidInputError(f"sampling needs t_end > 0 and n_samples >= 1, "
+    if n_samples < 1 or not 0.0 < t_end < math.inf:
+        raise InvalidInputError(f"sampling needs 0 < t_end < inf and n_samples >= 1, "
                                 f"got t_end = {t_end}, n_samples = {n_samples}")
     interval = t_end / n_samples
     n = max(1, math.ceil(interval / dt_max - 1.0e-12))

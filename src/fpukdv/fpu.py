@@ -16,6 +16,7 @@ imports.  ``lattice_samples`` samples a run on the clock of
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -36,11 +37,11 @@ from .core import (
 @dataclass(frozen=True)
 class FpuRunConfig:
     params: ModelParams
-    t_end: float = 0.0
+    t_end: float
 
     def __post_init__(self):
-        if self.t_end < 0.0:
-            raise InvalidInputError("t_end must be nonnegative")
+        if not 0.0 <= self.t_end < math.inf:
+            raise InvalidInputError(f"t_end must be in [0, inf), got {self.t_end}")
 
 
 def fpu_energy(state: LatticeState, epsilon: float, p: int) -> float:

@@ -20,6 +20,7 @@ import csv
 import itertools
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -76,8 +77,11 @@ class ExperimentSpec:
             raise InvalidInputError(f"theorem must be 1 or 2, got {self.theorem}")
         if not (self.tau0 is None or 0.0 < self.tau0 < math.inf):
             raise InvalidInputError(f"tau0 must be positive and finite, got {self.tau0}")
-        if self.n_samples < 1:
-            raise InvalidInputError(f"sampling needs n_samples >= 1, got {self.n_samples}")
+        if not isinstance(self.p, numbers.Integral) or self.p < 2:
+            raise InvalidInputError(f"p must be an integer >= 2, got {self.p}")
+        if not isinstance(self.n_samples, numbers.Integral) or self.n_samples < 1:
+            raise InvalidInputError(f"sampling needs an integer n_samples >= 1, "
+                                    f"got {self.n_samples}")
         if self.seed < 0:
             raise InvalidInputError(f"seed must be >= 0, got {self.seed}")
         for name in ("t_end", "tau_end"):
@@ -101,6 +105,8 @@ class ExperimentSpec:
             raise InvalidInputError(f"M must be even and positive, got {self.M}")
         if self.perturbation_mode not in ("none", "random"):
             raise InvalidInputError(f"unknown perturbation mode {self.perturbation_mode!r}")
+        if self.initial_mode not in ("soliton", "gaussian"):
+            raise InvalidInputError(f"unknown initial mode {self.initial_mode!r}")
         object.__setattr__(self, "epsilons", eps)
 
 
@@ -171,11 +177,8 @@ def initial_profile(spec: ExperimentSpec) -> FieldProfile:
     amplitude, centred at L/2 on the M-point grid."""
     if spec.initial_mode == "soliton":
         return soliton_profile(SolitonSpec(p=spec.p, c=spec.c, center=spec.L / 2.0), spec.L, spec.M)
-    if spec.initial_mode == "gaussian":
-        x = np.arange(spec.M) * (spec.L / spec.M)
-        vals = spec.amplitude * np.exp(-((x - spec.L / 2.0) ** 2))
-        return FieldProfile.from_values(vals, spec.L)
-    raise InvalidInputError(f"unknown initial mode {spec.initial_mode!r}")
+    x = np.arange(spec.M) * (spec.L / spec.M)
+    return FieldProfile.from_values(spec.amplitude * np.exp(-((x - spec.L / 2.0) ** 2)), spec.L)
 
 
 def _window_for(spec: ExperimentSpec, epsilon: float) -> tuple[float, float]:

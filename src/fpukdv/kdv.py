@@ -18,6 +18,7 @@ clock of ``core.uniform_samples``.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import NamedTuple
@@ -54,12 +55,12 @@ class KdvRunConfig:
     dtau: float
 
     def __post_init__(self):
-        if self.M < 256 or self.M & (self.M - 1) != 0:
-            raise InvalidInputError(f"M must be a power of two >= 256, got {self.M}")
+        if not isinstance(self.M, numbers.Integral) or self.M < 256 or self.M & (self.M - 1):
+            raise InvalidInputError(f"M must be an integer power of two >= 256, got {self.M}")
         if not 0.0 < self.dtau < math.inf:
             raise InvalidInputError(f"dtau must be in (0, inf), got {self.dtau}")
-        if self.p < 2:
-            raise InvalidInputError(f"p must be >= 2, got {self.p}")
+        if not isinstance(self.p, numbers.Integral) or self.p < 2:
+            raise InvalidInputError(f"p must be an integer >= 2, got {self.p}")
 
 
 @dataclass(frozen=True)

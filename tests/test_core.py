@@ -1,3 +1,4 @@
+import copy
 import math
 import pickle
 
@@ -287,6 +288,23 @@ class TestProfileOps:
         back = pickle.loads(pickle.dumps(W))
         assert back.L == W.L and np.array_equal(back.values, values)
 
+    @pytest.mark.parametrize("clone", [lambda W: pickle.loads(pickle.dumps(W)),
+                                       copy.copy, copy.deepcopy],
+                             ids=["pickle", "copy", "deepcopy"])
+    def test_clone_keeps_the_seeded_grid(self, clone):
+        grid = np.random.default_rng(3).standard_normal(64)
+        # the seed is the point: this grid is not its own irfft round trip
+        assert not np.array_equal(np.fft.irfft(np.fft.rfft(grid), n=64), grid)
+        W = FieldProfile.from_values(grid, 8.0)
+        back = clone(W)
+        assert back.L == W.L and np.array_equal(back.coeffs, W.coeffs)
+        assert "values" in vars(back) and np.array_equal(back.values, grid)
+
+    @pytest.mark.parametrize("name", ["coeffs", "L", "values"])
+    def test_fields_cannot_be_assigned(self, soliton_p2, name):
+        with pytest.raises(AttributeError):
+            setattr(soliton_p2, name, getattr(soliton_p2, name))
+
     @pytest.mark.parametrize("order", [1, 2, 3])
     def test_derivative_matches_full_spectrum_reference(self, order):
         # M = 256: round-off in a spectral W''' grows like eps k_max^3; at
@@ -314,8 +332,8 @@ class TestProfileOps:
             assert abs(spectral_tail_fraction(W, s) - tail) <= 1e-12 * tail
 
     def test_validate_rejects_mismatch(self, soliton_p2):
-        bad = FieldProfile(values=soliton_p2.values + 1.0, coeffs=soliton_p2.coeffs,
-                           L=soliton_p2.L)
+        bad = FieldProfile(soliton_p2.coeffs, soliton_p2.L)
+        vars(bad)["values"] = soliton_p2.values + 1.0  # a grid that is not the spectrum's
         with pytest.raises(InvalidInputError):
             validate(bad)
 
@@ -363,6 +381,12 @@ class TestModelParams:
     def test_invalid_inputs(self, kwargs):
         with pytest.raises(InvalidInputError):
             ModelParams(**kwargs)
+
+    def test_p_is_an_integer_type(self):
+        # p = 2.0 would reach range(p - 2) in int_power as a TypeError
+        with pytest.raises(InvalidInputError, match="integer"):
+            ModelParams(p=2.0, epsilon=0.1)
+        assert ModelParams(p=np.int64(3), epsilon=0.1).p == 3
 
 
 class TestLatticeSize:
@@ -418,3 +442,9 @@ class TestUniformSamples:
         # an interval that dt_max divides keeps dt_max; one step is the least
         assert [n for n, _ in self._run(1.0, 4, 0.05)[1]] == [5] * 4
         assert self._run(0.1, 5, 0.03)[1] == [(1, 0.1 / 5)] * 5
+
+    @pytest.mark.parametrize("t_end", [math.inf, math.nan, 0.0, -1.0])
+    def test_needs_a_finite_positive_duration(self, t_end):
+        # math.ceil of an infinite step count raised OverflowError
+        with pytest.raises(InvalidInputError, match="0 < t_end < inf"):
+            self._run(t_end, 2, 0.5)

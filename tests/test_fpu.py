@@ -232,6 +232,16 @@ class TestIntegrators:
             stepper.steps(np.zeros(32), q0, 1)
         assert len(powers) == 6
 
+    @pytest.mark.parametrize("t_end", [math.inf, math.nan, -0.5])
+    def test_t_end_must_be_finite_and_nonnegative(self, t_end):
+        # round() of inf or nan raised OverflowError or ValueError in fpu_integrate
+        with pytest.raises(InvalidInputError, match="t_end must be in"):
+            FpuRunConfig(params=_params(), t_end=t_end)
+
+    def test_t_end_is_required(self):
+        with pytest.raises(TypeError):
+            FpuRunConfig(params=_params())
+
     def test_t_end_must_be_step_multiple(self):
         params = _params()
         state, _ = soliton_lattice_data(2, 1.0, 0.1)
@@ -282,6 +292,12 @@ class TestLatticeSamples:
     def test_needs_a_sample_and_a_window(self, t_end, n_samples):
         with pytest.raises(InvalidInputError):
             next(lattice_samples(self._state(), self.PARAMS, t_end, n_samples))
+
+    @pytest.mark.parametrize("t_end", [math.inf, math.nan])
+    def test_needs_a_finite_window(self, t_end):
+        # math.ceil of an infinite step count raised OverflowError
+        with pytest.raises(InvalidInputError, match="0 < t_end < inf"):
+            next(lattice_samples(self._state(), self.PARAMS, t_end, 2))
 
 
 class TestTravelingWaveInitializer:

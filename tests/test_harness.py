@@ -179,6 +179,19 @@ class TestExperimentSpecValidation:
         with pytest.raises(InvalidInputError):
             ExperimentSpec(**kwargs)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(p=2.5), "p must be an integer"),
+        (dict(p=2.0), "p must be an integer"),
+        (dict(p=1), "p must be an integer"),
+        (dict(n_samples=2.5), "integer n_samples"),
+        (dict(initial_mode="bogus"), "unknown initial mode"),
+    ], ids=["fractional-p", "float-p", "p-1", "fractional-samples", "unknown-initial-mode"])
+    def test_rejected_before_a_run(self, kwargs, message):
+        # each of these used to pass the spec and fail mid-run with a TypeError
+        # or in initial_profile
+        with pytest.raises(InvalidInputError, match=message):
+            ExperimentSpec(**kwargs)
+
     def test_epsilons_must_decrease(self):
         with pytest.raises(InvalidInputError):
             ExperimentSpec(epsilons=(0.05, 0.1))

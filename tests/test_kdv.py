@@ -243,8 +243,7 @@ class TestIntegrator:
     def test_blowup_guard_trips_on_nan(self):
         # max|w| > guard is False for NaN; the guard must still raise
         M = 256
-        W = FieldProfile(values=np.full(M, np.nan), coeffs=np.full(M // 2 + 1, np.nan + 0j),
-                         L=16.0)
+        W = FieldProfile(np.full(M // 2 + 1, np.nan + 0j), 16.0)
         with pytest.raises(BlowUpError):
             KdvIntegrator(KdvRunConfig(p=2, L=16.0, M=M, dtau=1e-3)).run(W, 1)
 
@@ -269,6 +268,22 @@ class TestIntegrator:
             KdvRunConfig(p=2, L=64.0, M=1000, dtau=1e-3)
         with pytest.raises(InvalidInputError):
             KdvRunConfig(p=2, L=64.0, M=1024, dtau=-1e-3)
+
+    @pytest.mark.parametrize("p, M", [(2.5, 512), (2.0, 512), (2, 512.0), (1, 512)])
+    def test_p_and_M_must_be_integers(self, p, M):
+        # a float would reach range(p - 2) or M & (M - 1) as a TypeError mid-run
+        with pytest.raises(InvalidInputError, match="integer"):
+            KdvRunConfig(p=p, L=32.0, M=M, dtau=1e-3)
+
+    def test_numpy_integers_are_integers(self):
+        cfg = KdvRunConfig(p=np.int64(3), L=32.0, M=np.int64(512), dtau=1e-3)
+        assert cfg.M == 512 and cfg.p == 3
+
+    @pytest.mark.parametrize("tau_end", [math.inf, math.nan, 0.0])
+    def test_samples_need_a_finite_positive_duration(self, soliton_p2, tau_end):
+        cfg = KdvRunConfig(p=2, L=soliton_p2.L, M=soliton_p2.M, dtau=1e-3)
+        with pytest.raises(InvalidInputError, match="0 < t_end < inf"):
+            next(kdv_samples(soliton_p2, cfg, tau_end, 2))
 
     @pytest.mark.parametrize("L, M", [(64.0, 512), (32.0, 1024)])
     def test_profile_must_match_config(self, soliton_p2, L, M):
