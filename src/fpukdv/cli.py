@@ -8,7 +8,8 @@ the command line's own, which win; there is no environment-variable
 configuration.  A command reads its settings from the ExperimentSpec of its
 flags, hands the spec to a harness runner, which alone turns it into solver
 inputs, and returns an Outcome; main alone writes its CSVs and (but for fit)
-a summary JSON of the command, the settings it read, fits and wall time.
+a summary JSON of the command, the settings it read, fits and wall time,
+and for fpu, error-scan and metastability the lattice steps of each epsilon.
 
 Exit codes: 0 success, 1 configuration error, 2 numerical failure.
 """
@@ -65,7 +66,8 @@ _FLAGS = {
     "theorem": dict(type=int, choices=(1, 2),
                     help="extended window of theorem 1 (the default) or 2"),
     "n-samples": dict(type=int),
-    "dt": dict(type=float, help="largest lattice time step of the order-4 splitting"),
+    "dt": dict(type=float, help="largest lattice time step at every epsilon; overrides "
+                                "the rule 0.1/(eps (p-1) sqrt(c))"),
     "dtau": dict(type=float),
     "s": dict(type=int),
     "tau-end": dict(type=float),
@@ -130,7 +132,8 @@ def _spec_from_args(args) -> tuple[ExperimentSpec, dict]:
 class Outcome(NamedTuple):
     """A command's tables (CSV path -> rows of column -> value), the path
     stem of its summary JSON (None: none), the summary's fits and flags, the
-    report line and the exit code."""
+    report line, the exit code and, for a lattice command, the summary's
+    steps taken per epsilon."""
 
     tables: dict
     stem: str | None
@@ -138,6 +141,7 @@ class Outcome(NamedTuple):
     flags: dict
     line: str
     code: int = 0
+    lattice_steps: dict | None = None
 
 
 def _cmd_soliton(spec: ExperimentSpec, args) -> Outcome:
@@ -164,12 +168,14 @@ def _cmd_kdv(spec: ExperimentSpec, args) -> Outcome:
 
 
 def _cmd_fpu(spec: ExperimentSpec, args) -> Outcome:
-    rows, eps = run_fpu(spec), spec.epsilons[0]
+    out, eps = run_fpu(spec), spec.epsilons[0]
+    rows = out["rows"]
     stem = f"{args.out_dir}/fpu_p{spec.p}_eps{eps}"
     h0, hT = rows[0]["H"], rows[-1]["H"]
     drift = abs(hT - h0) / abs(h0) if h0 != 0.0 else math.nan  # an underflowed wave
     return Outcome({f"{stem}.csv": rows}, stem, [], {},
-                   f"fpu p={spec.p} eps={eps}: relative H drift = {drift:.3e} -> {stem}.csv")
+                   f"fpu p={spec.p} eps={eps}: relative H drift = {drift:.3e} -> {stem}.csv",
+                   lattice_steps=out["lattice_steps"])
 
 
 def _cmd_residual_scan(spec: ExperimentSpec, args) -> Outcome:
@@ -194,7 +200,8 @@ def _cmd_error_scan(spec: ExperimentSpec, args) -> Outcome:
     slope = f" slope={fits[0].slope:.3f}" if fits else ""
     return Outcome({f"{stem}_eps{c['epsilon']}.csv": map(dataclasses.asdict, c["records"])
                     for c in out["cells"]}, stem, fits, out["flags"],
-                   f"error-scan p={spec.p}: {summary}{slope}", _blow_up_code(out["flags"]))
+                   f"error-scan p={spec.p}: {summary}{slope}", _blow_up_code(out["flags"]),
+                   out["lattice_steps"])
 
 
 def _cmd_metastability(spec: ExperimentSpec, args) -> Outcome:
@@ -204,7 +211,7 @@ def _cmd_metastability(spec: ExperimentSpec, args) -> Outcome:
         f"eps={c['epsilon']}:sup/delta={c['sup_over_delta']:.3f}" for c in out["cells"])
     return Outcome({f"{stem}_eps{c['epsilon']}.csv": c["records"] for c in out["cells"]},
                    stem, [], out["flags"], f"metastability p={spec.p}: {summary}",
-                   _blow_up_code(out["flags"]))
+                   _blow_up_code(out["flags"]), out["lattice_steps"])
 
 
 def _is_number(tok: str) -> bool:
@@ -292,7 +299,7 @@ def main(argv=None) -> int:
                 write_csv(path, rows)
             if out.stem is not None:
                 write_summary_json(f"{out.stem}.json", settings, out.fits, out.flags,
-                                   time.perf_counter() - t_start)
+                                   time.perf_counter() - t_start, out.lattice_steps)
         print(out.line)
         return out.code
     except SystemExit as exc:  # argparse has printed the help or a usage error

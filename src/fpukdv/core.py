@@ -23,7 +23,8 @@ Conventions:
     one statement of that rule, and ``sample_to_lattice`` the one sampler:
     one call takes the profiles of one grid together, one row per profile;
   * both solvers keep time by one rule, ``uniform_samples``: a run over
-    [0, t_end] is sampled at t_i = i * (t_end / n_samples), i = 0..n_samples;
+    [0, t_end] is sampled at t_i = i * (t_end / n_samples), i = 0..n_samples,
+    each interval in the equal steps of ``sample_steps``;
   * both step loops transform through ``rfft_into`` and ``irfft_into``, which
     call the pocketfft ufuncs of numpy >= 2.0 that ``np.fft.rfft`` and
     ``np.fft.irfft`` end in, with the same factors, so they give the same
@@ -57,10 +58,6 @@ class BudgetViolationError(InvalidInputError):
     """Requested perturbation exceeds the eps^(3/2) initial-data budget."""
 
 
-# Default lattice time step of the order-4 splitting (fpu.py): at eps = 0.1,
-# N = 640 its error against a fine-step RK4 is below that of RK4 at dt = 0.05.
-DT_LATTICE = 0.5
-
 # Sup-norm overflow guard of both integrators; a NaN trips it too.
 BLOWUP_GUARD = 1.0e6
 
@@ -77,11 +74,12 @@ def lattice_size(L: float, epsilon: float) -> int:
 @dataclass(frozen=True)
 class ModelParams:
     """What the lattice integrator reads besides the state: the power p,
-    epsilon and the largest time step.  The site count is the state's."""
+    epsilon and the largest time step (``harness.lattice_step`` picks it
+    for a run).  The site count is the state's."""
 
     p: int
     epsilon: float
-    dt_lattice: float = DT_LATTICE
+    dt_lattice: float
 
     def __post_init__(self):
         if not isinstance(self.p, numbers.Integral) or self.p < 2:
@@ -180,20 +178,27 @@ class ErrorRecord:
 # sampling in time
 # ---------------------------------------------------------------------------
 
+def sample_steps(t_end: float, n_samples: int, dt_max: float) -> tuple[int, float]:
+    """(n, dt) of ``uniform_samples``: each of the n_samples intervals of
+    [0, t_end] is n equal steps of size dt = interval / n <= dt_max."""
+    interval = t_end / n_samples
+    n = max(1, math.ceil(interval / dt_max - 1.0e-12))
+    return n, interval / n
+
+
 def uniform_samples(advance, x, t_end: float, n_samples: int, dt_max: float):
     """Yield (t_i, x_i) for t_i = i * (t_end / n_samples), i = 0..n_samples,
     starting with (0.0, x).
 
     The one clock of both solvers: each interval is split into n equal steps
-    of size <= dt_max, and x_i = advance(x_{i-1}, n, dt) with dt = interval / n,
-    so every sample lands on its t_i whatever dt_max is.
+    of size <= dt_max, and x_i = advance(x_{i-1}, n, dt) with (n, dt) from
+    ``sample_steps``, so every sample lands on its t_i whatever dt_max is.
     """
     if n_samples < 1 or not 0.0 < t_end < math.inf:
         raise InvalidInputError(f"sampling needs 0 < t_end < inf and n_samples >= 1, "
                                 f"got t_end = {t_end}, n_samples = {n_samples}")
     interval = t_end / n_samples
-    n = max(1, math.ceil(interval / dt_max - 1.0e-12))
-    dt = interval / n
+    n, dt = sample_steps(t_end, n_samples, dt_max)
     yield 0.0, x
     for i in range(1, n_samples + 1):
         x = advance(x, n, dt)

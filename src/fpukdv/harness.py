@@ -9,9 +9,11 @@ Both lattice scans run the epsilon cells of one KdV window tau0 in lockstep
 with one reference run: the error scan records errors against a KdV run,
 metastability the orbital distance from W0, which stands still.  The window
 is ExperimentSpec data: a fixed tau0 is one window for all cells, the
-extended window of theorem 1 or 2 is one per epsilon.  A sweep runs its
-windows one after another in one process, in epsilon order: a cell costs
-about eps^-4 |log eps|, so the smallest epsilon dominates any sweep.
+extended window of theorem 1 or 2 is one per epsilon.  Every lattice run
+takes its largest step from one rule, ``lattice_step``, which grows as
+1/eps, so a cell runs about eps^-2 |log eps| steps on N = L/eps sites,
+eps^-3 |log eps| site steps in all.  A sweep runs its windows one after another in one process, in epsilon order,
+since the smallest epsilon dominates it.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ import numpy as np
 
 from .ansatz import build_p_epsilon, initial_lattice_data, seeded_perturbation
 from .core import (
-    DT_LATTICE,
     BlowUpError,
     ConfigurationError,
     FieldProfile,
@@ -35,6 +36,7 @@ from .core import (
     LatticeState,
     ModelParams,
     lattice_size,
+    sample_steps,
     sample_to_lattice,
 )
 from .diagnostics import error_norms, residual_profiles, residual_snapshot
@@ -57,7 +59,7 @@ class ExperimentSpec:
     tau0: float | None = None
     theorem: int | None = None
     s: int = 6
-    dt_lattice: float = DT_LATTICE
+    dt_lattice: float | None = None  # None: the rule of lattice_step
     dtau_kdv: float = 1.0e-3
     n_samples: int = 100
     perturbation_mode: str = "none"  # "none" or "random"
@@ -82,8 +84,8 @@ class ExperimentSpec:
         if not isinstance(self.n_samples, numbers.Integral) or self.n_samples < 1:
             raise InvalidInputError(f"sampling needs an integer n_samples >= 1, "
                                     f"got {self.n_samples}")
-        if self.seed < 0:
-            raise InvalidInputError(f"seed must be >= 0, got {self.seed}")
+        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise InvalidInputError(f"seed must be an integer >= 0, got {self.seed}")
         for name in ("t_end", "tau_end"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise InvalidInputError(f"{name} must be positive and finite, "
@@ -101,7 +103,7 @@ class ExperimentSpec:
             raise InvalidInputError("epsilon list must be strictly decreasing")
         if not 0.0 < self.L < math.inf:
             raise InvalidInputError(f"L must be positive and finite, got {self.L}")
-        if not (self.M > 0 and self.M % 2 == 0):
+        if not (isinstance(self.M, numbers.Integral) and self.M > 0 and self.M % 2 == 0):
             raise InvalidInputError(f"M must be even and positive, got {self.M}")
         if self.perturbation_mode not in ("none", "random"):
             raise InvalidInputError(f"unknown perturbation mode {self.perturbation_mode!r}")
@@ -192,30 +194,61 @@ def _kdv_config(spec: ExperimentSpec) -> KdvRunConfig:
     return KdvRunConfig(p=spec.p, L=spec.L, M=spec.M, dtau=spec.dtau_kdv)
 
 
+# theta, the wave's move per lattice step in widths 1/b: with it the rule is
+# dt = 0.1 / (eps (p - 1) sqrt(c)), 0.5 at p = 2, c = 1, eps = 0.2.
+_STEP_WIDTHS = 0.1 * math.sqrt(6.0)
+
+
+def lattice_step(spec: ExperimentSpec, epsilon: float) -> float:
+    """The largest lattice time step at epsilon: spec.dt_lattice when set,
+    else theta / (epsilon * b), b = SolitonSpec(p, c).width.
+
+    S6 runs the linear flow exactly, so its error is set by how far the
+    wave moves against its own width in one step: epsilon * dt in xi, which
+    the rule holds at theta widths 1/b.  The width enters because a narrow
+    wave needs the finer step: a rule in epsilon alone (0.1/eps at every p)
+    puts the p = 5 sup error 2.5e-4 and 1.1e-3 off its fine-step value at
+    eps = 0.1 and 0.05 (README, "Lattice").
+    """
+    if spec.dt_lattice is not None:
+        return spec.dt_lattice
+    return _STEP_WIDTHS / (epsilon * SolitonSpec(p=spec.p, c=spec.c).width)
+
+
 def _lattice_start(spec: ExperimentSpec, W0: FieldProfile,
                    epsilon: float) -> tuple[LatticeState, ModelParams, float]:
     """(state, params, delta) of a lattice run at epsilon: the sampled ansatz
-    of W0 on the N = L/epsilon sites, plus, in random mode, a seeded
-    perturbation of l2 size delta (perturbation_size, by default eps^(3/2))."""
+    of W0 on the N = L/epsilon sites, stepped by ``lattice_step``, plus, in
+    random mode, a seeded perturbation of l2 size delta (perturbation_size,
+    by default eps^(3/2))."""
     N = lattice_size(spec.L, epsilon)
-    params = ModelParams(p=spec.p, epsilon=epsilon, dt_lattice=spec.dt_lattice)
+    params = ModelParams(p=spec.p, epsilon=epsilon, dt_lattice=lattice_step(spec, epsilon))
     delta = spec.perturbation_size if spec.perturbation_size is not None else epsilon**1.5
     perturbation = (seeded_perturbation(N, delta, spec.seed)
                     if spec.perturbation_mode == "random" else None)
     return initial_lattice_data(W0, epsilon, spec.p, N, perturbation), params, delta
 
 
-def run_fpu(spec: ExperimentSpec) -> list[dict]:
+def _steps_taken(params: ModelParams, t_end: float, n_samples: int) -> dict:
+    """What a lattice run over [0, t_end] steps by: its largest step
+    dt_lattice, the step dt it takes and its number of steps."""
+    n, dt = sample_steps(t_end, n_samples, params.dt_lattice)
+    return {"dt_lattice": params.dt_lattice, "dt": dt, "steps": n * n_samples}
+
+
+def run_fpu(spec: ExperimentSpec) -> dict:
     """Rows (t, H, sum_u, sum_q) at the n_samples + 1 sample times of one
-    lattice run over [0, t_end], at the spec's one epsilon."""
+    lattice run over [0, t_end], at the spec's one epsilon, and the steps it
+    took at that epsilon."""
     if len(spec.epsilons) != 1:
         raise ConfigurationError(f"fpu runs one epsilon, got {len(spec.epsilons)}: "
                                  f"{','.join(map(str, spec.epsilons))}")
     eps = spec.epsilons[0]
     state, params, _ = _lattice_start(spec, initial_profile(spec), eps)
-    return [{"t": t, "H": fpu_energy(st, eps, spec.p),
+    rows = [{"t": t, "H": fpu_energy(st, eps, spec.p),
              "sum_u": float(np.sum(st.u)), "sum_q": float(np.sum(st.q))}
             for t, st in lattice_samples(state, params, spec.t_end, spec.n_samples)]
+    return {"rows": rows, "lattice_steps": {eps: _steps_taken(params, spec.t_end, spec.n_samples)}}
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +306,8 @@ def _run_cells(spec: ExperimentSpec, measurement, reference) -> list[dict]:
         running = []
         for eps, t0, _ in window:
             state, params, delta = _lattice_start(spec, W0, eps)
-            cell = {"epsilon": eps, "t0": t0, "tau0": tau0, "delta": delta, "records": [],
+            cell = {"epsilon": eps, "t0": t0, "tau0": tau0, "delta": delta,
+                    "lattice_steps": _steps_taken(params, t0, spec.n_samples), "records": [],
                     "flags": {"blow_up": False}}
             cells.append(cell)
             running.append((cell, measurement(spec, W0, eps, state.N),
@@ -301,6 +335,11 @@ def _run_cells(spec: ExperimentSpec, measurement, reference) -> list[dict]:
     return cells
 
 
+def _by_epsilon(cells) -> dict:
+    """The cells' flags and lattice steps, each keyed by epsilon."""
+    return {key: {c["epsilon"]: c[key] for c in cells} for key in ("flags", "lattice_steps")}
+
+
 # ---------------------------------------------------------------------------
 # error scan: the cells against one KdV run per window
 # ---------------------------------------------------------------------------
@@ -324,8 +363,7 @@ def run_error_scan(spec: ExperimentSpec) -> dict:
     fits = {}
     if len(points) >= 3 and all(v > 0.0 for _, v in points):
         fits["sup_error"] = fit_scaling_exponent(points)
-    return {"cells": cells, "points": points, "fits": fits,
-            "flags": {c["epsilon"]: c["flags"] for c in cells}}
+    return {"cells": cells, "points": points, "fits": fits, **_by_epsilon(cells)}
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +404,7 @@ def run_metastability(spec: ExperimentSpec) -> dict:
         cell["sup_orbital_distance"] = max(dists)
         cell["sup_over_delta"] = max(dists) / delta if delta > 0.0 else float("inf")
         cell["flags"]["growth"] = dists[-1] > 10.0 * max(dists[0], delta)
-    return {"cells": cells, "flags": {c["epsilon"]: c["flags"] for c in cells}}
+    return {"cells": cells, **_by_epsilon(cells)}
 
 
 # ---------------------------------------------------------------------------
@@ -415,14 +453,20 @@ def write_csv(path: str, rows) -> None:
         writer.writerows([_fmt(v) for v in row.values()] for row in rows)
 
 
-def write_summary_json(path: str, settings: dict, fits, flags, wall_time_s: float) -> None:
-    """The run's summary; its spec is ``settings``, what the run read."""
+def write_summary_json(path: str, settings: dict, fits, flags, wall_time_s: float,
+                       lattice_steps: dict | None = None) -> None:
+    """The run's summary; its spec is ``settings``, what the run read.  A
+    lattice run adds ``lattice_steps``: per epsilon, its largest step
+    dt_lattice (the rule's, or the --dt override), the step dt it took and
+    its number of steps."""
     payload = {
         "spec": settings,
         "fits": [asdict(f) for f in fits],
         "flags": flags,
         "wall_time_s": wall_time_s,
     }
+    if lattice_steps is not None:
+        payload["lattice_steps"] = lattice_steps
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -72,8 +72,8 @@ class SolitonSpec:
     def __post_init__(self):
         if self.c <= 0.0:
             raise InvalidInputError(f"wave speed c must be positive, got {self.c}")
-        if self.p < 2:
-            raise InvalidInputError(f"p must be >= 2, got {self.p}")
+        if not isinstance(self.p, numbers.Integral) or self.p < 2:
+            raise InvalidInputError(f"p must be an integer >= 2, got {self.p}")
 
     @property
     def amplitude(self) -> float:

@@ -303,7 +303,7 @@ class TestExitCodes:
          "epsilons must be in (0, 1), got (0.2, 0.0)"),
         (["kdv", "--L", "-32", "--tau-end", "0.01", "--n-samples", "1"],
          "L must be positive and finite, got -32.0"),
-        (["metastability", "--seed", "-1"], "seed must be >= 0, got -1"),
+        (["metastability", "--seed", "-1"], "seed must be an integer >= 0, got -1"),
         (["fpu", "--t-end", "inf"], "t_end must be positive and finite, got inf"),
         (["kdv", "--tau-end", "inf"], "tau_end must be positive and finite, got inf"),
         (["error-scan", "--tau0", "inf", "--eps", "0.1", "--n-samples", "2"],
@@ -353,36 +353,60 @@ class TestExitCodes:
 class TestDefaults:
     """Run with only --out-dir (and a short run where the default one is
     long), a command's summary records the ExperimentSpec defaults of the
-    fields it reads; only the _COMMANDS overrides differ."""
+    fields it reads; only the _COMMANDS overrides differ.  A lattice
+    command's summary also records, per epsilon, the largest step the rule
+    gave it (dt_lattice is unset, None, by default)."""
 
-    @pytest.mark.parametrize("argv,stem,fields,given", [
-        (["soliton"], "soliton_p2_c1.0", "p c L M", {"L": 32.0}),
+    @pytest.mark.parametrize("argv,stem,fields,given,dt_max", [
+        (["soliton"], "soliton_p2_c1.0", "p c L M", {"L": 32.0}, None),
         # kdv's M = 2048 resolves the default soliton's H^6 tail (at 1024 it is
         # flagged at tau = 0 and the run exits 2)
         (["kdv", "--tau-end", "0.01", "--n-samples", "1"], "kdv_p2",
          "p c L M n_samples dtau_kdv s tau_end initial_mode amplitude",
-         {"M": 2048, "tau_end": 0.01, "n_samples": 1}),
+         {"M": 2048, "tau_end": 0.01, "n_samples": 1}, None),
         (["fpu", "--t-end", "1", "--n-samples", "1"], "fpu_p2_eps0.2",
          "p epsilons c L M n_samples dt_lattice t_end",
-         {"epsilons": [0.2], "t_end": 1.0, "n_samples": 1}),
-        (["residual-scan"], "residual_scan_p2", "p epsilons c L M", {}),
+         {"epsilons": [0.2], "t_end": 1.0, "n_samples": 1}, {"0.2": 0.5}),
+        (["residual-scan"], "residual_scan_p2", "p epsilons c L M", {}, None),
         (["error-scan", "--n-samples", "1"], "error_scan_p2",
          "seed p epsilons c L M r K tau0 theorem n_samples dt_lattice dtau_kdv "
-         "perturbation_mode perturbation_size", {"n_samples": 1}),
+         "perturbation_mode perturbation_size", {"n_samples": 1},
+         {"0.2": 0.5, "0.1": 1.0, "0.05": 2.0}),
         (["metastability", "--n-samples", "1"], "metastability_p2",
          "seed p epsilons c L M r K n_samples dt_lattice perturbation_mode perturbation_size",
-         {"perturbation_mode": "random", "n_samples": 1}),
+         {"perturbation_mode": "random", "n_samples": 1}, {"0.2": 0.5, "0.1": 1.0, "0.05": 2.0}),
     ], ids=["soliton", "kdv", "fpu", "residual-scan", "error-scan", "metastability"])
-    def test_summary_records_the_defaults(self, tmp_path, capsys, argv, stem, fields, given):
+    def test_summary_records_the_defaults(self, tmp_path, capsys, argv, stem, fields, given,
+                                          dt_max):
         code, _, _ = run_cli(argv + ["--out-dir", str(tmp_path)], capsys)
         assert code == 0
-        spec = json.loads((tmp_path / f"{stem}.json").read_text())["spec"]
+        summary = json.loads((tmp_path / f"{stem}.json").read_text())
+        spec = summary["spec"]
         assert (tmp_path / f"{stem}.csv").exists() or list(tmp_path.glob(f"{stem}_eps*.csv"))
         assert spec.pop("command") == argv[0]
         assert sorted(spec) == sorted(fields.split())
         # through JSON, so the default epsilon tuple compares as a list
         defaults = json.loads(json.dumps(dataclasses.asdict(ExperimentSpec())))
         assert spec == {k: given.get(k, defaults[k]) for k in spec}
+        if dt_max is None:
+            assert "lattice_steps" not in summary
+        else:
+            steps = summary["lattice_steps"]
+            assert {eps: s["dt_lattice"] for eps, s in steps.items()} == dt_max
+            assert all(s["steps"] >= 1 and s["dt"] <= s["dt_lattice"] for s in steps.values())
+
+    def test_dt_overrides_the_rule_at_every_epsilon(self, tmp_path, capsys):
+        code, _, _ = run_cli(["error-scan", "--eps", "0.2,0.1", "--tau0", "0.01",
+                              "--n-samples", "1", "--dt", "0.25",
+                              "--out-dir", str(tmp_path)], capsys)
+        assert code == 0
+        summary = json.loads((tmp_path / "error_scan_p2.json").read_text())
+        assert summary["spec"]["dt_lattice"] == 0.25
+        # windows 1.25 and 10 in one sample: 5 and 40 steps of 0.25
+        steps = summary["lattice_steps"]
+        assert {eps: (s["dt_lattice"], s["steps"]) for eps, s in steps.items()} == {
+            "0.2": (0.25, 5), "0.1": (0.25, 40)}
+        assert all(s["dt"] == pytest.approx(0.25, rel=1e-12) for s in steps.values())
 
 
 class TestFit:

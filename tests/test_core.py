@@ -370,12 +370,12 @@ class TestModelParams:
     the N*epsilon = L rule is pinned by TestLatticeSize and the sampler."""
 
     def test_valid(self):
-        ModelParams(p=2, epsilon=0.1)
+        ModelParams(p=2, epsilon=0.1, dt_lattice=0.5)
 
     @pytest.mark.parametrize("kwargs", [
-        dict(p=1, epsilon=0.1),
-        dict(p=2, epsilon=1.5),
-        dict(p=2.5, epsilon=0.1),
+        dict(p=1, epsilon=0.1, dt_lattice=0.5),
+        dict(p=2, epsilon=1.5, dt_lattice=0.5),
+        dict(p=2.5, epsilon=0.1, dt_lattice=0.5),
         dict(p=2, epsilon=0.1, dt_lattice=-0.1),
     ])
     def test_invalid_inputs(self, kwargs):
@@ -385,8 +385,8 @@ class TestModelParams:
     def test_p_is_an_integer_type(self):
         # p = 2.0 would reach range(p - 2) in int_power as a TypeError
         with pytest.raises(InvalidInputError, match="integer"):
-            ModelParams(p=2.0, epsilon=0.1)
-        assert ModelParams(p=np.int64(3), epsilon=0.1).p == 3
+            ModelParams(p=2.0, epsilon=0.1, dt_lattice=0.5)
+        assert ModelParams(p=np.int64(3), epsilon=0.1, dt_lattice=0.5).p == 3
 
 
 class TestLatticeSize:

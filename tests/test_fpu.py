@@ -8,7 +8,6 @@ from fpukdv import fpu as fpu_module
 from fpukdv import kernels
 from fpukdv.ansatz import build_p_epsilon
 from fpukdv.core import (
-    DT_LATTICE,
     BlowUpError,
     InvalidInputError,
     LatticeState,
@@ -65,7 +64,7 @@ def _rhs(u, q, eps, p):
     return kernels.fpu_rhs(u, q, eps**2, p)
 
 
-def _params(eps=0.1, dt=DT_LATTICE, p=2):
+def _params(eps=0.1, dt=0.5, p=2):
     return ModelParams(p=p, epsilon=eps, dt_lattice=dt)
 
 
@@ -139,8 +138,9 @@ class TestIntegrators:
     @pytest.mark.parametrize("p", [2, 3])
     def test_default_step_beats_rk4_at_old_step(self, p):
         # oracle: RK4 at dt = 0.0125 on the travelling-wave data (eps = 0.1,
-        # N = 640, T = 200); the splitting at the default step must be no
-        # further from it than RK4 at the old default 0.05 (bound fixed beforehand)
+        # N = 640, T = 200); the splitting at dt = 0.5, the rule's step for p = 3,
+        # must be no further from it than RK4 at its old default 0.05 (bound
+        # fixed beforehand)
         state, _ = soliton_lattice_data(p, 1.0, 0.1)
         T = 200.0
 
@@ -162,9 +162,9 @@ class TestIntegrators:
         rng = np.random.default_rng(N + 10 * nsteps + p)
         u0 = 0.3 * rng.standard_normal(N)
         q0 = 0.3 * rng.standard_normal(N)
-        stepper = fpu_module._S6Stepper(N, DT_LATTICE, 0.01, p)
+        stepper = fpu_module._S6Stepper(N, 0.5, 0.01, p)
         u, q = stepper.steps(u0.copy(), q0.copy(), nsteps)
-        u_ref, q_ref = _s6_reference(u0, q0, 0.01, p, DT_LATTICE, nsteps)
+        u_ref, q_ref = _s6_reference(u0, q0, 0.01, p, 0.5, nsteps)
         scale = max(np.max(np.abs(u_ref)), np.max(np.abs(q_ref)))
         assert np.max(np.abs(u - u_ref)) <= 1e-12 * scale
         assert np.max(np.abs(q - q_ref)) <= 1e-12 * scale
@@ -182,8 +182,8 @@ class TestIntegrators:
                       [eye - np.roll(eye, -1, axis=1), zero]])
         rng = np.random.default_rng(N + 10 * nsteps)
         u0, q0 = rng.standard_normal(N), rng.standard_normal(N)
-        exact = expm(DT_LATTICE * nsteps * A) @ np.concatenate([u0, q0])
-        u, q = fpu_module._S6Stepper(N, DT_LATTICE, 0.0, 2).steps(u0.copy(), q0.copy(), nsteps)
+        exact = expm(0.5 * nsteps * A) @ np.concatenate([u0, q0])
+        u, q = fpu_module._S6Stepper(N, 0.5, 0.0, 2).steps(u0.copy(), q0.copy(), nsteps)
         assert np.max(np.abs(np.concatenate([u, q]) - exact)) <= 1e-12 * np.max(np.abs(exact))
 
     def test_splitting_matches_rk4(self):
@@ -211,7 +211,7 @@ class TestIntegrators:
         # at the first kick, before any u^p is formed
         powers = []
         monkeypatch.setattr(fpu_module, "int_power", lambda *args: powers.append(args))
-        stepper = fpu_module._S6Stepper(32, DT_LATTICE, 0.01, 2)
+        stepper = fpu_module._S6Stepper(32, 0.5, 0.01, 2)
         with pytest.raises(BlowUpError):
             stepper.steps(np.full(32, np.nan), np.zeros(32), 3)
         assert powers == []
@@ -227,7 +227,7 @@ class TestIntegrators:
                             lambda *args: powers.append(None) or int_power(*args))
         q0 = np.zeros(32)
         q0[0] = 1.0
-        stepper = fpu_module._S6Stepper(32, DT_LATTICE, 0.01, 2)
+        stepper = fpu_module._S6Stepper(32, 0.5, 0.01, 2)
         with pytest.raises(BlowUpError):
             stepper.steps(np.zeros(32), q0, 1)
         assert len(powers) == 6
@@ -266,7 +266,7 @@ class TestIntegrators:
 
 
 class TestLatticeSamples:
-    PARAMS = ModelParams(p=2, epsilon=0.1)
+    PARAMS = ModelParams(p=2, epsilon=0.1, dt_lattice=0.5)
 
     @staticmethod
     def _state():

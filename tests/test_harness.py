@@ -19,8 +19,10 @@ from fpukdv.core import (
 from fpukdv.harness import (
     ExperimentSpec,
     fit_scaling_exponent,
+    lattice_step,
     orbital_distance,
     run_error_scan,
+    run_fpu,
     run_metastability,
     run_norm_growth,
     run_residual_scan,
@@ -185,7 +187,11 @@ class TestExperimentSpecValidation:
         (dict(p=1), "p must be an integer"),
         (dict(n_samples=2.5), "integer n_samples"),
         (dict(initial_mode="bogus"), "unknown initial mode"),
-    ], ids=["fractional-p", "float-p", "p-1", "fractional-samples", "unknown-initial-mode"])
+        (dict(seed=2.5), "seed must be an integer >= 0, got 2.5"),
+        (dict(seed=-1), "seed must be an integer >= 0, got -1"),
+        (dict(M=512.0), "M must be even and positive, got 512.0"),
+    ], ids=["fractional-p", "float-p", "p-1", "fractional-samples", "unknown-initial-mode",
+            "fractional-seed", "negative-seed", "float-M"])
     def test_rejected_before_a_run(self, kwargs, message):
         # each of these used to pass the spec and fail mid-run with a TypeError
         # or in initial_profile
@@ -275,6 +281,57 @@ class TestRunners:
         assert "growth_exponent" in out
         assert out["growth_exponent"] <= 1.0
         assert not out["resolution_flagged"]
+
+
+class TestLatticeStep:
+    """The largest lattice step: dt = 0.1 sqrt(6) / (eps b), b the soliton's
+    inverse width (p - 1) sqrt(6c), unless --dt overrides it."""
+
+    def test_rule_at_p2_c1(self):
+        spec = ExperimentSpec(p=2, c=1.0)
+        assert [lattice_step(spec, e) for e in (0.2, 0.1, 0.05, 0.025)] == [0.5, 1.0, 2.0, 4.0]
+
+    @pytest.mark.parametrize("p,c", [(3, 1.0), (4, 0.25), (5, 1.0), (2, 2.0)])
+    def test_rule_is_a_fixed_fraction_of_the_width(self, p, c):
+        dt = lattice_step(ExperimentSpec(p=p, c=c), 0.1)
+        assert dt == pytest.approx(0.1 / (0.1 * (p - 1) * math.sqrt(c)), rel=1e-14)
+
+    def test_override_holds_at_every_epsilon(self):
+        spec = ExperimentSpec(dt_lattice=0.3)
+        assert [lattice_step(spec, e) for e in spec.epsilons] == [0.3] * 3
+
+    def test_cells_record_their_steps(self):
+        # theorem-1 windows, r = 0.1: t0 = 230.3 at eps = 0.2, 2303 at eps = 0.1
+        out = run_metastability(ExperimentSpec(epsilons=(0.2, 0.1), r=0.1, n_samples=4,
+                                               perturbation_mode="random", seed=3))
+        for cell, dt_max in zip(out["cells"], (0.5, 1.0)):
+            steps = out["lattice_steps"][cell["epsilon"]]
+            assert steps == cell["lattice_steps"]
+            assert steps["dt_lattice"] == dt_max
+            assert steps["dt"] <= dt_max
+            assert steps["steps"] * steps["dt"] == pytest.approx(cell["t0"], rel=1e-12)
+            assert steps["steps"] == 4 * math.ceil(cell["t0"] / 4 / dt_max)
+
+    @pytest.mark.parametrize("p,c", [(2, 1.0), (3, 1.0), (4, 0.25), (2, 2.0)])
+    def test_step_halving_oracle(self, p, c):
+        # the rule's step against a quarter of it, eps = 0.1, tau0 = 1 (the S6
+        # error is order 4, so the quarter step sits ~256x closer to the exact
+        # flow); bound 5e-5 relative fixed beforehand
+        spec = ExperimentSpec(p=p, c=c, epsilons=(0.1,), tau0=1.0, n_samples=40)
+        sup = [run_error_scan(replace(spec, dt_lattice=dt))["cells"][0]["sup_error"]
+               for dt in (None, lattice_step(spec, 0.1) / 4.0)]
+        assert abs(sup[0] - sup[1]) <= 5e-5 * sup[1]
+
+    def test_energy_drift_at_the_rule_step(self):
+        # seed-42 perturbed wave, p = 2, eps = 0.05, t_end = 2/eps^3 at the rule's
+        # dt = 2: acceptance 06's bound 1e-8 on the relative H drift, at every sample
+        out = run_fpu(ExperimentSpec(epsilons=(0.05,), t_end=2.0 / 0.05**3, n_samples=8,
+                                     perturbation_mode="random", seed=42))
+        steps = out["lattice_steps"][0.05]
+        assert (steps["dt_lattice"], steps["steps"]) == (2.0, 8000)
+        assert steps["dt"] == pytest.approx(2.0, rel=1e-12)
+        H = [row["H"] for row in out["rows"]]
+        assert max(abs(h - H[0]) for h in H) <= 1e-8 * abs(H[0])
 
 
 class TestPersistence:

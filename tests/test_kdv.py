@@ -120,6 +120,8 @@ class TestSolitonProfile:
             SolitonSpec(p=2, c=-1.0)
         with pytest.raises(InvalidInputError):
             SolitonSpec(p=1, c=1.0)
+        with pytest.raises(InvalidInputError, match="p must be an integer"):
+            SolitonSpec(p=2.5, c=1.0)
 
 
 class TestTimeDerivative:
