@@ -2,9 +2,11 @@
 sampling operator.
 
 Conventions:
-  * periodic continuum domain [0, L), M uniform grid points, spacing L/M;
+  * periodic continuum domain [0, L), M uniform grid points, spacing L/M
+    (``grid_points``);
   * M is even, and a profile stores its unnormalized ``np.fft.rfft``
-    half-spectrum c_0..c_{M/2} (k_m = 2*pi*m/L >= 0), so a value is
+    half-spectrum c_0..c_{M/2} (k_m = 2*pi*m/L >= 0, ``rfft_wavenumbers``),
+    so a value is
     (1/M) [c_0 + 2 Re sum_{0<m<M/2} c_m exp(i k_m x) + c_{M/2} cos(k_{M/2} x)];
   * a real grid function has real c_0 and c_{M/2}, so
     ``FieldProfile.from_coeffs`` drops their imaginary parts.  This is the
@@ -69,6 +71,17 @@ def lattice_size(L: float, epsilon: float) -> int:
     if not (math.isfinite(ratio) and abs(round(ratio) * epsilon - L) <= 1.0e-9 * max(1.0, L)):
         raise ConfigurationError(f"L/epsilon = {ratio} is not an integer site count")
     return round(ratio)
+
+
+def grid_points(L: float, M: int) -> np.ndarray:
+    """The M uniform grid points x_j = j L / M of [0, L)."""
+    return np.arange(M) * (L / M)
+
+
+def rfft_wavenumbers(L: float, M: int) -> np.ndarray:
+    """The wavenumbers k_m = 2 pi m / L, m = 0..M/2, of the rfft
+    half-spectrum of an M-point grid on [0, L)."""
+    return 2.0 * np.pi * np.fft.rfftfreq(M, d=L / M)
 
 
 @dataclass(frozen=True)
@@ -154,10 +167,10 @@ class FieldProfile:
         return 2 * (self.coeffs.shape[0] - 1)
 
     def grid(self) -> np.ndarray:
-        return np.arange(self.M) * (self.L / self.M)
+        return grid_points(self.L, self.M)
 
     def wavenumbers(self) -> np.ndarray:
-        return 2.0 * np.pi * np.fft.rfftfreq(self.M, d=self.L / self.M)
+        return rfft_wavenumbers(self.L, self.M)
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,7 @@ from .core import (
     int_power,
     irfft_into,
     rfft_into,
+    rfft_wavenumbers,
     uniform_samples,
 )
 
@@ -73,7 +74,7 @@ class _S6Stepper:
     """
 
     def __init__(self, N: int, dt: float, eps2: float, p: int):
-        kappa = 2.0 * np.pi * np.fft.rfftfreq(N)
+        kappa = rfft_wavenumbers(N, N)  # unit site spacing
         iw = np.array([[1j], [-1j]]) * (2.0 * np.sin(kappa / 2.0))  # +-i omega, (2, N//2+1)
         self.g = np.exp(0.5j * kappa)
         self.entry = np.exp(_A1 * dt * iw)

@@ -5,15 +5,16 @@ scaling-exponent fits, metastability runs and persistence.
 rejects bad input; only this module turns it into solver inputs (W0, lattice
 starts, KdV configs); ``write_csv`` writes rows of column -> value dicts.
 
-Both lattice scans run the epsilon cells of one KdV window tau0 in lockstep
-with one reference run: the error scan records errors against a KdV run,
-metastability the orbital distance from W0, which stands still.  The window
-is ExperimentSpec data: a fixed tau0 is one window for all cells, the
-extended window of theorem 1 or 2 is one per epsilon.  Every lattice run
-takes its largest step from one rule, ``lattice_step``, which grows as
-1/eps, so a cell runs about eps^-2 |log eps| steps on N = L/eps sites,
-eps^-3 |log eps| site steps in all.  A sweep runs its windows one after another in one process, in epsilon order,
-since the smallest epsilon dominates it.
+Both lattice scans run each epsilon cell alone against the one reference
+run of its KdV window tau0, sampled once into a list: the error scan
+records errors against a KdV run, metastability the orbital distance from
+W0, which stands still.  The window is ExperimentSpec data: a fixed tau0
+is one window for all cells, the extended window of theorem 1 or 2 is one
+per epsilon.  Every lattice run takes its largest step from one rule,
+``lattice_step``, which grows as 1/eps, so a cell runs about
+eps^-2 |log eps| steps on N = L/eps sites, eps^-3 |log eps| site steps in
+all.  A sweep runs its windows one after another in one process, in
+epsilon order, since the smallest epsilon dominates it.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .core import (
     InvalidInputError,
     LatticeState,
     ModelParams,
+    grid_points,
     lattice_size,
     sample_steps,
     sample_to_lattice,
@@ -86,23 +88,21 @@ class ExperimentSpec:
                                     f"got {self.n_samples}")
         if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
             raise InvalidInputError(f"seed must be an integer >= 0, got {self.seed}")
-        for name in ("t_end", "tau_end"):
+        for name in ("t_end", "tau_end", "c", "K", "L"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise InvalidInputError(f"{name} must be positive and finite, "
                                         f"got {getattr(self, name)}")
+        if not math.isfinite(self.amplitude):
+            raise InvalidInputError(f"amplitude must be finite, got {self.amplitude}")
         if not (self.perturbation_size is None or self.perturbation_size >= 0.0):
             raise InvalidInputError(f"perturbation size {self.perturbation_size} is not >= 0")
         if not 0.0 < self.r < 0.5:
             raise InvalidInputError(f"r must be in (0, 1/2), got {self.r}")
-        if not 0.0 < self.K < math.inf:
-            raise InvalidInputError(f"K must be positive and finite, got {self.K}")
         eps = tuple(self.epsilons)
         if not all(0.0 < e < 1.0 for e in eps):
             raise InvalidInputError(f"epsilons must be in (0, 1), got {eps}")
         if any(e2 >= e1 for e1, e2 in zip(eps, eps[1:])):
             raise InvalidInputError("epsilon list must be strictly decreasing")
-        if not 0.0 < self.L < math.inf:
-            raise InvalidInputError(f"L must be positive and finite, got {self.L}")
         if not (isinstance(self.M, numbers.Integral) and self.M > 0 and self.M % 2 == 0):
             raise InvalidInputError(f"M must be even and positive, got {self.M}")
         if self.perturbation_mode not in ("none", "random"):
@@ -179,7 +179,7 @@ def initial_profile(spec: ExperimentSpec) -> FieldProfile:
     amplitude, centred at L/2 on the M-point grid."""
     if spec.initial_mode == "soliton":
         return soliton_profile(SolitonSpec(p=spec.p, c=spec.c, center=spec.L / 2.0), spec.L, spec.M)
-    x = np.arange(spec.M) * (spec.L / spec.M)
+    x = grid_points(spec.L, spec.M)
     return FieldProfile.from_values(spec.amplitude * np.exp(-((x - spec.L / 2.0) ** 2)), spec.L)
 
 
@@ -283,55 +283,49 @@ def run_residual_scan(spec: ExperimentSpec) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# lattice cells: each window's epsilons, sampled in lockstep with a reference
+# lattice cells: each window's epsilons, run one at a time against its
+# sampled reference
 # ---------------------------------------------------------------------------
 
 def _run_cells(spec: ExperimentSpec, measurement, reference) -> list[dict]:
     """The cells of the spec's epsilons, in epsilon order, each a lattice run
-    from ``_lattice_start``.  Every window is resolved first, so a bad one
-    fails before any lattice step.  The cells of one KdV window tau0 advance
-    in lockstep with one reference run (tau, W) = reference(spec, W0, tau0),
-    holding only its current sample; at every sample each running cell
-    appends record(t, state, W), record = measurement(spec, W0, eps, N).
+    from ``_lattice_start``.  Every window and every start is resolved
+    first, so a bad one fails before any KdV or lattice step.  One KdV
+    window tau0 samples its reference run (tau, W) = reference(spec, W0,
+    tau0) once into a list; each cell of the window then runs alone against
+    it and appends record(t, state, W) at every sample, record =
+    measurement(spec, W0, eps, N).
 
     A lattice blow-up ends its own cell; a reference blow-up ends every cell
-    of its window still running.  Either way a flagged cell keeps the
-    records before it.
+    of its window at the sample where the list ran out.  Either way a
+    flagged cell keeps the records before it.
     """
     W0 = initial_profile(spec)
     windows = [(eps, *_window_for(spec, eps)) for eps in spec.epsilons]
+    starts = [_lattice_start(spec, W0, eps) for eps in spec.epsilons]
     cells = []
     # a theorem tau0 is strictly monotone in epsilon, so equal tau0 are adjacent
-    for tau0, window in itertools.groupby(windows, key=lambda w: w[2]):
-        running = []
-        for eps, t0, _ in window:
-            state, params, delta = _lattice_start(spec, W0, eps)
+    for tau0, window in itertools.groupby(zip(windows, starts), key=lambda w: w[0][2]):
+        refs, ref_error = [], None
+        try:
+            refs.extend(W for _, W in reference(spec, W0, tau0))
+        except BlowUpError as exc:  # a blow-up goes into the table; bugs propagate
+            ref_error = exc
+        for (eps, t0, _), (state, params, delta) in window:
+            record = measurement(spec, W0, eps, state.N)
             cell = {"epsilon": eps, "t0": t0, "tau0": tau0, "delta": delta,
                     "lattice_steps": _steps_taken(params, t0, spec.n_samples), "records": [],
                     "flags": {"blow_up": False}}
             cells.append(cell)
-            running.append((cell, measurement(spec, W0, eps, state.N),
-                            lattice_samples(state, params, t0, spec.n_samples)))
-        reference_run = reference(spec, W0, tau0)
-
-        for _ in range(spec.n_samples + 1):
-            sampled, ended = [], []
-            for cell, record, lattice in running:
-                try:
-                    sampled.append((cell, record, lattice, next(lattice)))
-                except BlowUpError as exc:  # a blow-up goes into the table; bugs propagate
-                    ended.append((cell, exc))
-            if sampled:
-                try:
-                    _, W = next(reference_run)
-                except BlowUpError as exc:
-                    ended += [(cell, exc) for cell, *_ in sampled]
-                    sampled = []
-            for cell, exc in ended:
-                cell["flags"].update(blow_up=True, error=f"{type(exc).__name__}: {exc}")
-            for cell, record, _, (t, state) in sampled:
-                cell["records"].append(record(t, state, W))
-            running = [(cell, record, lattice) for cell, record, lattice, _ in sampled]
+            error = ref_error  # the cell that outlives the list ends with it
+            try:
+                # zip pulls the lattice first, so its blow-up wins in the last interval
+                for (t, st), W in zip(lattice_samples(state, params, t0, spec.n_samples), refs):
+                    cell["records"].append(record(t, st, W))
+            except BlowUpError as exc:
+                error = exc
+            if error is not None:
+                cell["flags"].update(blow_up=True, error=f"{type(error).__name__}: {error}")
     return cells
 
 
@@ -388,7 +382,7 @@ def orbital_distance(u: np.ndarray, u_ref: np.ndarray) -> float:
 
 
 def _still_reference(spec: ExperimentSpec, W0: FieldProfile, tau0: float):
-    return itertools.repeat((0.0, W0))
+    return itertools.repeat((0.0, W0), spec.n_samples + 1)
 
 
 def _orbital_measurement(spec: ExperimentSpec, W0: FieldProfile, epsilon: float, N: int):

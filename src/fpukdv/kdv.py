@@ -34,9 +34,11 @@ from .core import (
     dealias_mask,
     dealiased_rfft,
     derivative,
+    grid_points,
     int_power,
     irfft_into,
     rfft_into,
+    rfft_wavenumbers,
     sobolev_norm,
     spectral_tail_fraction,
     uniform_samples,
@@ -70,8 +72,8 @@ class SolitonSpec:
     center: float = 0.0
 
     def __post_init__(self):
-        if self.c <= 0.0:
-            raise InvalidInputError(f"wave speed c must be positive, got {self.c}")
+        if not 0.0 < self.c < math.inf:
+            raise InvalidInputError(f"wave speed c must be positive and finite, got {self.c}")
         if not isinstance(self.p, numbers.Integral) or self.p < 2:
             raise InvalidInputError(f"p must be an integer >= 2, got {self.p}")
 
@@ -90,7 +92,7 @@ def soliton_profile(spec: SolitonSpec, L: float, M: int) -> FieldProfile:
     Solves the steady ODE (1/12) W'' + W^p = 2c W, so the profile advances
     with speed c in the slow time tau.
     """
-    x = np.arange(M) * (L / M)
+    x = grid_points(L, M)
     d = (x - spec.center + L / 2.0) % L - L / 2.0
     w = spec.amplitude * (1.0 / np.cosh(spec.width * d)) ** (2.0 / (spec.p - 1))
     return FieldProfile.from_values(w, L)
@@ -144,7 +146,7 @@ class KdvIntegrator:
     def __init__(self, cfg: KdvRunConfig):
         self.cfg = cfg
         M, L, h = cfg.M, cfg.L, cfg.dtau
-        k = 2.0 * np.pi * np.fft.rfftfreq(M, d=L / M)
+        k = rfft_wavenumbers(L, M)
         k[-1] = 0.0  # odd symbols vanish at Nyquist, as in core.derivative
         ik = 1j * k
         lin = 1j * k**3 / 24.0

@@ -313,11 +313,19 @@ class TestExitCodes:
         (["fpu", "--dt", "inf"], "dt_lattice must be in (0, inf), got inf"),
         (["error-scan", "--dtau", "inf", "--eps", "0.1", "--n-samples", "2"],
          "dtau must be in (0, inf), got inf"),
+        (["soliton", "--c", "nan"], "c must be positive and finite, got nan"),
+        (["error-scan", "--c", "inf", "--eps", "0.1", "--n-samples", "2"],
+         "c must be positive and finite, got inf"),
+        (["kdv", "--initial-mode", "gaussian", "--amplitude", "nan"],
+         "amplitude must be finite, got nan"),
+        (["kdv", "--initial-mode", "gaussian", "--amplitude", "inf"],
+         "amplitude must be finite, got inf"),
     ], ids=["fpu-eps-0", "fpu-eps-negative", "fpu-L-nan", "fpu-L-inf", "soliton-M-0",
             "soliton-M-negative", "residual-scan-M-0", "kdv-M-0", "error-scan-eps-0",
             "kdv-L-negative", "metastability-seed-negative", "fpu-t-end-inf",
             "kdv-tau-end-inf", "error-scan-tau0-inf", "error-scan-K-nan", "fpu-dt-inf",
-            "error-scan-dtau-inf"])
+            "error-scan-dtau-inf", "soliton-c-nan", "error-scan-c-inf", "kdv-amplitude-nan",
+            "kdv-amplitude-inf"])
     def test_bad_setting_is_a_configuration_error(self, capsys, tmp_path, argv, message):
         # each used to end in a traceback, or (kdv --L -32) in NaN norms and exit 2;
         # a negative seed in default_rng, an infinite window in the sampler;

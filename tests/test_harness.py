@@ -11,6 +11,7 @@ from fpukdv import fpu, kdv
 from fpukdv.cli import main
 from fpukdv.core import (
     BlowUpError,
+    BudgetViolationError,
     ConfigurationError,
     ErrorRecord,
     InvalidInputError,
@@ -175,8 +176,9 @@ class TestExperimentSpecValidation:
     @pytest.mark.parametrize("kwargs", [
         dict(theorem=3), dict(tau0=0.0), dict(tau0=float("nan")),
         dict(perturbation_size=-0.01), dict(n_samples=0), dict(n_samples=-1),
+        dict(c=float("nan")), dict(c=float("inf")), dict(amplitude=float("nan")),
     ], ids=["theorem-3", "tau0-zero", "tau0-nan", "negative-perturbation",
-            "no-samples", "negative-samples"])
+            "no-samples", "negative-samples", "c-nan", "c-inf", "amplitude-nan"])
     def test_out_of_range(self, kwargs):
         with pytest.raises(InvalidInputError):
             ExperimentSpec(**kwargs)
@@ -420,8 +422,9 @@ class TestFailureClassification:
 
 
 class TestSharedKdvWindow:
-    """The eps cells of one KdV window share one KdV run, in lockstep; a
-    metastability window runs its cells in the same lockstep against W0."""
+    """The eps cells of one KdV window share one sampled KdV run, each cell
+    run alone against it; a metastability window runs its cells the same
+    way against W0."""
 
     SPEC = ExperimentSpec(p=2, epsilons=(0.2, 0.1), tau0=0.02, n_samples=3)
     # (runner, spec, the record's time): metastability cells start perturbed
@@ -487,3 +490,38 @@ class TestSharedKdvWindow:
         for cell in cells:
             assert cell["flags"]["blow_up"] and "kdv guard" in cell["flags"]["error"]
             assert len(cell["records"]) == 2  # samples 0 and 1, taken before the blow-up
+
+    def test_lattice_blowup_in_the_kdv_blowup_interval_keeps_its_error(self, monkeypatch):
+        unbroken = run_error_scan(self.SPEC)["cells"]
+        N_blown = round(self.SPEC.L / 0.1)
+        integrate, fpu_integrate = kdv.kdv_integrate, fpu.fpu_integrate
+        kdv_calls, lattice_calls = [], []
+
+        def blow_up_kdv_second_interval(*args, **kwargs):
+            kdv_calls.append(None)
+            if len(kdv_calls) == 2:
+                raise BlowUpError("kdv guard")
+            return integrate(*args, **kwargs)
+
+        def blow_up_lattice_second_interval(state, cfg):
+            if state.N == N_blown:
+                lattice_calls.append(None)
+                if len(lattice_calls) == 2:
+                    raise BlowUpError("lattice guard")
+            return fpu_integrate(state, cfg)
+
+        monkeypatch.setattr(kdv, "kdv_integrate", blow_up_kdv_second_interval)
+        monkeypatch.setattr(fpu, "fpu_integrate", blow_up_lattice_second_interval)
+        good, blown = run_error_scan(self.SPEC)["cells"]
+        assert "kdv guard" in good["flags"]["error"]
+        assert "lattice guard" in blown["flags"]["error"]
+        for cell, alone in zip((good, blown), unbroken):
+            assert cell["flags"]["blow_up"]
+            assert cell["records"] == alone["records"][:2]  # samples 0 and 1
+
+    def test_budget_violation_fails_before_any_kdv_step(self, monkeypatch):
+        calls = count_calls(monkeypatch, kdv.kdv_integrate)
+        spec = replace(self.SPEC, perturbation_mode="random", perturbation_size=1.0)
+        with pytest.raises(BudgetViolationError):
+            run_error_scan(spec)
+        assert calls == []

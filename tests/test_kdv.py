@@ -118,6 +118,9 @@ class TestSolitonProfile:
     def test_invalid_spec(self):
         with pytest.raises(InvalidInputError):
             SolitonSpec(p=2, c=-1.0)
+        for c in (math.nan, math.inf):  # NaN used to pass c <= 0
+            with pytest.raises(InvalidInputError, match="c must be positive and finite"):
+                SolitonSpec(p=2, c=c)
         with pytest.raises(InvalidInputError):
             SolitonSpec(p=1, c=1.0)
         with pytest.raises(InvalidInputError, match="p must be an integer"):
