@@ -27,8 +27,8 @@ import numpy as np
 from .core import (
     BudgetViolationError,
     FieldProfile,
-    InvalidInputError,
     LatticeState,
+    check_epsilon,
     sample_to_lattice,
 )
 from .kdv import nonlinear_fields
@@ -38,8 +38,7 @@ def build_p_epsilon(W: FieldProfile, N: np.ndarray, epsilon: float) -> FieldProf
     """P_eps from W and the dealiased spectrum N^ of W^p; on (W_tau, the
     dealiased p W^(p-1) W_tau) it is P_tau, since
     d/dtau[W^(p-1) W'] = (W^(p-1) W_tau)'."""
-    if not 0.0 < epsilon < 1.0:
-        raise InvalidInputError(f"epsilon must be in (0, 1), got {epsilon}")
+    check_epsilon(epsilon)
     z = 1j * epsilon * W.wavenumbers()
     s = -1.0 + z * (0.5 + z * (-0.125 + z / 48.0))
     return FieldProfile.from_coeffs(s * W.coeffs + 0.25 * epsilon**2 * (z - 2.0) * N, W.L)

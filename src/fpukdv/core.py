@@ -1,5 +1,5 @@
-"""Shared domain types, spectral grids, integer powers, norms and the lattice
-sampling operator.
+"""Shared domain types and input rules, spectral grids, integer powers,
+norms and the lattice sampling operator.
 
 Conventions:
   * periodic continuum domain [0, L), M uniform grid points, spacing L/M
@@ -64,6 +64,18 @@ class BudgetViolationError(InvalidInputError):
 BLOWUP_GUARD = 1.0e6
 
 
+def check_power(p) -> None:
+    """The one rule for the nonlinearity power: an integer p >= 2."""
+    if not isinstance(p, numbers.Integral) or p < 2:
+        raise InvalidInputError(f"p must be an integer >= 2, got {p}")
+
+
+def check_epsilon(epsilon: float) -> None:
+    """The one rule for the small parameter: epsilon in (0, 1); NaN fails it."""
+    if not 0.0 < epsilon < 1.0:
+        raise InvalidInputError(f"epsilon must be in (0, 1), got {epsilon}")
+
+
 def lattice_size(L: float, epsilon: float) -> int:
     """The site count N of the periodic lattice, N*epsilon = L to within
     1e-9*max(1, L), so that the moving frame xi = epsilon*(n - t) wraps."""
@@ -95,10 +107,8 @@ class ModelParams:
     dt_lattice: float
 
     def __post_init__(self):
-        if not isinstance(self.p, numbers.Integral) or self.p < 2:
-            raise InvalidInputError(f"p must be an integer >= 2, got {self.p}")
-        if not 0.0 < self.epsilon < 1.0:
-            raise InvalidInputError(f"epsilon must be in (0, 1), got {self.epsilon}")
+        check_power(self.p)
+        check_epsilon(self.epsilon)
         if not 0.0 < self.dt_lattice < math.inf:
             raise InvalidInputError(f"dt_lattice must be in (0, inf), got {self.dt_lattice}")
 
@@ -275,13 +285,13 @@ def l2_norm(x) -> float:
     return float(np.sqrt(np.dot(x, x)))
 
 
-def _hs_density(W: FieldProfile, s: float) -> tuple[np.ndarray, np.ndarray]:
-    """(k, (1 + k^2)^s |c|^2) per half-spectrum mode; each 0 < m < M/2 is
+def _hs_density(W: FieldProfile, s: float) -> np.ndarray:
+    """(1 + k^2)^s |c|^2 per half-spectrum mode; each 0 < m < M/2 is
     counted twice, for itself and its conjugate -m."""
     k = W.wavenumbers()
     dens = (1.0 + k * k) ** s * np.abs(W.coeffs) ** 2
     dens[1:-1] *= 2.0
-    return k, dens
+    return dens
 
 
 def sobolev_norm(W: FieldProfile, s: float) -> float:
@@ -289,19 +299,19 @@ def sobolev_norm(W: FieldProfile, s: float) -> float:
 
     Fractional s uses the same multiplier formula.
     """
-    if s < 0:
-        raise InvalidInputError(f"Sobolev index must be >= 0, got {s}")
-    _, dens = _hs_density(W, s)
-    return float(np.sqrt(W.L / W.M**2 * np.sum(dens)))
+    if not 0.0 <= s < math.inf:
+        raise InvalidInputError(f"Sobolev index must be in [0, inf), got {s}")
+    return float(np.sqrt(W.L / W.M**2 * np.sum(_hs_density(W, s))))
 
 
 def spectral_tail_fraction(W: FieldProfile, s: float) -> float:
-    """Fraction of the H^s energy carried by the top third of the spectrum."""
-    k, dens = _hs_density(W, s)
+    """Fraction of the H^s energy carried by the top third of the spectrum,
+    the modes m > M/3 that the 2/3 rule of ``dealias_mask`` drops."""
+    dens = _hs_density(W, s)
     total = np.sum(dens)
     if total == 0.0:
         return 0.0
-    return float(np.sum(dens[k > (2.0 / 3.0) * k[-1]]) / total)
+    return float(np.sum(dens[~dealias_mask(W.M)]) / total)
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,8 @@ from .core import (
     InvalidInputError,
     LatticeState,
     ModelParams,
+    check_epsilon,
+    check_power,
     grid_points,
     lattice_size,
     sample_steps,
@@ -81,21 +83,23 @@ class ExperimentSpec:
             raise InvalidInputError(f"theorem must be 1 or 2, got {self.theorem}")
         if not (self.tau0 is None or 0.0 < self.tau0 < math.inf):
             raise InvalidInputError(f"tau0 must be positive and finite, got {self.tau0}")
-        if not isinstance(self.p, numbers.Integral) or self.p < 2:
-            raise InvalidInputError(f"p must be an integer >= 2, got {self.p}")
+        check_power(self.p)
         if not isinstance(self.n_samples, numbers.Integral) or self.n_samples < 1:
             raise InvalidInputError(f"sampling needs an integer n_samples >= 1, "
                                     f"got {self.n_samples}")
-        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
-            raise InvalidInputError(f"seed must be an integer >= 0, got {self.seed}")
+        for name in ("seed", "s"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or value < 0:
+                raise InvalidInputError(f"{name} must be an integer >= 0, got {value}")
         for name in ("t_end", "tau_end", "c", "K", "L"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise InvalidInputError(f"{name} must be positive and finite, "
                                         f"got {getattr(self, name)}")
         if not math.isfinite(self.amplitude):
             raise InvalidInputError(f"amplitude must be finite, got {self.amplitude}")
-        if not (self.perturbation_size is None or self.perturbation_size >= 0.0):
-            raise InvalidInputError(f"perturbation size {self.perturbation_size} is not >= 0")
+        if not (self.perturbation_size is None or 0.0 <= self.perturbation_size < math.inf):
+            raise InvalidInputError(f"perturbation size must be >= 0 and finite, "
+                                    f"got {self.perturbation_size}")
         if not 0.0 < self.r < 0.5:
             raise InvalidInputError(f"r must be in (0, 1/2), got {self.r}")
         eps = tuple(self.epsilons)
@@ -156,8 +160,7 @@ def time_window(epsilon: float, r: float, K: float, p: int, theorem: int) -> tup
     Theorem 1: t0 = r K^-1 eps^-3 |log eps|;
     Theorem 2: t0 = (2 p K)^-1 eps^-3 log(r |log eps|), needs r|log eps| > 1.
     """
-    if not 0.0 < epsilon < 1.0:
-        raise InvalidInputError(f"epsilon must be in (0, 1), got {epsilon}")
+    check_epsilon(epsilon)
     abslog = abs(math.log(epsilon))
     if theorem == 1:
         t0 = r / K * epsilon**-3 * abslog

@@ -31,6 +31,7 @@ from .core import (
     ConfigurationError,
     FieldProfile,
     InvalidInputError,
+    check_power,
     dealias_mask,
     dealiased_rfft,
     derivative,
@@ -61,8 +62,7 @@ class KdvRunConfig:
             raise InvalidInputError(f"M must be an integer power of two >= 256, got {self.M}")
         if not 0.0 < self.dtau < math.inf:
             raise InvalidInputError(f"dtau must be in (0, inf), got {self.dtau}")
-        if not isinstance(self.p, numbers.Integral) or self.p < 2:
-            raise InvalidInputError(f"p must be an integer >= 2, got {self.p}")
+        check_power(self.p)
 
 
 @dataclass(frozen=True)
@@ -74,8 +74,7 @@ class SolitonSpec:
     def __post_init__(self):
         if not 0.0 < self.c < math.inf:
             raise InvalidInputError(f"wave speed c must be positive and finite, got {self.c}")
-        if not isinstance(self.p, numbers.Integral) or self.p < 2:
-            raise InvalidInputError(f"p must be an integer >= 2, got {self.p}")
+        check_power(self.p)
 
     @property
     def amplitude(self) -> float:

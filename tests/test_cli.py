@@ -320,17 +320,20 @@ class TestExitCodes:
          "amplitude must be finite, got nan"),
         (["kdv", "--initial-mode", "gaussian", "--amplitude", "inf"],
          "amplitude must be finite, got inf"),
+        (["error-scan", "--eps", "0.2", "--tau0", "0.01", "--n-samples", "2",
+          "--perturbation-size", "inf"], "perturbation size must be >= 0 and finite, got inf"),
     ], ids=["fpu-eps-0", "fpu-eps-negative", "fpu-L-nan", "fpu-L-inf", "soliton-M-0",
             "soliton-M-negative", "residual-scan-M-0", "kdv-M-0", "error-scan-eps-0",
             "kdv-L-negative", "metastability-seed-negative", "fpu-t-end-inf",
             "kdv-tau-end-inf", "error-scan-tau0-inf", "error-scan-K-nan", "fpu-dt-inf",
             "error-scan-dtau-inf", "soliton-c-nan", "error-scan-c-inf", "kdv-amplitude-nan",
-            "kdv-amplitude-inf"])
+            "kdv-amplitude-inf", "error-scan-perturbation-size-inf"])
     def test_bad_setting_is_a_configuration_error(self, capsys, tmp_path, argv, message):
         # each used to end in a traceback, or (kdv --L -32) in NaN norms and exit 2;
         # a negative seed in default_rng, an infinite window in the sampler;
         # tau0 = inf in math.ceil of the sampler, K = nan in a misleading t_end = nan;
-        # an infinite step ran one step per sample and wrote Infinity into the JSON
+        # an infinite step ran one step per sample and wrote Infinity into the JSON,
+        # as an infinite perturbation size did
         code, _, err = run_cli(argv + ["--out-dir", str(tmp_path)], capsys)
         assert code == 1
         assert f"configuration error: {message}" in err
@@ -500,8 +503,9 @@ class TestMetastabilityAndNormGrowth:
 
     @pytest.mark.parametrize("size,message", [
         ("1.0", "configuration error: perturbation l2 size 1.0 exceeds the eps^(3/2) budget"),
-        ("-0.01", "configuration error: perturbation size -0.01 is not >= 0"),
-    ], ids=["over-budget", "negative"])
+        ("-0.01", "configuration error: perturbation size must be >= 0 and finite, got -0.01"),
+        ("inf", "configuration error: perturbation size must be >= 0 and finite, got inf"),
+    ], ids=["over-budget", "negative", "inf"])
     def test_perturbation_size_out_of_range(self, tmp_path, capsys, size, message):
         code, out, err = run_cli(["metastability", "--eps", "0.1", "--r", "0.1",
                                   "--n-samples", "2", "--perturbation-size", size,
@@ -593,13 +597,19 @@ class TestFlagTable:
         assert not list(tmp_path.glob("*.csv"))
 
 
-@pytest.mark.parametrize("module", ["multiprocessing", "fpukdv.kernels"])
-def test_import_does_not_load(module):
+@pytest.mark.parametrize("entry, module", [
+    ("fpukdv.cli", "multiprocessing"), ("fpukdv.cli", "fpukdv.kernels"),
+    ("fpukdv.kdv", "fpukdv.harness"), ("fpukdv.kdv", "fpukdv.cli"),
+    ("fpukdv.fpu", "fpukdv.harness"), ("fpukdv.fpu", "fpukdv.cli"),
+], ids=["multiprocessing", "fpukdv.kernels", "kdv-harness", "kdv-cli", "fpu-harness",
+        "fpu-cli"])
+def test_import_does_not_load(entry, module):
     # every sweep runs in one process, so no run pays for importing
-    # multiprocessing (nor should one come back through a dependency); and
-    # no run imports the test oracles
+    # multiprocessing (nor should one come back through a dependency); no
+    # run imports the test oracles; and the package namespace imports
+    # nothing, so a solver module loads only what it imports itself
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
-    code = f"import sys, fpukdv.cli; print({module!r} in sys.modules)"
+    code = f"import sys, {entry}; print({module!r} in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
                          capture_output=True, text=True, check=True).stdout
     assert out.strip() == "False"

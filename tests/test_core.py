@@ -119,6 +119,12 @@ class TestSobolevNorm:
         with pytest.raises(InvalidInputError):
             sobolev_norm(gaussian_profile, -1)
 
+    @pytest.mark.parametrize("s", [math.nan, math.inf])
+    def test_non_finite_s_rejected(self, gaussian_profile, s):
+        # s < 0 is false for NaN, so a NaN index used to give a NaN norm
+        with pytest.raises(InvalidInputError):
+            sobolev_norm(gaussian_profile, s)
+
     def test_fractional_index_between_integers(self, gaussian_profile):
         assert (sobolev_norm(gaussian_profile, 0)
                 <= sobolev_norm(gaussian_profile, 0.75)

@@ -177,8 +177,10 @@ class TestExperimentSpecValidation:
         dict(theorem=3), dict(tau0=0.0), dict(tau0=float("nan")),
         dict(perturbation_size=-0.01), dict(n_samples=0), dict(n_samples=-1),
         dict(c=float("nan")), dict(c=float("inf")), dict(amplitude=float("nan")),
+        dict(perturbation_size=float("inf")),
     ], ids=["theorem-3", "tau0-zero", "tau0-nan", "negative-perturbation",
-            "no-samples", "negative-samples", "c-nan", "c-inf", "amplitude-nan"])
+            "no-samples", "negative-samples", "c-nan", "c-inf", "amplitude-nan",
+            "infinite-perturbation"])
     def test_out_of_range(self, kwargs):
         with pytest.raises(InvalidInputError):
             ExperimentSpec(**kwargs)
@@ -192,11 +194,16 @@ class TestExperimentSpecValidation:
         (dict(seed=2.5), "seed must be an integer >= 0, got 2.5"),
         (dict(seed=-1), "seed must be an integer >= 0, got -1"),
         (dict(M=512.0), "M must be even and positive, got 512.0"),
+        (dict(s=float("nan")), "^s must be an integer >= 0, got nan"),
+        (dict(s=float("inf")), "^s must be an integer >= 0, got inf"),
+        (dict(s=-1), "^s must be an integer >= 0, got -1"),
+        (dict(s=2.5), "^s must be an integer >= 0, got 2.5"),
     ], ids=["fractional-p", "float-p", "p-1", "fractional-samples", "unknown-initial-mode",
-            "fractional-seed", "negative-seed", "float-M"])
+            "fractional-seed", "negative-seed", "float-M", "s-nan", "s-inf", "s-negative",
+            "fractional-s"])
     def test_rejected_before_a_run(self, kwargs, message):
         # each of these used to pass the spec and fail mid-run with a TypeError
-        # or in initial_profile
+        # or in initial_profile; a NaN s gave a NaN sup norm with no flag
         with pytest.raises(InvalidInputError, match=message):
             ExperimentSpec(**kwargs)
 
